@@ -11,7 +11,6 @@ import sys
 
 from .errors import AssumptionError, RwpotError
 from .harness import EXPERIMENTS, ExperimentConfig, run
-from .potential import DistributionSpec
 
 _DEFAULT_SPEC = {"kind": "TwoPoint",
                  "params": {"v_lo": 0.2, "v_hi": 1.0, "p_hi": 0.5}}

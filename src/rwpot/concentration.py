@@ -11,7 +11,7 @@ first and refuses (naming the failed assumption) unless overridden.
 """
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -19,8 +19,8 @@ import numpy as np
 from .errors import AssumptionError, ParameterError
 from .io import parallel_map, write_csv, write_json
 from .lattice import BoxRegion, as_point, norms
-from .potential import (DistributionSpec, PotentialField, assumption_report,
-                        fresh_site_value, sample_field)
+from .potential import (PotentialField, assumption_report, fresh_site_value,
+                        sample_field)
 from .rng import counter_uniform, derive_seed
 from .solver import (return_probability, travel_weight, visit_probabilities,
                      weighted_functionals)
@@ -241,12 +241,10 @@ def truncation_gap(spec, x, gamma, samples, seed, threads=1, override=False):
     lowers the potential, so the gap is nonnegative pathwise; its tail should
     decay at rate >= gamma/2."""
     x = as_point(x)
-    report = assumption_report(spec)
     if spec.exp_moment(gamma) == math.inf and not override:
         raise AssumptionError(
             "A1", f"hypothesis (A1) fails at gamma={gamma}: "
                   f"E[exp(gamma*omega)] diverges")
-    del report
     region = prop_box(x)
     origin = (0,) * len(x)
 

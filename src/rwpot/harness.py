@@ -24,8 +24,7 @@ from .concentration import (compare_restricted, entropy_global_probe,
 from .coarse import (animal_occupancy_check, chi_upper_probe,
                      supermartingale_step_check, write_animal_report)
 from .errors import AssumptionError, ParameterError
-from .io import (json_dumps, sha256_of_file, sha256_of_json, write_csv,
-                 write_json)
+from .io import sha256_of_file, sha256_of_json, write_csv, write_json
 from .lattice import AnimalSpec, BoxRegion, enumerate_animals, norms
 from .lyapunov import estimate_alpha, write_alpha_report
 from .oracle import enumerate_paths, sample_walk_weight

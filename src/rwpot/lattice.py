@@ -2,7 +2,6 @@
 indices, rotated-block rasterization and lattice-animal enumeration."""
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import CapacityError, DomainError, FeasibilityError, ParameterError
 from .lattice import as_point, coarse_index
-from .rng import counter_uniform, derive_seed
+from .rng import counter_uniform
 from .solver import SiteSet, region_sites, transition_matrix
 
 ENUM_MAX_SITES = 49
@@ -75,7 +75,7 @@ def enumerate_paths(field, region, x, taboo=(), L=ENUM_MAX_STEPS):
         raise DomainError("0 and x must lie in the region (and off the taboo set)")
     omega = field.values_at(ss.sites)
     kappa_min = float(omega.min())
-    P, _ = transition_matrix(ss, omega, fault_injection=False)
+    P, _ = transition_matrix(ss, omega)
     # split the step matrix: transitions into x absorb, the rest continue
     n = len(ss)
     keep = np.arange(n) != ix
@@ -307,8 +307,3 @@ def dump_traces(traces, path):
                 "tau_count": len(tr.tau_times),
             }, sort_keys=True))
             fh.write("\n")
-
-
-def sample_walk_weight_seeded(field, region, x, n_samples, seed, trial):
-    """Convenience wrapper deriving an independent per-trial substream."""
-    return sample_walk_weight(field, region, x, n_samples, derive_seed(seed, trial))

@@ -9,7 +9,7 @@ import json
 import math
 import struct
 import warnings
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
@@ -380,14 +380,6 @@ def sample_field(spec, region, seed):
     u = counter_uniform(seed, coords)
     values = spec.sample(u).reshape(region.shape)
     return PotentialField(region, values, spec, int(seed))
-
-
-def truncate_field(field, x, gamma):
-    return field.truncated(x, gamma)
-
-
-def set_site(field, y, v):
-    return field.with_value(y, v)
 
 
 def fresh_site_value(spec, seed, site, tag):

@@ -5,7 +5,9 @@ The walk pays exp(-omega) at every departure site and is killed on leaving
 the region (or on a taboo site). All quantities here reduce to solves with
 the matrix I - P, where P[z, z'] = exp(-omega(z))/(2d) for lattice neighbors
 z, z' inside the active set; P is a substochastic M-matrix on any finite box,
-so the systems are nonsingular and Gauss-Seidel converges.
+so the systems are nonsingular. Every system is assembled by one operator,
+_KilledWalk, and solved with its sparse LU factorization (SuperLU); only the
+zero-potential return probability is solved by conjugate gradients.
 """
 
 import math
@@ -13,20 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import cg, splu, spsolve, spsolve_triangular
+from scipy.sparse.linalg import cg, splu
 
 from .errors import DegenerateWeightError, DomainError, SolverError
 from .lattice import BoxRegion, as_point, block_sites, norms
-from .potential import PotentialField, sample_field, DistributionSpec
+from .potential import PotentialField, DistributionSpec
 
-DIRECT_MAX_SITES = 200_000
-GS_TOL = 1e-12
-GS_MAX_SWEEPS = 100_000
 RESIDUAL_TOL = 1e-9
-
-# Test hook: when set to a float, the first transition-matrix entry is scaled
-# by (1 + value). Used by the oracle battery's mutation sanity check only.
-_MATRIX_CORRUPTION = None
 
 
 class SiteSet:
@@ -82,13 +77,9 @@ def _axis_shifts(d):
     return shifts
 
 
-def transition_matrix(ss: SiteSet, omega, fault_injection=True):
+def transition_matrix(ss: SiteSet, omega):
     """(P, outside_count): substochastic step matrix and per-site count of
-    neighbors falling outside the active set.
-
-    fault_injection controls the _MATRIX_CORRUPTION test hook: independent
-    cross-checks (path enumeration) must build an uncorrupted matrix so a
-    deliberately injected solver fault is actually detected."""
+    neighbors falling outside the active set."""
     n = len(ss)
     w = np.exp(-np.asarray(omega, dtype=float)) / (2.0 * ss.d)
     rows, cols = [], []
@@ -101,43 +92,117 @@ def transition_matrix(ss: SiteSet, omega, fault_injection=True):
         outside += ~hit
     rows = np.concatenate(rows)
     cols = np.concatenate(cols)
-    data = w[rows]
-    if fault_injection and _MATRIX_CORRUPTION is not None and len(data):
-        data = data * (1.0 + _MATRIX_CORRUPTION)
-    P = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
+    P = sp.csr_matrix((w[rows], (rows, cols)), shape=(n, n))
     return P, outside
 
 
-def _gauss_seidel(A, b, tol=None, max_sweeps=None):
-    tol = GS_TOL if tol is None else tol
-    max_sweeps = GS_MAX_SWEEPS if max_sweeps is None else max_sweeps
-    L = sp.tril(A, 0, format="csr")
-    U = sp.triu(A, 1, format="csr")
-    x = np.zeros_like(b)
-    bscale = max(1.0, float(np.abs(b).max(initial=0.0)))
-    for _ in range(max_sweeps):
-        x = spsolve_triangular(L, b - U @ x, lower=True)
+class _KilledWalk:
+    """The killed-walk operator A = I - P on the sites of a region, less the
+    kill site when one is given: the walk dies on exit and on the kill site.
+
+    gauge, when given, is a log-scale g per site: P is conjugated to
+    P[z, z'] e^{g(z) - g(z')} and the right-hand sides are scaled by e^{g(z)},
+    so every solution comes out multiplied by e^{g}. The gauge is taken as 0
+    on the kill site and outside the region. A is factored once, on first use.
+    """
+
+    def __init__(self, field, region, kill=None, gauge=None):
+        sites = region_sites(region)
+        if kill is not None:
+            kill = as_point(kill)
+            keep = ~np.all(sites == np.asarray(kill, dtype=np.int64), axis=1)
+            if keep.all():
+                raise DomainError(f"kill site {kill} not in region")
+            sites = sites[keep]
+        self.kill = kill
+        self.gauge = gauge
+        self.ss = SiteSet(sites)
+        self.omega = field.values_at(self.ss.sites)
+        P, self.outside = transition_matrix(self.ss, self.omega)
+        if gauge is not None:
+            P = P.tocoo()
+            P.data *= np.exp(gauge[P.row] - gauge[P.col])
+        self.A = sp.identity(len(self.ss), format="csc") - P.tocsc()
+        self.residual = 0.0
+        # factored on first use by a plain check: functools' cached property
+        # takes one lock per class on Python 3.11, which would serialize the
+        # factorizations of parallel_map's threads
+        self._lu = None
+
+    def _factor(self):
+        if self._lu is None:
+            self._lu = splu(self.A)
+        return self._lu
+
+    def solve(self, b, trans="N"):
+        """A^{-1} b, or A^{-T} b for trans="T", with its residual checked."""
+        return self.check(self._factor().solve(b, trans=trans), b, trans)
+
+    def check(self, x, b, trans="N"):
+        """Return x after raising SolverError if the residual of A x = b
+        (A^T x = b for trans="T") exceeds RESIDUAL_TOL; record the worst."""
+        A = self.A.T if trans == "T" else self.A
         resid = float(np.abs(A @ x - b).max(initial=0.0))
-        if resid <= tol * bscale:
-            return x, resid
-    raise SolverError(f"Gauss-Seidel did not reach tol={tol} in {max_sweeps} sweeps")
+        if resid > RESIDUAL_TOL * max(1.0, float(np.abs(b).max(initial=0.0))):
+            raise SolverError(f"residual {resid:.3e} exceeds tolerance {RESIDUAL_TOL:.0e}")
+        self.residual = max(self.residual, resid)
+        return x
 
+    def kill_vector(self):
+        """P[z, kill]: with it, solve gives e(z, kill), the weight of hitting
+        the kill site before exiting."""
+        b = np.zeros(len(self.ss))
+        j = self.ss.index(np.asarray(self.kill) + np.array(_axis_shifts(self.ss.d)))
+        j = j[j >= 0]
+        b[j] = self._step_weight(j)
+        return b
 
-def _solve(A, b, method):
-    A = A.tocsc()
-    if method == "DirectLU":
-        x = spsolve(A, b)
-        resid = float(np.abs(A @ x - b).max(initial=0.0))
-        return x, resid
-    if method == "GaussSeidel":
-        return _gauss_seidel(A.tocsr(), b)
-    raise DomainError(f"unknown method {method!r}")
+    def exit_vector(self):
+        """The weight of stepping off the active sites: with it, solve gives
+        the weight of exiting (the kill site counts as outside)."""
+        return self._step_weight(slice(None)) * self.outside
 
+    def _step_weight(self, ids):
+        """exp(-omega(z))/(2d) at the given sites, in the gauge's frame."""
+        log_w = -self.omega[ids]
+        if self.gauge is not None:
+            log_w = log_w + self.gauge[ids]
+        return np.exp(log_w) / (2.0 * self.ss.d)
 
-def _pick_method(n, method):
-    if method is not None:
-        return method
-    return "DirectLU" if n <= DIRECT_MAX_SITES else "GaussSeidel"
+    def row(self, p):
+        """G(p, .) for all active sites."""
+        e = np.zeros(len(self.ss))
+        e[self._idx(p)] = 1.0
+        return self.solve(e, trans="T")
+
+    def column(self, p):
+        """G(., p) for all active sites."""
+        e = np.zeros(len(self.ss))
+        e[self._idx(p)] = 1.0
+        return self.solve(e)
+
+    def diagonal(self, ids=None):
+        """G(y, y) for the given site indices (all active sites by default).
+        Unchecked: an n x n residual would cost as much memory as the solve."""
+        lu = self._factor()
+        n = len(self.ss)
+        ids = np.arange(n) if ids is None else np.asarray(ids)
+        if len(ids) > 1 and n <= 5000:
+            cols = lu.solve(np.eye(n)[:, ids])
+            return cols[ids, np.arange(len(ids))]
+        out = np.empty(len(ids))
+        e = np.zeros(n)
+        for k, i in enumerate(ids):
+            e[i] = 1.0
+            out[k] = lu.solve(e)[i]
+            e[i] = 0.0
+        return out
+
+    def _idx(self, p):
+        i = self.ss.index_one(as_point(p))
+        if i < 0:
+            raise DomainError(f"site {tuple(p)} not active in Green system")
+        return i
 
 
 @dataclass(eq=False)
@@ -175,12 +240,7 @@ class SolveResult:
             yield tuple(int(c) for c in z), float(e)
 
 
-def _check_residual(resid, bscale):
-    if resid > RESIDUAL_TOL * max(1.0, bscale):
-        raise SolverError(f"residual {resid:.3e} exceeds tolerance {RESIDUAL_TOL:.0e}")
-
-
-def travel_weight(field, region, source, target, taboo=(), method=None, rescale="auto"):
+def travel_weight(field, region, source, target, taboo=()):
     """Solve for e_V(z, target) on the region, killed on exit and on taboo sites.
 
     Potential is paid at departure sites k = 0, ..., H-1 (source included,
@@ -204,55 +264,29 @@ def travel_weight(field, region, source, target, taboo=(), method=None, rescale=
     it = ss.index_one(target)
     if it < 0:
         raise DomainError(f"target {target} not in region")
-    if ss.index_one(source) < 0:
+    isrc = ss.index_one(source)
+    if isrc < 0:
         raise DomainError(f"source {source} not in region")
 
-    field_omega = field.values_at(ss.sites)
-    P, _ = transition_matrix(ss, field_omega)
-    n = len(ss)
-    keep = np.arange(n) != it
-    Pzz = P[keep][:, keep]
-    b = np.asarray(P[keep, it].todense()).ravel()
-    method = _pick_method(n, method)
-    A = sp.identity(n - 1, format="csr") - Pzz
-    u, resid = _solve(A, b, method)
-    _check_residual(resid, float(np.abs(b).max(initial=0.0)))
-
-    e_values = np.empty(n)
-    e_values[keep] = np.clip(u, 0.0, 1.0)
-    e_values[it] = 1.0
+    # the operator's sites are ss without the target, in the same order
+    kw = _KilledWalk(field, sites, kill=target)
+    u = kw.solve(kw.kill_vector())
+    e_values = np.insert(np.clip(u, 0.0, 1.0), it, 1.0)
     with np.errstate(divide="ignore"):
         log_e = np.log(e_values)
 
-    isrc = ss.index_one(source)
-    if rescale == "auto" and e_values[isrc] <= 0.0:
-        log_e = _rescaled_log_solve(ss, field_omega, it, keep, P, method, log_e)
-    return SolveResult(target, taboo, ss, e_values, log_e, resid, method)
-
-
-def _rescaled_log_solve(ss, omega, it, keep, P, method, log_e):
-    """Re-solve with conjugation by exp(c * l1-distance-to-target) so that the
-    solution stays representable; fills log_e where the plain solve underflowed."""
-    dist = np.abs(ss.sites - ss.sites[it]).sum(axis=1).astype(float)
-    c = math.log(2.0 * ss.d) + float(np.mean(omega))
-    Pc = P.tocoo()
-    data = Pc.data * np.exp(c * (dist[Pc.row] - dist[Pc.col]))
-    Ps = sp.csr_matrix((data, (Pc.row, Pc.col)), shape=Pc.shape)
-    Pzz = Ps[keep][:, keep]
-    b = np.asarray(Ps[keep, it].todense()).ravel()
-    n1 = Pzz.shape[0]
-    A = sp.identity(n1, format="csr") - Pzz
-    w, resid = _solve(A, b, method)
-    _check_residual(resid, float(np.abs(b).max(initial=0.0)))
-    full = np.empty(len(ss))
-    full[keep] = w
-    full[it] = 1.0
-    out = log_e.copy()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lw = np.log(full) - c * dist
-    fill = ~np.isfinite(out) & np.isfinite(lw) & (full > 0)
-    out[fill] = lw[fill]
-    return out
+    if e_values[isrc] <= 0.0:
+        # Underflow: solve again conjugated by exp(c * l1-distance to the
+        # target), where the solution stays representable, and fill log_e
+        # where the plain solve underflowed.
+        c = math.log(2.0 * ss.d) + float(np.mean(kw.omega))
+        gauge = c * np.abs(kw.ss.sites - np.asarray(target)).sum(axis=1)
+        gw = _KilledWalk(field, sites, kill=target, gauge=gauge)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_w = np.insert(np.log(gw.solve(gw.kill_vector())) - gauge, it, 0.0)
+        fill = ~np.isfinite(log_e) & np.isfinite(log_w)
+        log_e[fill] = log_w[fill]
+    return SolveResult(target, taboo, ss, e_values, log_e, kw.residual, "SuperLU")
 
 
 def block_cost(field, xi, m, n, N):
@@ -290,116 +324,30 @@ def exit_functional(field, region, start, crossing=("exit",)):
             raise DomainError("crossing shell exits the region; enlarge the field")
     else:
         raise DomainError(f"unknown crossing {crossing!r}")
-    ss = SiteSet(active)
-    omega = field.values_at(ss.sites)
-    P, outside = transition_matrix(ss, omega)
-    rhs = np.exp(-omega) / (2.0 * ss.d) * outside
-    n = len(ss)
-    method = _pick_method(n, None)
-    A = sp.identity(n, format="csr") - P
-    v, resid = _solve(A, rhs, method)
-    _check_residual(resid, float(np.abs(rhs).max(initial=0.0)))
-    return float(min(max(v[ss.index_one(start)], 0.0), 1.0))
+    kw = _KilledWalk(field, active)
+    v = kw.solve(kw.exit_vector())
+    return float(min(max(v[kw.ss.index_one(start)], 0.0), 1.0))
 
 
 def return_probability(d, region):
     """Probability the zero-potential walk returns to 0 before exiting the
     region. Monotone increasing in the region; the d >= 3 limit is the
     classical transient return probability."""
-    sites = region_sites(region)
-    ss = SiteSet(sites)
-    i0 = ss.index_one((0,) * d)
-    if i0 < 0:
-        raise DomainError("origin not in region")
-    P, _ = transition_matrix(ss, np.zeros(len(ss)))
-    n = len(ss)
-    keep = np.arange(n) != i0
-    Pzz = P[keep][:, keep]
-    b = np.asarray(P[keep, i0].todense()).ravel()
-    A = sp.identity(n - 1, format="csc") - Pzz
-    if n - 1 <= 20_000:
-        u = spsolve(A, b)
-    else:
-        # symmetric positive definite for zero potential
-        u, info = cg(A, b, rtol=1e-12, atol=0.0, maxiter=10_000)
-        if info != 0:
-            raise SolverError(f"CG failed with info={info}")
-    full = np.zeros(n)
-    full[keep] = u
-    total = 0.0
-    origin = np.zeros(d, dtype=np.int64)
-    for shift in _axis_shifts(d):
-        j = ss.index_one(tuple(origin + shift))
-        if j >= 0:
-            total += full[j] if j != i0 else 1.0
-    return total / (2.0 * d)
+    kw = _KilledWalk(zero_field(d, region), region, kill=(0,) * d)
+    b = kw.kill_vector()
+    # CG, not the operator's LU: A is symmetric positive definite at zero
+    # potential, and on the 35 937-site box of pinned_return_probability splu
+    # took 13.1 s and 625 MB against 0.9 s and 116 MB for CG.
+    u, info = cg(kw.A, b, rtol=1e-12, atol=0.0, maxiter=10_000)
+    if info != 0:
+        raise SolverError(f"CG failed with info={info}")
+    kw.check(u, b)
+    # P is symmetric here, so b also holds the steps P[0, z] out of the origin
+    return float(b @ u)
 
 
 # ---------------------------------------------------------------------------
 # Green-function machinery for taboo weights and the weighted measure Q.
-
-
-class _GreenSystem:
-    """LU factorization of I - P over the active sites, with x (optionally)
-    removed so the walk is killed at x and on exit."""
-
-    def __init__(self, field, region, kill=None):
-        sites = region_sites(region)
-        if kill is not None:
-            kill = as_point(kill)
-            keep = ~np.all(sites == np.asarray(kill, dtype=np.int64), axis=1)
-            if keep.all():
-                raise DomainError(f"kill site {kill} not in region")
-            sites = sites[keep]
-        self.ss = SiteSet(sites)
-        self.omega = field.values_at(self.ss.sites)
-        P, _ = transition_matrix(self.ss, self.omega)
-        self.P = P
-        n = len(self.ss)
-        self.lu = splu(sp.identity(n, format="csc") - P.tocsc())
-
-    def row(self, p):
-        """G(p, .) for all active sites."""
-        e = np.zeros(len(self.ss))
-        e[self._idx(p)] = 1.0
-        return self.lu.solve(e, trans="T")
-
-    def column(self, p):
-        """G(., p) for all active sites."""
-        e = np.zeros(len(self.ss))
-        e[self._idx(p)] = 1.0
-        return self.lu.solve(e)
-
-    def diagonal(self, ids=None):
-        """G(y, y) for the given site indices (all active sites by default)."""
-        n = len(self.ss)
-        ids = np.arange(n) if ids is None else np.asarray(ids)
-        if len(ids) > 1 and n <= 5000:
-            cols = self.lu.solve(np.eye(n)[:, ids])
-            return cols[ids, np.arange(len(ids))]
-        out = np.empty(len(ids))
-        e = np.zeros(n)
-        for k, i in enumerate(ids):
-            e[i] = 1.0
-            out[k] = self.lu.solve(e)[i]
-            e[i] = 0.0
-        return out
-
-    def hit_vector(self, target_point, target_omega=None):
-        """e(z, target) for active z when target itself is the killed site."""
-        tp = np.asarray(as_point(target_point), dtype=np.int64)
-        b = np.zeros(len(self.ss))
-        j = self.ss.index(tp + np.array(_axis_shifts(self.ss.d)))
-        w = np.exp(-self.omega) / (2.0 * self.ss.d)
-        for i in j[j >= 0]:
-            b[i] = w[i]
-        return self.lu.solve(b)
-
-    def _idx(self, p):
-        i = self.ss.index_one(as_point(p))
-        if i < 0:
-            raise DomainError(f"site {tuple(p)} not active in Green system")
-        return i
 
 
 @dataclass(eq=False)
@@ -422,56 +370,52 @@ class WeightedFunctionals:
         return float(self.q_visit[i])
 
 
+def _tilted_walk(field, region, x):
+    """(operator killed at x, index of the origin, e_V(., x), G(0, .)): the
+    pieces of q(y) = G(0, y) / G(y, y) * e_V(y, x) / e_V(0, x)."""
+    origin = (0,) * len(x)
+    if x == origin:
+        raise DomainError("x must differ from the origin")
+    kw = _KilledWalk(field, region, kill=x)
+    i0 = kw.ss.index_one(origin)
+    if i0 < 0:
+        raise DomainError("origin not in region")
+    u = kw.solve(kw.kill_vector())  # e_V(z, x) for z != x
+    if u[i0] <= 0.0:
+        raise DegenerateWeightError("e_V(0, x) underflowed; weighted measure undefined")
+    return kw, i0, u, kw.row(origin)
+
+
 def weighted_functionals(field, region, x):
     """Full visit-probability vector q(y) = Q(H(y) < H(x)) and the expected
     range of the weighted walk, E_Q[#A] = sum_y q(y)."""
     x = as_point(x)
-    d = len(x)
-    origin = (0,) * d
-    if x == origin:
-        raise DomainError("x must differ from the origin")
-    gs = _GreenSystem(field, region, kill=x)
-    i0 = gs.ss.index_one(origin)
-    if i0 < 0:
-        raise DomainError("origin not in region")
-    u = gs.hit_vector(x)  # e_V(z, x) for z != x
-    e0x = u[i0]
-    if e0x <= 0.0:
-        raise DegenerateWeightError("e_V(0, x) underflowed; weighted measure undefined")
-    g = gs.row(origin)  # G(0, y)
-    diag = gs.diagonal()  # G(y, y)
-    q = (g / diag) * u / e0x
+    kw, i0, u, g = _tilted_walk(field, region, x)
+    q = (g / kw.diagonal()) * u / u[i0]
     q[i0] = 1.0
     q = np.clip(q, 0.0, 1.0)
-    return WeightedFunctionals(x, gs.ss, q, float(q.sum()))
+    return WeightedFunctionals(x, kw.ss, q, float(q.sum()))
 
 
 def visit_probabilities(field, region, x, ys):
     """q(y) = Q(H(y) < H(x)) for selected sites y only (cheaper than the
     full diagonal when just a few sites matter)."""
     x = as_point(x)
-    origin = (0,) * len(x)
-    gs = _GreenSystem(field, region, kill=x)
-    i0 = gs.ss.index_one(origin)
-    u = gs.hit_vector(x)
-    e0x = u[i0]
-    if e0x <= 0.0:
-        raise DegenerateWeightError("e_V(0, x) underflowed; weighted measure undefined")
-    g = gs.row(origin)
+    kw, i0, u, g = _tilted_walk(field, region, x)
     out = {}
     for y in ys:
         y = as_point(y)
         if y == x:
             out[y] = 0.0
             continue
-        iy = gs.ss.index_one(y)
+        iy = kw.ss.index_one(y)
         if iy < 0:
             raise DomainError(f"site {y} not in region")
         if iy == i0:
             out[y] = 1.0
             continue
-        gyy = gs.diagonal([iy])[0]
-        out[y] = float(np.clip(g[iy] / gyy * u[iy] / e0x, 0.0, 1.0))
+        gyy = kw.diagonal([iy])[0]
+        out[y] = float(np.clip(g[iy] / gyy * u[iy] / u[i0], 0.0, 1.0))
     return out
 
 
@@ -481,21 +425,21 @@ def maximal_distance(field, region, x, eta):
     diagonal solves."""
     x = as_point(x)
     l1x = norms(x)[0]
-    gs = _GreenSystem(field, region)
-    ix = gs.ss.index_one(x)
+    kw = _KilledWalk(field, region)
+    ix = kw.ss.index_one(x)
     if ix < 0:
         raise DomainError("x not in region")
     radius = eta * l1x
-    off = np.abs(gs.ss.sites - np.asarray(x, dtype=np.int64)).sum(axis=1)
+    off = np.abs(kw.ss.sites - np.asarray(x, dtype=np.int64)).sum(axis=1)
     ball = np.nonzero(off < radius)[0]
     # the whole lattice ball must be present in the region
-    expected = _l1_ball_count(gs.ss.d, radius)
+    expected = _l1_ball_count(kw.ss.d, radius)
     if len(ball) != expected:
         raise DomainError("l1 ball around x exits the region")
-    row_x = gs.row(x)  # G(x, .)
-    col_x = gs.column(x)  # G(., x)
+    row_x = kw.row(x)  # G(x, .)
+    col_x = kw.column(x)  # G(., x)
     gxx = row_x[ix]
-    diag = gs.diagonal(ball)
+    diag = kw.diagonal(ball)
     best = 0.0
     for k, iy in enumerate(ball):
         if iy == ix:

@@ -102,18 +102,23 @@ def test_run_refuses_by_assumption_name(tmp_path):
     assert run(cfg, out_dir=tmp_path).experiment == "tails"
 
 
-def test_oracle_check_passes_and_detects_corruption(tmp_path):
+def test_oracle_check_passes_and_detects_corruption(tmp_path, monkeypatch):
     battery = [{"seed": 11, "x": [2, 1], "radius": 3, "L": 24,
                 "episodes": 4000}]
     cfg = _config("oracle-check", sampling={"seed": 1, "battery": battery})
     report, assertions, _, warn = oracle_check(cfg)
     assert assertions == {"all_sandwich_ok": True, "all_mc_ok": True}
     assert not warn
-    solver_mod._MATRIX_CORRUPTION = -1e-4
-    try:
-        _, bad, _, _ = oracle_check(cfg)
-    finally:
-        solver_mod._MATRIX_CORRUPTION = None
+    # corrupt the solver's step matrix only: the path enumerator imported its
+    # own reference to transition_matrix, so it still sums the true walk
+    real = solver_mod.transition_matrix
+
+    def corrupted(ss, omega):
+        P, outside = real(ss, omega)
+        return P * (1.0 - 1e-4), outside
+
+    monkeypatch.setattr(solver_mod, "transition_matrix", corrupted)
+    _, bad, _, _ = oracle_check(cfg)
     assert not bad["all_sandwich_ok"]
 
 

@@ -6,9 +6,11 @@ import pytest
 from rwpot.errors import DomainError, SolverError
 from rwpot.lattice import BoxRegion
 from rwpot.potential import DistributionSpec, sample_field
+from rwpot import solver
 from rwpot.rng import derive_seed
-from rwpot.solver import (block_cost, exit_functional, maximal_distance,
-                          return_probability, travel_weight,
+from rwpot.solver import (SiteSet, block_cost, exit_functional,
+                          maximal_distance, return_probability,
+                          transition_matrix, travel_weight,
                           visit_probabilities, weighted_functionals,
                           zero_field)
 
@@ -79,14 +81,6 @@ def test_one_solve_many_targets_consistency():
         assert abs(res.e_at(z) - single.e_at(z)) < 1e-12
 
 
-def test_gauss_seidel_matches_direct():
-    box = BoxRegion.centered(4, 2)
-    field = sample_field(EXP, box, 2)
-    lu = travel_weight(field, box, (0, 0), (3, 0), method="DirectLU")
-    gs = travel_weight(field, box, (0, 0), (3, 0), method="GaussSeidel")
-    assert np.max(np.abs(lu.e_values - gs.e_values)) < 1e-10
-
-
 def test_taboo_reduces_weight():
     box = BoxRegion.centered(3, 2)
     field = sample_field(TP, box, 4)
@@ -151,9 +145,24 @@ def test_return_probability_tiny_region():
     assert abs(return_probability(2, tiny) - 0.25) < 1e-12
 
 
+def _dense_return_probability(d, box):
+    # the same killed walk, solved densely: the reference for the CG path
+    ss = SiteSet(box.sites())
+    P, _ = transition_matrix(ss, np.zeros(len(ss)))
+    P = P.toarray()
+    i0 = ss.index_one((0,) * d)
+    keep = np.arange(len(ss)) != i0
+    A = np.eye(len(ss) - 1) - P[keep][:, keep]
+    u = np.linalg.solve(A, P[keep, i0])
+    return float(P[i0, keep] @ u)
+
+
 def test_return_probability_monotone_in_region():
-    values = [return_probability(3, BoxRegion.centered(r, 3)) for r in (2, 4, 8)]
+    boxes = [BoxRegion.centered(r, 3) for r in (2, 4, 8)]
+    values = [return_probability(3, box) for box in boxes]
     assert values[0] < values[1] < values[2] < 1
+    for box, value in zip(boxes, values):
+        assert abs(value - _dense_return_probability(3, box)) < 1e-12
 
 
 def test_weighted_functionals_trivial_region():
@@ -199,15 +208,21 @@ def test_maximal_distance_ball_must_fit():
         maximal_distance(field, box, (3, 0), 1.0)
 
 
-def test_gauss_seidel_failure_raises():
-    from rwpot import solver as solver_mod
 
+def test_residual_guard_rejects_a_bad_solve(monkeypatch):
+    real_splu = solver.splu
+
+    class Perturbed:
+        def __init__(self, A):
+            self.lu = real_splu(A)
+
+        def solve(self, b, trans="N"):
+            return self.lu.solve(b, trans=trans) + 1e-6
+
+    monkeypatch.setattr(solver, "splu", Perturbed)
     box = BoxRegion.centered(3, 2)
     field = sample_field(TP, box, 1)
-    old = solver_mod.GS_MAX_SWEEPS
-    solver_mod.GS_MAX_SWEEPS = 1
-    try:
-        with pytest.raises(SolverError):
-            travel_weight(field, box, (0, 0), (2, 0), method="GaussSeidel")
-    finally:
-        solver_mod.GS_MAX_SWEEPS = old
+    with pytest.raises(SolverError):
+        travel_weight(field, box, (0, 0), (2, 0))
+    with pytest.raises(SolverError):
+        weighted_functionals(field, box, (2, 0))
