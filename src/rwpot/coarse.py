@@ -16,7 +16,8 @@ import numpy as np
 from .errors import DomainError, ParameterError
 from .io import write_csv, write_json
 from .lattice import AnimalSpec, BoxRegion, enumerate_animals
-from .potential import PotentialField, sample_field, save_field
+from .potential import (ZERO_LAW, PotentialField, sample_field_where,
+                        sample_fields, save_field)
 from .rng import counter_uniform, derive_seed
 from .solver import exit_functional
 from .stats import wilson_interval
@@ -101,15 +102,8 @@ def occupied_cost_bound_check(spec, M, kappa, n_trials, seed, d=2):
     violations = 0
     for trial in range(n_trials):
         sub = derive_seed(seed, trial)
-        attempt = 0
-        while True:
-            fld = sample_field(spec, box, derive_seed(sub, attempt))
-            if fld.is_occupied(kappa):
-                break
-            attempt += 1
-            if attempt > 10_000:
-                raise DomainError(
-                    "could not sample an occupied box; raise P(omega >= kappa)")
+        fld = sample_field_where(lambda f: f.is_occupied(kappa), spec, box,
+                                 (sub,), 10_000)
         u = counter_uniform(sub, np.asarray([trial, 0x57A7], dtype=np.int64))
         start = tuple(int(v) for v in box.sites()[int(u * M ** d) % M ** d])
         value = exit_functional(fld, box, start)
@@ -196,18 +190,9 @@ def canonical_chi_configs(l, d, kappa):
     for site in sorted(corners):
         values = zero.copy()
         values[tuple(c - lo for c, lo in zip(site, region.lo))] = kappa
-        configs.append(PotentialField(region, values, _zero_spec(), 0,
+        configs.append(PotentialField(region, values, ZERO_LAW, 0,
                                       (("canonical_site", site),)))
     return configs
-
-
-def _zero_spec():
-    import warnings
-
-    from .potential import DistributionSpec
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return DistributionSpec.constant(0.0)
 
 
 def chi_upper_probe(spec, l, kappa, n_configs, seed, witness_path=None, d=2):
@@ -217,14 +202,8 @@ def chi_upper_probe(spec, l, kappa, n_configs, seed, witness_path=None, d=2):
     evaluations = []
     best = None
     for i in range(n_configs):
-        attempt = 0
-        while True:
-            fld = sample_field(spec, region, derive_seed(seed, i, attempt))
-            if in_omega_prime(fld, l, kappa):
-                break
-            attempt += 1
-            if attempt > 100_000:
-                raise DomainError("Omega' conditioning infeasible for this law")
+        fld = sample_field_where(lambda f: in_omega_prime(f, l, kappa), spec,
+                                 region, (seed, i), 100_000)
         ev = chi_evaluate(fld, l, kappa)
         evaluations.append(ev)
         if best is None or ev.value > best[0].value:
@@ -258,19 +237,18 @@ def supermartingale_step_check(spec, l, kappa, chi_value, n_trials, seed):
     d = 2
     region = chi_region(l, d)
     origin = (0,) * d
-    violations = 0
-    occupied_trials = 0
-    rows = []
-    for trial in range(n_trials):
-        fld = sample_field(spec, region, derive_seed(seed, trial))
+
+    def row(fld):
         value = exit_functional(fld, region, origin, ("linf", 3 * l / 4.0))
         occ = in_omega_prime(fld, l, kappa)
         limit = chi_value if occ else 1.0
-        ok = value <= limit + STRICTNESS_TOL
-        occupied_trials += int(occ)
-        violations += 0 if ok else 1
-        rows.append({"occupied": occ, "value": value, "limit": limit, "ok": ok})
+        return {"occupied": occ, "value": value, "limit": limit,
+                "ok": value <= limit + STRICTNESS_TOL}
+
+    rows = sample_fields(row, spec, region,
+                         [derive_seed(seed, trial) for trial in range(n_trials)])
     return {"l": l, "kappa": kappa, "chi_value": chi_value,
-            "n_trials": n_trials, "occupied_trials": occupied_trials,
-            "violations": violations, "rows": rows,
+            "n_trials": n_trials,
+            "occupied_trials": sum(int(r["occupied"]) for r in rows),
+            "violations": sum(1 for r in rows if not r["ok"]), "rows": rows,
             "relative_to_probe": True}

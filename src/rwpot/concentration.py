@@ -16,11 +16,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import AssumptionError, ParameterError
-from .io import parallel_map, write_csv, write_json
+from .errors import AssumptionError, CapacityError, ParameterError
+from .io import write_csv, write_json
 from .lattice import BoxRegion, as_point, norms
 from .potential import (PotentialField, assumption_report, fresh_site_value,
-                        sample_field)
+                        sample_field, sample_fields)
 from .rng import counter_uniform, derive_seed
 from .solver import (return_probability, travel_weight, visit_probabilities,
                      weighted_functionals)
@@ -37,6 +37,12 @@ def prop_box(x, box_factor=DEFAULT_BOX_FACTOR):
     x = as_point(x)
     radius = int(math.ceil(box_factor * norms(x)[0]))
     return BoxRegion.centered(radius, len(x))
+
+
+def origin_cost(field, region, x):
+    """a_V(0, x) on the field, V the region."""
+    origin = (0,) * len(x)
+    return travel_weight(field, region, origin, x).cost_at(origin)
 
 
 @lru_cache(maxsize=None)
@@ -88,13 +94,9 @@ def cost_samples(spec, x, samples, seed, box_factor=DEFAULT_BOX_FACTOR,
     """a_V(0, x) on fresh seeded fields over the default box."""
     x = as_point(x)
     region = prop_box(x, box_factor) if region is None else region
-    origin = (0,) * len(x)
-
-    def one(i):
-        fld = sample_field(spec, region, derive_seed(seed, i))
-        return travel_weight(fld, region, origin, x).cost_at(origin)
-
-    return np.asarray(parallel_map(one, range(samples), threads))
+    seeds = [derive_seed(seed, i) for i in range(samples)]
+    return np.asarray(sample_fields(lambda fld: origin_cost(fld, region, x),
+                                    spec, region, seeds, threads))
 
 
 # ---------------------------------------------------------------------------
@@ -214,15 +216,10 @@ def compare_restricted(spec, x, box_factor_grid, samples, seed, threads=1):
     if factors != sorted(factors) or factors[0] < 1:
         raise ParameterError("box_factor_grid must be increasing with min >= 1")
     regions = [prop_box(x, f) for f in factors]
-    big = regions[-1]
-    origin = (0,) * len(x)
-
-    def one(i):
-        fld = sample_field(spec, big, derive_seed(seed, i))
-        return [travel_weight(fld, reg, origin, x).cost_at(origin)
-                for reg in regions]
-
-    costs = np.asarray(parallel_map(one, range(samples), threads))
+    seeds = [derive_seed(seed, i) for i in range(samples)]
+    costs = np.asarray(sample_fields(
+        lambda fld: [origin_cost(fld, reg, x) for reg in regions],
+        spec, regions[-1], seeds, threads))
     gaps = costs[:, :-1] - costs[:, -1:]  # a_small - a_large per column pair
     log2_event = int(np.sum(costs[:, -1] < costs[:, 0] - math.log(2.0)))
     return {
@@ -246,18 +243,15 @@ def truncation_gap(spec, x, gamma, samples, seed, threads=1, override=False):
             "A1", f"hypothesis (A1) fails at gamma={gamma}: "
                   f"E[exp(gamma*omega)] diverges")
     region = prop_box(x)
-    origin = (0,) * len(x)
 
-    def one(i):
-        fld = sample_field(spec, region, derive_seed(seed, i))
+    def gap(fld):
         capped = fld.truncated(x, gamma)
         if np.array_equal(fld.values, capped.values):
             return 0.0  # cap inactive: identical system, gap exactly zero
-        a_raw = travel_weight(fld, region, origin, x).cost_at(origin)
-        a_cap = travel_weight(capped, region, origin, x).cost_at(origin)
-        return a_raw - a_cap
+        return origin_cost(fld, region, x) - origin_cost(capped, region, x)
 
-    gaps = np.asarray(parallel_map(one, range(samples), threads))
+    seeds = [derive_seed(seed, i) for i in range(samples)]
+    gaps = np.asarray(sample_fields(gap, spec, region, seeds, threads))
     positive = gaps[gaps > 0]
     fitted = None
     if len(positive) >= 10:
@@ -322,10 +316,8 @@ def rank_one_verify(spec, x, n_trials, seed, box_factor=DEFAULT_BOX_FACTOR):
                 break
         w_y = fld.value_at(y)
         sigma_y = w_y + fresh_site_value(spec, sub, y, trial)
-        a_orig = travel_weight(fld, region, origin, x).cost_at(origin)
-        a_pert = travel_weight(fld.with_value(y, sigma_y), region, origin, x
-                               ).cost_at(origin)
-        delta = a_pert - a_orig
+        a_orig = origin_cost(fld, region, x)
+        delta = origin_cost(fld.with_value(y, sigma_y), region, x) - a_orig
         q_y = visit_probabilities(fld, region, x, [y])[y]
         bound_q = math.inf if q_y >= 1.0 else -math.log1p(-q_y)
         m = min(math.exp(-w_y), p_return)
@@ -390,10 +382,8 @@ def entropy_suite(marginal, field_rest, x, lambda_grid, seed, y=None):
             seed = derive_seed(seed, 1)
     y = as_point(y)
     probs = np.asarray([p for _, p in support])
-    u_vals = np.asarray([
-        travel_weight(field_rest.with_value(y, v), region, origin, x
-                      ).cost_at(origin)
-        for v, _ in support])
+    u_vals = np.asarray([origin_cost(field_rest.with_value(y, v), region, x)
+                         for v, _ in support])
     records = []
     for lam in lambda_grid:
         lam = float(lam)
@@ -416,15 +406,11 @@ def entropy_global_probe(spec, x, lambda_grid, samples, seed,
     implied C per lambda (expected bounded across the grid)."""
     x = as_point(x)
     region = prop_box(x, box_factor)
-    origin = (0,) * len(x)
-
-    def one(i):
-        fld = sample_field(spec, region, derive_seed(seed, i))
-        a = travel_weight(fld, region, origin, x).cost_at(origin)
-        rng = weighted_functionals(fld, region, x).expected_range
-        return a, rng
-
-    pairs = np.asarray(parallel_map(one, range(samples), threads))
+    seeds = [derive_seed(seed, i) for i in range(samples)]
+    pairs = np.asarray(sample_fields(
+        lambda fld: (origin_cost(fld, region, x),
+                     weighted_functionals(fld, region, x).expected_range),
+        spec, region, seeds, threads))
     a, rng = pairs[:, 0], pairs[:, 1]
     w = np.full(samples, 1.0 / samples)
     out = []
@@ -495,11 +481,8 @@ def martingale_diagnostics(spec, x, nested_samples, seed, gamma=1.0,
     *shared* set of suffix resamplings, which makes the telescoping identity
     sum_i delta_i = a_hat(actual) - mean_fresh(a_hat) exact by construction.
     """
-    from .errors import CapacityError
-
     x = as_point(x)
     d = len(x)
-    origin = (0,) * d
     if region is None:
         region = BoxRegion.centered(3, d) if d == 2 else BoxRegion.centered(1, d)
     if region.site_count > MARTINGALE_MAX_SITES:
@@ -514,8 +497,7 @@ def martingale_diagnostics(spec, x, nested_samples, seed, gamma=1.0,
 
     def cost_of(values):
         fld = PotentialField(region, values.reshape(region.shape), spec, 0)
-        return travel_weight(fld.truncated(x, gamma), region, origin, x
-                             ).cost_at(origin)
+        return origin_cost(fld.truncated(x, gamma), region, x)
 
     actual_flat = actual.values.ravel()
     e_hat = np.empty(M + 1)

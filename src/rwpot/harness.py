@@ -8,7 +8,6 @@ inventory of every produced file. Thread count never changes output bytes:
 parallel units are pure and aggregated in index order.
 """
 
-import math
 import os
 import time
 import warnings
@@ -17,10 +16,11 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import __version__
-from .concentration import (compare_restricted, entropy_global_probe,
-                            entropy_suite, psi_herbst, rank_one_verify,
-                            tail_experiment, truncation_gap,
-                            write_perturbation_report, write_tail_report)
+from .concentration import (DEFAULT_BOX_FACTOR, compare_restricted,
+                            entropy_global_probe, entropy_suite, prop_box,
+                            psi_herbst, rank_one_verify, tail_experiment,
+                            truncation_gap, write_perturbation_report,
+                            write_tail_report)
 from .coarse import (animal_occupancy_check, chi_upper_probe,
                      supermartingale_step_check, write_animal_report)
 from .errors import AssumptionError, ParameterError
@@ -30,7 +30,7 @@ from .lyapunov import estimate_alpha, write_alpha_report
 from .oracle import enumerate_paths, sample_walk_weight
 from .potential import DistributionSpec, sample_field
 from .rng import derive_seed
-from .solver import region_sites, travel_weight
+from .solver import bounding_box, travel_weight
 
 EXPERIMENTS = ("solve", "lyapunov", "tails", "compare", "truncate", "perturb",
                "entropy", "psi", "animals", "chi", "oracle-check")
@@ -55,6 +55,15 @@ class ExperimentConfig:
                 "sampling.seed: mandatory, wall-clock seeding is not allowed")
         if not isinstance(self.sampling["seed"], int):
             raise ParameterError("sampling.seed: must be an integer")
+        geometry, sampling = _READS[self.experiment]
+        unread = [f"{part}.{k}" for part, given, read in (
+            ("geometry", self.geometry, geometry),
+            ("sampling", self.sampling, sampling | {"seed"}),
+            ("output", self.output, {"directory"}))
+            for k in sorted(given) if k not in read]
+        if unread:
+            raise ParameterError(
+                f"{', '.join(unread)}: not read by {self.experiment}")
         return self
 
     @property
@@ -76,6 +85,11 @@ class ExperimentConfig:
         for key in ("experiment", "spec"):
             if key not in obj:
                 raise ParameterError(f"{key}: missing from config")
+        unknown = sorted(set(obj) - {"experiment", "spec", "geometry",
+                                     "sampling", "output",
+                                     "override_assumptions"})
+        if unknown:
+            raise ParameterError(f"{', '.join(unknown)}: not a config section")
         return cls(
             experiment=obj["experiment"],
             spec=DistributionSpec.from_json(obj["spec"]),
@@ -126,19 +140,16 @@ def _geometry_x(cfg, default=(4, 0)):
     return tuple(int(v) for v in cfg.geometry.get("x", list(default)))
 
 
-def _region_of(cfg, x):
-    if "sites" in cfg.geometry:
-        return np.asarray(cfg.geometry["sites"], dtype=np.int64)
-    factor = float(cfg.geometry.get("box_factor", 2))
-    radius = int(math.ceil(factor * norms(x)[0]))
-    return BoxRegion.centered(radius, len(x))
+def _box_factor(cfg):
+    return float(cfg.geometry.get("box_factor", DEFAULT_BOX_FACTOR))
 
 
 def _run_solve(cfg, out, threads):
     x = _geometry_x(cfg)
-    region = _region_of(cfg, x)
+    region = (np.asarray(cfg.geometry["sites"], dtype=np.int64)
+              if "sites" in cfg.geometry else prop_box(x, _box_factor(cfg)))
     origin = (0,) * len(x)
-    field = sample_field(cfg.spec, _bounding_box(region), cfg.seed)
+    field = sample_field(cfg.spec, bounding_box(region), cfg.seed)
     res = travel_weight(field, region, origin, x,
                         taboo=[tuple(t) for t in cfg.geometry.get("taboo", [])])
     rows = [z + (e,) for z, e in res.iter_rows()]
@@ -158,19 +169,12 @@ def _run_solve(cfg, out, threads):
         [csv_path, os.path.join(out, "solve.json")]
 
 
-def _bounding_box(region):
-    sites = region_sites(region)
-    lo = tuple(int(v) for v in sites.min(axis=0))
-    hi = tuple(int(v) + 1 for v in sites.max(axis=0))
-    return BoxRegion(lo, hi)
-
-
 def _run_lyapunov(cfg, out, threads):
     direction = tuple(int(v) for v in cfg.geometry.get("direction", [1, 0]))
     est = estimate_alpha(cfg.spec, direction,
                          cfg.sampling.get("n_grid", [2, 4, 8]),
                          cfg.sampling.get("samples", 50), cfg.seed,
-                         float(cfg.geometry.get("box_factor", 2)))
+                         _box_factor(cfg))
     csv_path = os.path.join(out, "alpha.csv")
     json_path = os.path.join(out, "alpha.json")
     write_alpha_report(est, csv_path, json_path)
@@ -184,7 +188,7 @@ def _run_tails(cfg, out, threads):
         cfg.spec, x, cfg.geometry.get("side", "UpperExp"),
         cfg.sampling.get("samples", 500),
         cfg.sampling.get("t_grid", [0.0, 0.5, 1.0, 1.5, 2.0]), cfg.seed,
-        box_factor=float(cfg.geometry.get("box_factor", 2)),
+        box_factor=_box_factor(cfg),
         alpha_ref=cfg.geometry.get("alpha_ref"),
         override=cfg.override_assumptions, threads=threads)
     csv_path = os.path.join(out, "tails.csv")
@@ -229,8 +233,7 @@ def _run_truncate(cfg, out, threads):
 def _run_perturb(cfg, out, threads):
     x = _geometry_x(cfg, default=(2, 1, 0))
     records = rank_one_verify(cfg.spec, x, cfg.sampling.get("samples", 50),
-                              cfg.seed,
-                              float(cfg.geometry.get("box_factor", 2)))
+                              cfg.seed, _box_factor(cfg))
     csv_path = os.path.join(out, "perturb.csv")
     json_path = os.path.join(out, "perturb.json")
     write_perturbation_report(records, csv_path, json_path)
@@ -272,8 +275,7 @@ def _run_psi(cfg, out, threads):
     rep = psi_herbst(cfg.spec, x_grid,
                      cfg.sampling.get("lambda_grid", [-0.5, -0.25, -0.1, 0.0]),
                      cfg.sampling.get("samples", 500), cfg.seed,
-                     box_factor=float(cfg.geometry.get("box_factor", 2)),
-                     threads=threads)
+                     box_factor=_box_factor(cfg), threads=threads)
     csv_path = os.path.join(out, "psi.csv")
     write_csv(csv_path, ("x", "lambda", "psi", "ratio"),
               [(" ".join(str(v) for v in r["x"]), r["lambda"], r["psi"],
@@ -383,6 +385,22 @@ def oracle_check(cfg, out=None, threads=1):
                   "all_mc_ok": report["all_mc_ok"]}
     return report, assertions, files, warn
 
+
+# The geometry and sampling keys that each experiment's runner reads, beside
+# sampling.seed (read by all); validate() rejects any other key.
+_READS = {
+    "solve": ({"x", "sites", "box_factor", "taboo"}, set()),
+    "lyapunov": ({"direction", "box_factor"}, {"n_grid", "samples"}),
+    "tails": ({"x", "side", "box_factor", "alpha_ref"}, {"samples", "t_grid"}),
+    "compare": ({"x", "box_factor_grid"}, {"samples"}),
+    "truncate": ({"x", "gamma"}, {"samples"}),
+    "perturb": ({"x", "box_factor"}, {"samples"}),
+    "entropy": ({"x", "env_radius"}, {"lambda_grid", "samples"}),
+    "psi": ({"x", "x_grid", "box_factor"}, {"lambda_grid", "samples"}),
+    "animals": ({"d", "l_cap", "M", "kappa"}, {"samples"}),
+    "chi": ({"l", "kappa", "d"}, {"samples", "trials"}),
+    "oracle-check": (set(), {"battery"}),
+}
 
 _DISPATCH = {
     "solve": _run_solve,

@@ -15,14 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .concentration import DEFAULT_BOX_FACTOR, origin_cost, prop_box
 from .io import write_csv, write_json
-from .lattice import BoxRegion, norms
-from .potential import sample_field
+from .lattice import norms
+from .potential import sample_fields
 from .rng import derive_seed
-from .solver import travel_weight
 from .stats import intervals_overlap, mean_ci, z_value
 
-DEFAULT_BOX_FACTOR = 2
 # Slack between box-restricted and unrestricted costs used when comparing
 # estimates across directions: each side may overshoot by up to log 2 except
 # on an event of exponentially small probability.
@@ -47,22 +46,6 @@ class AlphaEstimate:
         return sum(c for _, _, c in self.per_n)
 
 
-def _cost_samples(spec, direction, n, samples, box_factor, seed):
-    """a_V(0, n*direction)/n on fresh fields, V = [-F*n*|dir|_1, ...]^d."""
-    direction = np.asarray(direction, dtype=np.int64)
-    d = len(direction)
-    l1 = int(np.abs(direction).sum())
-    radius = int(math.ceil(box_factor * n * l1))
-    region = BoxRegion.centered(radius, d)
-    target = tuple(int(v) for v in n * direction)
-    out = np.empty(samples)
-    for i in range(samples):
-        field = sample_field(spec, region, derive_seed(seed, n, i))
-        res = travel_weight(field, region, (0,) * d, target)
-        out[i] = res.cost_at((0,) * d) / n
-    return out
-
-
 def estimate_alpha(spec, direction, n_grid, samples_per_n, seed,
                    box_factor=DEFAULT_BOX_FACTOR):
     direction = tuple(int(v) for v in direction)
@@ -79,9 +62,14 @@ def estimate_alpha(spec, direction, n_grid, samples_per_n, seed,
                       "in the recurrent regime, estimates reflect box size only")
     per_n = []
     for n in n_grid:
-        x = _cost_samples(spec, direction, n, samples_per_n, box_factor, seed)
-        m, se, _ = mean_ci(x)
-        per_n.append((m, se, len(x)))
+        target = tuple(n * v for v in direction)
+        region = prop_box(target, box_factor)
+        seeds = [derive_seed(seed, n, i) for i in range(samples_per_n)]
+        a = np.asarray(sample_fields(
+            lambda fld: origin_cost(fld, region, target), spec, region,
+            seeds)) / n
+        m, se, _ = mean_ci(a)
+        per_n.append((m, se, len(a)))
     means = [m for m, _, _ in per_n]
     k = int(np.argmin(means))
     alpha_hat = means[k]

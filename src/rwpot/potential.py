@@ -16,8 +16,9 @@ from scipy.integrate import quad
 from scipy.special import ndtri
 
 from .errors import DomainError, ParameterError
+from .io import parallel_map
 from .lattice import BoxRegion, as_point, norms
-from .rng import counter_uniform
+from .rng import counter_uniform, derive_seed
 
 _KINDS = ("Constant", "TwoPoint", "Exponential", "ShiftedExponential", "LogNormal")
 
@@ -300,6 +301,11 @@ def assumption_report(spec: DistributionSpec) -> AssumptionReport:
     )
 
 
+# The law of the zero potential, for fields that are zero on purpose (pure
+# exit and return probabilities); built directly, so it does not warn.
+ZERO_LAW = DistributionSpec("Constant", (("c", 0.0),))
+
+
 # ---------------------------------------------------------------------------
 # Fields
 
@@ -380,6 +386,29 @@ def sample_field(spec, region, seed):
     u = counter_uniform(seed, coords)
     values = spec.sample(u).reshape(region.shape)
     return PotentialField(region, values, spec, int(seed))
+
+
+def sample_fields(fn, spec, region, seeds, threads=1):
+    """[fn(field) for one field sampled per seed], in seed order.
+
+    The sampling kernel of the Monte Carlo experiments: each result depends
+    on its seed alone, so the list is the same for any thread count.
+    """
+    return parallel_map(lambda s: fn(sample_field(spec, region, s)), seeds,
+                        threads)
+
+
+def sample_field_where(accept, spec, region, key, limit):
+    """The first field seeded by derive_seed(*key, attempt), attempt = 0, 1,
+    ..., limit, that accept admits (rejection sampling of a conditioned
+    field); DomainError when none is admitted."""
+    for attempt in range(limit + 1):
+        field = sample_field(spec, region, derive_seed(*key, attempt))
+        if accept(field):
+            return field
+    raise DomainError(
+        f"no admissible field in {limit + 1} draws; the conditioning event "
+        f"is too rare for this law")
 
 
 def fresh_site_value(spec, seed, site, tag):

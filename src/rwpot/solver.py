@@ -19,7 +19,7 @@ from scipy.sparse.linalg import cg, splu
 
 from .errors import DegenerateWeightError, DomainError, SolverError
 from .lattice import BoxRegion, as_point, block_sites, norms
-from .potential import PotentialField, DistributionSpec
+from .potential import ZERO_LAW, PotentialField
 
 RESIDUAL_TOL = 1e-9
 
@@ -65,6 +65,26 @@ def region_sites(region):
     if isinstance(region, BoxRegion):
         return region.sites()
     return np.asarray(region, dtype=np.int64)
+
+
+def bounding_box(region):
+    """The smallest BoxRegion containing every site of the region."""
+    sites = region_sites(region)
+    lo = tuple(int(v) for v in sites.min(axis=0))
+    hi = tuple(int(v) + 1 for v in sites.max(axis=0))
+    return BoxRegion(lo, hi)
+
+
+def _clip_unit(v):
+    """v clipped to [0, 1]. Rounding may leave a probability or weight just
+    outside; a value further out than RESIDUAL_TOL (or NaN) means a wrong
+    solve, and raises SolverError instead of being clipped away."""
+    v = np.asarray(v, dtype=float)
+    inside = (v >= -RESIDUAL_TOL) & (v <= 1.0 + RESIDUAL_TOL)
+    if not np.all(inside):
+        raise SolverError(f"value {v[~inside][0]:.3e} lies outside [0, 1] "
+                          f"beyond tolerance {RESIDUAL_TOL:.0e}")
+    return np.clip(v, 0.0, 1.0)
 
 
 def _axis_shifts(d):
@@ -271,7 +291,7 @@ def travel_weight(field, region, source, target, taboo=()):
     # the operator's sites are ss without the target, in the same order
     kw = _KilledWalk(field, sites, kill=target)
     u = kw.solve(kw.kill_vector())
-    e_values = np.insert(np.clip(u, 0.0, 1.0), it, 1.0)
+    e_values = np.insert(_clip_unit(u), it, 1.0)
     with np.errstate(divide="ignore"):
         log_e = np.log(e_values)
 
@@ -326,7 +346,7 @@ def exit_functional(field, region, start, crossing=("exit",)):
         raise DomainError(f"unknown crossing {crossing!r}")
     kw = _KilledWalk(field, active)
     v = kw.solve(kw.exit_vector())
-    return float(min(max(v[kw.ss.index_one(start)], 0.0), 1.0))
+    return float(_clip_unit(v[kw.ss.index_one(start)]))
 
 
 def return_probability(d, region):
@@ -393,7 +413,7 @@ def weighted_functionals(field, region, x):
     kw, i0, u, g = _tilted_walk(field, region, x)
     q = (g / kw.diagonal()) * u / u[i0]
     q[i0] = 1.0
-    q = np.clip(q, 0.0, 1.0)
+    q = _clip_unit(q)
     return WeightedFunctionals(x, kw.ss, q, float(q.sum()))
 
 
@@ -415,7 +435,7 @@ def visit_probabilities(field, region, x, ys):
             out[y] = 1.0
             continue
         gyy = kw.diagonal([iy])[0]
-        out[y] = float(np.clip(g[iy] / gyy * u[iy] / u[i0], 0.0, 1.0))
+        out[y] = float(_clip_unit(g[iy] / gyy * u[iy] / u[i0]))
     return out
 
 
@@ -453,35 +473,16 @@ def maximal_distance(field, region, x, eta):
 
 
 def _l1_ball_count(d, radius):
-    """Number of lattice points with |v|_1 < radius (radius real)."""
-    rmax = int(math.ceil(radius)) - 1
-    if rmax < 0:
+    """Number of lattice points with |v|_1 < radius (radius real): with
+    n = ceil(radius) - 1, those with k nonzero coordinates number
+    C(d, k) C(n, k) 2^k."""
+    n = math.ceil(radius) - 1
+    if n < 0:
         return 0
-    count = 0
-    for r in range(rmax + 1):
-        count += _l1_sphere_count(d, r)
-    return count
-
-
-def _l1_sphere_count(d, r):
-    if r == 0:
-        return 1
-    total = 0
-    for k in range(1, min(d, r) + 1):
-        total += math.comb(d, k) * (2 ** k) * math.comb(r - 1, k - 1)
-    return total
+    return sum(math.comb(d, k) * math.comb(n, k) * 2 ** k for k in range(d + 1))
 
 
 def zero_field(d, region):
     """Convenience: omega = 0 on the bounding box of the region."""
-    import warnings
-
-    sites = region_sites(region)
-    lo = tuple(int(v) for v in sites.min(axis=0))
-    hi = tuple(int(v) + 1 for v in sites.max(axis=0))
-    box = BoxRegion(lo, hi)
-    with warnings.catch_warnings():
-        # zero potential is intentional here (pure exit/return probabilities)
-        warnings.simplefilter("ignore")
-        spec = DistributionSpec.constant(0.0)
-    return PotentialField(box, np.zeros(box.shape), spec, 0)
+    box = bounding_box(region)
+    return PotentialField(box, np.zeros(box.shape), ZERO_LAW, 0)

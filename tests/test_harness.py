@@ -37,6 +37,40 @@ def test_config_validation_names_offending_field():
         ExperimentConfig.from_json({"experiment": "solve"})
 
 
+def test_config_keys_no_runner_reads_are_rejected(tmp_path, capsys):
+    cfg_path = tmp_path / "typo.json"
+    cfg_path.write_text(json.dumps({
+        "experiment": "tails", "spec": TP_JSON,
+        "geometry": {"x": [3, 0], "box_facter": 3},
+        "sampling": {"seed": 1, "sample": 20},
+    }))
+    code = cli.main(["--config", str(cfg_path), "--out", str(tmp_path / "r"),
+                     "tails"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "geometry.box_facter" in err and "sampling.sample" in err
+    assert "not read by tails" in err
+    assert not (tmp_path / "r").exists()
+    with pytest.raises(ParameterError, match="output.dir: not read by solve"):
+        _config("solve", output={"dir": "x"})
+    with pytest.raises(ParameterError, match="samplng: not a config"):
+        ExperimentConfig.from_json({"experiment": "solve", "spec": TP_JSON,
+                                    "samplng": {"seed": 1}})
+    # a key one runner reads is still foreign to another
+    with pytest.raises(ParameterError, match="geometry.side: not read by"):
+        _config("compare", geometry={"side": "UpperExp"})
+
+
+def test_shipped_configs_read_every_key():
+    from test_acceptance import _SMALL_RUNS
+
+    for name in EXPERIMENTS:
+        cli.default_config(name).validate()
+    for name, extra in _SMALL_RUNS.items():
+        _config(name, geometry=extra["geometry"],
+                sampling=extra["sampling"]).validate()
+
+
 def test_config_round_trip(tmp_path):
     cfg = _config("tails", seed=9, geometry={"x": [3, 0]},
                   sampling={"samples": 10, "seed": 9})

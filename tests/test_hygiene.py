@@ -1,4 +1,5 @@
-"""Source hygiene: every name a module imports is used in that module."""
+"""Source hygiene: every name a module imports is used in that module, and
+every module-level private name is used somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -7,6 +8,8 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "rwpot"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TREES = {p: ast.parse(p.read_text(), filename=str(p))
+         for p in SRC.glob("*.py")}
 
 
 def _unused_imports(tree):
@@ -22,8 +25,48 @@ def _unused_imports(tree):
                   if name not in used)
 
 
+def _private_definitions(tree):
+    """Module-level functions, classes and constants named _x (not dunders),
+    with the node that defines each."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.append((node.name, node))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out.extend((t.id, node) for t in targets if isinstance(t, ast.Name))
+    return [(name, node) for name, node in out
+            if name.startswith("_") and not name.startswith("__")]
+
+
+def _references(tree, skip):
+    """Names read anywhere in the tree outside the node skip (as a bare
+    name or as an attribute)."""
+    inside = set(map(id, ast.walk(skip))) if skip is not None else set()
+    names = set()
+    for node in ast.walk(tree):
+        if id(node) in inside:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
-    unused = _unused_imports(ast.parse(path.read_text(), filename=str(path)))
+    unused = _unused_imports(TREES[path])
     assert not unused, ", ".join(f"{path.name}:{line} {name}"
                                  for line, name in unused)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_dead_private_names(path):
+    dead = []
+    for name, node in _private_definitions(TREES[path]):
+        used = any(name in _references(tree, node if other == path else None)
+                   for other, tree in TREES.items())
+        if not used:
+            dead.append(f"{path.name}:{node.lineno} {name}")
+    assert not dead, ", ".join(dead)

@@ -5,7 +5,10 @@ import pytest
 
 from rwpot.lyapunov import (AlphaEstimate, check_norm_properties,
                             estimate_alpha, write_alpha_report)
-from rwpot.potential import DistributionSpec
+from rwpot.concentration import prop_box
+from rwpot.potential import DistributionSpec, sample_field
+from rwpot.rng import derive_seed
+from rwpot.solver import travel_weight
 
 TP = DistributionSpec.two_point(0.2, 1.0, 0.5)
 
@@ -56,6 +59,19 @@ def test_estimate_is_deterministic():
     a = estimate_alpha(TP, (1, 0), (2,), 10, 3)
     b = estimate_alpha(TP, (1, 0), (2,), 10, 3)
     assert a.alpha_hat == b.alpha_hat and a.per_n == b.per_n
+
+
+def test_per_n_means_follow_the_pinned_seed_stream():
+    # sample i at scale n is the field seeded derive_seed(seed, n, i) on
+    # prop_box(n e1): the stream that stored results depend on
+    est = estimate_alpha(TP, (1, 0), (2, 3), 4, 11)
+    for n, (mean, _, count) in zip((2, 3), est.per_n):
+        region = prop_box((n, 0))
+        costs = [travel_weight(sample_field(TP, region, derive_seed(11, n, i)),
+                               region, (0, 0), (n, 0)).cost_at((0, 0)) / n
+                 for i in range(4)]
+        assert count == 4
+        assert mean == np.mean(costs)
 
 
 def test_report_files(tmp_path):

@@ -5,9 +5,11 @@ import pytest
 
 from rwpot.errors import DomainError, ParameterError
 from rwpot.lattice import BoxRegion
-from rwpot.potential import (DistributionSpec, PotentialField,
+from rwpot.potential import (ZERO_LAW, DistributionSpec, PotentialField,
                              assumption_report, fresh_site_value, load_field,
-                             sample_field, save_field)
+                             sample_field, sample_field_where, sample_fields,
+                             save_field)
+from rwpot.rng import derive_seed
 
 TP = DistributionSpec.two_point(0.2, 1.0, 0.5)
 EXP = DistributionSpec.exponential(1.0)
@@ -139,3 +141,39 @@ def test_spec_json_round_trip():
                  DistributionSpec.shifted_exponential(0.2, 3.0),
                  DistributionSpec.constant(1.5)):
         assert DistributionSpec.from_json(spec.to_json()) == spec
+
+
+def test_sample_fields_is_one_field_per_seed_for_any_thread_count():
+    seeds = [derive_seed(5, i) for i in range(6)]
+    expected = [float(sample_field(EXP, BOX, s).values.sum()) for s in seeds]
+
+    def total(f):
+        return float(f.values.sum())
+
+    assert sample_fields(total, EXP, BOX, seeds) == expected
+    assert sample_fields(total, EXP, BOX, seeds, threads=2) == expected
+
+
+def test_sample_field_where_returns_first_admissible_attempt():
+    key = (9, 4)
+    draws = [sample_field(EXP, BOX, derive_seed(*key, a)) for a in range(40)]
+    level = sorted(f.values.max() for f in draws)[-3]  # admits a few draws
+    first = next(a for a, f in enumerate(draws) if f.values.max() >= level)
+    assert first > 0
+    fld = sample_field_where(lambda f: f.values.max() >= level, EXP, BOX, key,
+                             limit=first)
+    assert fld.seed == derive_seed(*key, first)
+    assert np.array_equal(fld.values, draws[first].values)
+    # limit counts attempts 0..limit: one short of `first` exhausts the loop
+    with pytest.raises(DomainError, match=f"{first} draws"):
+        sample_field_where(lambda f: f.values.max() >= level, EXP, BOX, key,
+                           limit=first - 1)
+
+
+def test_zero_law_is_constant_zero_without_warning():
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert ZERO_LAW == DistributionSpec.constant(0.0)
+    assert ZERO_LAW.to_json() == {"kind": "Constant", "params": {"c": 0.0}}

@@ -226,3 +226,24 @@ def test_residual_guard_rejects_a_bad_solve(monkeypatch):
         travel_weight(field, box, (0, 0), (2, 0))
     with pytest.raises(SolverError):
         weighted_functionals(field, box, (2, 0))
+
+
+def test_unit_clip_bounds_rounding_and_rejects_real_violations():
+    clipped = solver._clip_unit(np.array([-1e-13, 0.5, 1.0 + 1e-13]))
+    assert clipped.tolist() == [0.0, 0.5, 1.0]
+    assert float(solver._clip_unit(np.float64(1.0 + 1e-13))) == 1.0
+    for bad in (-1e-3, 1.0 + 1e-3, math.nan):
+        with pytest.raises(SolverError, match="outside"):
+            solver._clip_unit(np.array([0.5, bad]))
+    with pytest.raises(SolverError):
+        solver._clip_unit(np.float64(-1e-3))
+
+
+def test_l1_ball_count_matches_enumeration():
+    import itertools
+
+    for d in (1, 2, 3):
+        pts = np.asarray(list(itertools.product(range(-6, 7), repeat=d)))
+        l1 = np.abs(pts).sum(axis=1)
+        for radius in (0, 0.5, 1, 2.5, 3, 4.2, 6):
+            assert solver._l1_ball_count(d, radius) == int(np.sum(l1 < radius))
