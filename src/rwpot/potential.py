@@ -256,6 +256,8 @@ class DistributionSpec:
         }
         if kind not in factory:
             raise ParameterError(f"unknown distribution kind {kind!r}")
+        if kind == "Constant" and params["c"] == 0:
+            return ZERO_LAW  # a stored zero law, such as a chi witness's: no warning
         return factory[kind]()
 
 

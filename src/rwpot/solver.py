@@ -7,7 +7,9 @@ the matrix I - P, where P[z, z'] = exp(-omega(z))/(2d) for lattice neighbors
 z, z' inside the active set; P is a substochastic M-matrix on any finite box,
 so the systems are nonsingular. Every system is assembled by one operator,
 _KilledWalk, and solved with its sparse LU factorization (SuperLU); only the
-zero-potential return probability is solved by conjugate gradients.
+zero-potential return probability is solved by conjugate gradients. The
+Green diagonal G(y, y) over many sites comes from a banded Cholesky factor of
+the symmetrized operator by Takahashi's selected inversion.
 """
 
 import math
@@ -15,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import cholesky_banded
 from scipy.sparse.linalg import cg, splu
 
 from .errors import DegenerateWeightError, DomainError, SolverError
@@ -163,7 +166,7 @@ class _KilledWalk:
         (A^T x = b for trans="T") exceeds RESIDUAL_TOL; record the worst."""
         A = self.A.T if trans == "T" else self.A
         resid = float(np.abs(A @ x - b).max(initial=0.0))
-        if resid > RESIDUAL_TOL * max(1.0, float(np.abs(b).max(initial=0.0))):
+        if not resid <= RESIDUAL_TOL * max(1.0, float(np.abs(b).max(initial=0.0))):
             raise SolverError(f"residual {resid:.3e} exceeds tolerance {RESIDUAL_TOL:.0e}")
         self.residual = max(self.residual, resid)
         return x
@@ -203,19 +206,41 @@ class _KilledWalk:
 
     def diagonal(self, ids=None):
         """G(y, y) for the given site indices (all active sites by default).
-        Unchecked: an n x n residual would cost as much memory as the solve."""
-        lu = self._factor()
+        One id costs one checked column solve; more come from selected
+        inversion of the symmetrized operator's banded Cholesky factor."""
+        if self.gauge is not None:
+            raise SolverError("the Green diagonal is defined without a gauge")
         n = len(self.ss)
         ids = np.arange(n) if ids is None else np.asarray(ids)
-        if len(ids) > 1 and n <= 5000:
-            cols = lu.solve(np.eye(n)[:, ids])
-            return cols[ids, np.arange(len(ids))]
-        out = np.empty(len(ids))
-        e = np.zeros(n)
-        for k, i in enumerate(ids):
-            e[i] = 1.0
-            out[k] = lu.solve(e)[i]
-            e[i] = 0.0
+        if len(ids) == 1:
+            e = np.zeros(n)
+            e[ids[0]] = 1.0
+            return self.solve(e)[ids]
+        return self._green_diagonal()[ids]
+
+    def _green_diagonal(self):
+        """diag(A^{-1}) by selected inversion. With W = diag(e^{-omega}/2d),
+        T = W^{-1/2} A W^{1/2} is symmetric positive definite with unit
+        diagonal and T[z, z'] = -sqrt(W[z] W[z']) for neighbors; it has the
+        diagonal of A^{-1} and, unlike S = W^{-1} A, no entry overflows
+        however large omega is. T is stored as a band over the sites in
+        lexicographic order (row-major for a box) and factored by LAPACK."""
+        ss, n = self.ss, len(self.ss)
+        order = np.lexsort(ss.sites.T[::-1])
+        pos = np.empty(n, dtype=np.int64)
+        pos[order] = np.arange(n)
+        pairs = []
+        for shift in _axis_shifts(ss.d)[::2]:  # each neighbor pair once
+            j = ss.index(ss.sites + shift)
+            hit = np.nonzero(j >= 0)[0]
+            pairs.append((hit, j[hit]))
+        i, j = (np.concatenate(v) for v in zip(*pairs))
+        lo, off = np.minimum(pos[i], pos[j]), np.abs(pos[i] - pos[j])
+        band = np.zeros((int(off.max(initial=0)) + 1, n))
+        band[0] = 1.0
+        band[off, lo] = -np.exp(-(self.omega[i] + self.omega[j]) / 2) / (2.0 * ss.d)
+        out = np.empty(n)
+        out[order] = _takahashi_diagonal(cholesky_banded(band, lower=True))
         return out
 
     def _idx(self, p):
@@ -223,6 +248,36 @@ class _KilledWalk:
         if i < 0:
             raise DomainError(f"site {tuple(p)} not active in Green system")
         return i
+
+
+def _takahashi_diagonal(factor):
+    """diag((L L^T)^{-1}) from L in lower band storage, factor[a, j] =
+    L[j + a, j] (Takahashi, Fagan & Chen, 1973). With Z = (L L^T)^{-1}:
+
+        Z[k, i] = -sum_{j > i} Z[k, j] L[j, i] / L[i, i]        (k > i)
+        Z[i, i] = (1 / L[i, i] - sum_{j > i} L[j, i] Z[j, i]) / L[i, i]
+
+    and every sum runs over the bw = len(factor) - 1 indices after i, so
+    going backwards only a (bw+1)^2 window of Z is kept: Z[j, j'] sits in
+    window[j % (bw+1), j' % (bw+1)]. The slot of index i holds the stale
+    index i + bw + 1 until it is overwritten, and meets a zero weight. For an
+    M-matrix L[j, i] <= 0 and Z >= 0, so every term adds: no cancellation."""
+    m, n = factor.shape
+    window = np.zeros((m, m))
+    col = np.zeros(m)
+    ring = np.arange(m)
+    out = np.empty(n)
+    for i in range(n - 1, -1, -1):
+        p = i % m
+        col[(p + ring) % m] = factor[:, i]
+        col[p] = 0.0
+        lii = factor[0, i]
+        z = window @ col
+        z /= -lii
+        window[p] = z
+        window[:, p] = z
+        out[i] = window[p, p] = (1.0 / lii - col @ z) / lii
+    return out
 
 
 @dataclass(eq=False)
@@ -411,7 +466,12 @@ def weighted_functionals(field, region, x):
     range of the weighted walk, E_Q[#A] = sum_y q(y)."""
     x = as_point(x)
     kw, i0, u, g = _tilted_walk(field, region, x)
-    q = (g / kw.diagonal()) * u / u[i0]
+    diag = kw.diagonal()
+    # g[i0] = G(0, 0) from the residual-checked row solve vets the diagonal
+    if not abs(diag[i0] - g[i0]) <= RESIDUAL_TOL * g[i0]:
+        raise SolverError(f"Green diagonal G(0, 0) = {diag[i0]:.17g} disagrees "
+                          f"with the row solve {g[i0]:.17g}")
+    q = (g / diag) * u / u[i0]
     q[i0] = 1.0
     q = _clip_unit(q)
     return WeightedFunctionals(x, kw.ss, q, float(q.sum()))

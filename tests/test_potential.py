@@ -136,6 +136,18 @@ def test_serialization_round_trip(tmp_path):
     assert np.array_equal(loaded.values, field.values)
 
 
+def test_zero_law_field_reloads_without_warning(tmp_path):
+    import warnings
+
+    field = PotentialField(BOX, np.zeros(BOX.shape), ZERO_LAW, 0)
+    path = tmp_path / "zero.bin"
+    save_field(field, path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loaded = load_field(path)
+    assert loaded.spec == ZERO_LAW
+
+
 def test_spec_json_round_trip():
     for spec in (TP, EXP, DistributionSpec.log_normal(0.1, 0.9),
                  DistributionSpec.shifted_exponential(0.2, 3.0),

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rwpot.errors import DomainError, SolverError
 from rwpot.lattice import BoxRegion
-from rwpot.potential import DistributionSpec, sample_field
+from rwpot.potential import DistributionSpec, PotentialField, sample_field
 from rwpot import solver
 from rwpot.rng import derive_seed
 from rwpot.solver import (SiteSet, block_cost, exit_functional,
@@ -247,3 +248,73 @@ def test_l1_ball_count_matches_enumeration():
         l1 = np.abs(pts).sum(axis=1)
         for radius in (0, 0.5, 1, 2.5, 3, 4.2, 6):
             assert solver._l1_ball_count(d, radius) == int(np.sum(l1 < radius))
+
+
+def test_residual_check_rejects_nan():
+    box = BoxRegion.centered(2, 2)
+    kw = solver._KilledWalk(zero_field(2, box), box)
+    b = kw.exit_vector()
+    with pytest.raises(SolverError):
+        kw.check(np.full(len(kw.ss), np.nan), b)
+    assert kw.residual == 0.0
+
+
+def _assert_diagonal_matches_dense_inverse(kw):
+    dense = np.diag(np.linalg.inv(kw.A.toarray()))
+    assert np.abs(kw.diagonal() / dense - 1).max() < 1e-12
+
+
+@pytest.mark.parametrize("r, kill", [(6, (2, 0)), (4, (1, 0, 0))])
+def test_green_diagonal_matches_dense_inverse_on_boxes(r, kill):
+    box = BoxRegion.centered(r, len(kill))
+    _assert_diagonal_matches_dense_inverse(
+        solver._KilledWalk(sample_field(TP, box, 3), box, kill=kill))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 5),
+       st.lists(st.floats(0.0, 40.0), min_size=36, max_size=36),
+       st.integers(0, 35))
+def test_green_diagonal_matches_dense_inverse_on_any_field(w, h, values, kill):
+    box = BoxRegion((0, 0), (w + 1, h + 1))
+    vals = np.asarray(values[:box.site_count]).reshape(box.shape)
+    field = PotentialField(box, vals, EXP, 0)
+    kill = tuple(int(c) for c in box.sites()[kill % box.site_count])
+    _assert_diagonal_matches_dense_inverse(solver._KilledWalk(field, box, kill=kill))
+
+
+def test_green_diagonal_on_shuffled_explicit_sites_and_huge_potential():
+    box = BoxRegion.centered(7, 2)
+    sites = box.sites()
+    disk = sites[(sites ** 2).sum(axis=1) <= 36]
+    disk = disk[np.random.default_rng(4).permutation(len(disk))]
+    vals = sample_field(TP, box, 5).values.copy()
+    vals[7, 7:10] = 750.0  # e^omega overflows; the symmetrized operator does not
+    field = PotentialField(box, vals, TP, 5)
+    kw = solver._KilledWalk(field, disk, kill=(3, 0))
+    assert not np.all(np.diff(kw.ss.sites[:, 0]) >= 0)  # not in row-major order
+    _assert_diagonal_matches_dense_inverse(kw)
+
+
+def test_green_diagonal_above_5000_sites_matches_column_solves():
+    box = BoxRegion.centered(36, 2)
+    kw = solver._KilledWalk(sample_field(TP, box, 6), box, kill=(10, 0))
+    assert len(kw.ss) > 5000
+    ids = np.random.default_rng(6).choice(len(kw.ss), 12, replace=False)
+    columns = np.array([kw.diagonal([i])[0] for i in ids])
+    assert np.abs(kw.diagonal(ids) / columns - 1).max() < 1e-12
+
+
+def test_green_diagonal_refuses_a_gauge():
+    box = BoxRegion.centered(2, 2)
+    kw = solver._KilledWalk(zero_field(2, box), box, gauge=np.zeros(box.site_count))
+    with pytest.raises(SolverError):
+        kw.diagonal()
+
+
+def test_weighted_functionals_cross_checks_the_green_diagonal(monkeypatch):
+    real = solver._takahashi_diagonal
+    monkeypatch.setattr(solver, "_takahashi_diagonal", lambda f: real(f) * (1 + 1e-6))
+    box = BoxRegion.centered(3, 2)
+    with pytest.raises(SolverError, match="G\\(0, 0\\)"):
+        weighted_functionals(sample_field(TP, box, 1), box, (2, 0))
