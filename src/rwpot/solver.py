@@ -231,9 +231,9 @@ class _KilledWalk:
         pos[order] = np.arange(n)
         pairs = []
         for shift in _axis_shifts(ss.d)[::2]:  # each neighbor pair once
-            j = ss.index(ss.sites + shift)
-            hit = np.nonzero(j >= 0)[0]
-            pairs.append((hit, j[hit]))
+            nb = ss.index(ss.sites + shift)
+            hit = np.nonzero(nb >= 0)[0]
+            pairs.append((hit, nb[hit]))
         i, j = (np.concatenate(v) for v in zip(*pairs))
         lo, off = np.minimum(pos[i], pos[j]), np.abs(pos[i] - pos[j])
         band = np.zeros((int(off.max(initial=0)) + 1, n))
