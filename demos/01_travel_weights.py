@@ -10,8 +10,6 @@ grows with distance, and demonstrates that enlarging the box can only lower
 the cost (more paths become available).
 """
 
-import numpy as np
-
 from rwpot import (BoxRegion, DistributionSpec, sample_field, travel_weight)
 
 

@@ -12,7 +12,7 @@ first and refuses (naming the failed assumption) unless overridden.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -22,8 +22,7 @@ from .lattice import BoxRegion, as_point, norms
 from .potential import (PotentialField, assumption_report, fresh_site_value,
                         sample_field, sample_fields)
 from .rng import counter_uniform, derive_seed
-from .solver import (return_probability, travel_weight, visit_probabilities,
-                     weighted_functionals)
+from .solver import travel_weight, visit_probabilities, weighted_functionals
 from .stats import log_tail_slope, mean_ci, wilson_interval
 
 EXACT_TOL = 1e-8
@@ -45,10 +44,23 @@ def origin_cost(field, region, x):
     return travel_weight(field, region, origin, x).cost_at(origin)
 
 
+def box_return_probability(d, r):
+    """Probability the zero-potential walk returns to 0 before leaving the
+    box [-r, r]^d: p = 1 - 1/G(0, 0), with G(0, 0) from the Dirichlet
+    eigen-sum over k in {1..L}^d, L = 2r + 1, theta = pi/(L + 1): the sum of
+    prod_i (2/(L+1)) sin^2(k_i (r+1) theta) / (1 - mean_i cos(k_i theta)).
+    sin^2(k (r+1) theta) = sin^2(k pi/2) is 1 for odd k and 0 for even k."""
+    L = 2 * r + 1
+    cos = np.cos(np.arange(1, L + 1, 2) * math.pi / (L + 1))
+    mean_cos = reduce(np.add.outer, [cos] * d) / d
+    green = (2.0 / (L + 1)) ** d * float(np.sum(1.0 / (1.0 - mean_cos)))
+    return 1.0 - 1.0 / green
+
+
 @lru_cache(maxsize=None)
 def pinned_return_probability(d):
     """Return probability of the free walk, pinned by Richardson
-    extrapolation of finite-box solves before any experiment uses it.
+    extrapolation of exact finite-box values before any experiment uses it.
 
     For d = 2 the walk is recurrent and the value is exactly 1 (this is why
     the d = 2 experiments need a strictly positive potential floor)."""
@@ -56,8 +68,8 @@ def pinned_return_probability(d):
         raise ParameterError("d must be >= 2")
     if d == 2:
         return 1.0
-    small = return_probability(d, BoxRegion.centered(16, d))
-    large = return_probability(d, BoxRegion.centered(32, d))
+    small = box_return_probability(d, 16)
+    large = box_return_probability(d, 32)
     # finite-box error decays like 1/L: eliminate the leading term
     return 2.0 * large - small
 

@@ -8,10 +8,11 @@ inventory of every produced file. Thread count never changes output bytes:
 parallel units are pure and aggregated in index order.
 """
 
+import json
 import os
 import time
 import warnings
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
 
@@ -53,17 +54,19 @@ class ExperimentConfig:
         if "seed" not in self.sampling:
             raise ParameterError(
                 "sampling.seed: mandatory, wall-clock seeding is not allowed")
-        if not isinstance(self.sampling["seed"], int):
-            raise ParameterError("sampling.seed: must be an integer")
         geometry, sampling = _READS[self.experiment]
-        unread = [f"{part}.{k}" for part, given, read in (
-            ("geometry", self.geometry, geometry),
-            ("sampling", self.sampling, sampling | {"seed"}),
-            ("output", self.output, {"directory"}))
-            for k in sorted(given) if k not in read]
+        parts = (("geometry", self.geometry, geometry),
+                 ("sampling", self.sampling, sampling | {"seed"}),
+                 ("output", self.output, {"directory"}))
+        unread = [f"{part}.{k}" for part, given, read in parts
+                  for k in sorted(given) if k not in read]
         if unread:
             raise ParameterError(
                 f"{', '.join(unread)}: not read by {self.experiment}")
+        wrong = [f"{part}.{k}: must be {_spell(_TYPES[k])}" for part, given, _ in parts
+                 for k in sorted(given) if not _fits(given[k], _TYPES[k])]
+        if wrong:
+            raise ParameterError("; ".join(wrong))
         return self
 
     @property
@@ -71,14 +74,7 @@ class ExperimentConfig:
         return int(self.sampling["seed"])
 
     def to_json(self):
-        return {
-            "experiment": self.experiment,
-            "spec": self.spec.to_json(),
-            "geometry": self.geometry,
-            "sampling": self.sampling,
-            "output": self.output,
-            "override_assumptions": self.override_assumptions,
-        }
+        return {**asdict(self), "spec": self.spec.to_json()}
 
     @classmethod
     def from_json(cls, obj):
@@ -101,8 +97,6 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path):
-        import json
-
         with open(str(path)) as fh:
             return cls.from_json(json.load(fh))
 
@@ -123,17 +117,7 @@ class RunManifest:
         return all(self.assertions.values())
 
     def to_json(self):
-        return {
-            "config_hash": self.config_hash,
-            "code_version": self.code_version,
-            "experiment": self.experiment,
-            "seed": self.seed,
-            "runtime_seconds": self.runtime_seconds,
-            "assertions": self.assertions,
-            "files": self.files,
-            "format_version": self.format_version,
-            "warnings": list(self.warnings),
-        }
+        return {**asdict(self), "warnings": list(self.warnings)}
 
 
 def _geometry_x(cfg, default=(4, 0)):
@@ -152,7 +136,8 @@ def _run_solve(cfg, out, threads):
     field = sample_field(cfg.spec, bounding_box(region), cfg.seed)
     res = travel_weight(field, region, origin, x,
                         taboo=[tuple(t) for t in cfg.geometry.get("taboo", [])])
-    rows = [z + (e,) for z, e in res.iter_rows()]
+    rows = [tuple(int(c) for c in z) + (float(e),)
+            for z, e in zip(res.siteset.sites, res.e_values)]
     csv_path = os.path.join(out, "solve.csv")
     write_csv(csv_path, tuple(f"z{i+1}" for i in range(len(x))) + ("e_value",),
               rows)
@@ -160,7 +145,6 @@ def _run_solve(cfg, out, threads):
         "target": list(res.target),
         "taboo": [list(t) for t in sorted(res.taboo)],
         "residual": res.residual,
-        "method": res.method,
         "site_count": len(res.siteset),
     })
     e = res.e_values
@@ -385,6 +369,33 @@ def oracle_check(cfg, out=None, threads=1):
                   "all_mc_ok": report["all_mc_ok"]}
     return report, assertions, files, warn
 
+
+def _fits(v, kind):
+    """Whether a JSON value has the type kind: int, float (any number), str,
+    [kind] (a list of kind) or {key: kind} (an object with those keys)."""
+    if isinstance(kind, list):
+        return isinstance(v, list) and all(_fits(u, kind[0]) for u in v)
+    if isinstance(kind, dict):
+        return isinstance(v, dict) and all(k in v and _fits(v[k], t) for k, t in kind.items())
+    return not isinstance(v, bool) and isinstance(
+        v, (int, float) if kind is float else kind)
+
+
+def _spell(kind):
+    names = {int: "int", float: "number", str: "string"}
+    return json.dumps(kind, default=names.get).replace('"', "")
+
+
+# The type of every config value, by key: a key means the same in every
+# experiment that reads it.
+_TYPES = {
+    "seed": int, "samples": int, "trials": int, "d": int, "l": int, "l_cap": int,
+    "M": int, "env_radius": int, "box_factor": float, "alpha_ref": float,
+    "gamma": float, "kappa": float, "x": [int], "direction": [int], "n_grid": [int],
+    "sites": [[int]], "taboo": [[int]], "x_grid": [[int]], "box_factor_grid": [float],
+    "t_grid": [float], "lambda_grid": [float], "side": str, "directory": str,
+    "battery": [{"seed": int, "x": [int], "radius": int, "L": int, "episodes": int}],
+}
 
 # The geometry and sampling keys that each experiment's runner reads, beside
 # sampling.seed (read by all); validate() rejects any other key.

@@ -16,14 +16,25 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import CapacityError, DomainError, FeasibilityError, ParameterError
 from .lattice import as_point, coarse_index
 from .rng import counter_uniform
-from .solver import SiteSet, region_sites, transition_matrix
+from .solver import SiteSet, region_sites
 
 ENUM_MAX_SITES = 49
 ENUM_MAX_STEPS = 30
+
+
+def transition_matrix(ss, omega):
+    """Substochastic step matrix P[z, z'] = exp(-omega(z))/(2d) between
+    lattice neighbors z, z' of the site set, as CSR."""
+    steps = np.kron(np.eye(ss.d, dtype=np.int64), [[1], [-1]])  # +e1, -e1, +e2, ...
+    nb = np.stack([ss.index(ss.sites + e) for e in steps], axis=1)
+    rows, cols = np.nonzero(nb >= 0)[0], nb[nb >= 0]
+    w = np.exp(-np.asarray(omega, dtype=float)) / (2.0 * ss.d)
+    return sp.csr_matrix((w[rows], (rows, cols)), shape=(len(ss), len(ss)))
 
 
 @dataclass(eq=False)
@@ -75,7 +86,7 @@ def enumerate_paths(field, region, x, taboo=(), L=ENUM_MAX_STEPS):
         raise DomainError("0 and x must lie in the region (and off the taboo set)")
     omega = field.values_at(ss.sites)
     kappa_min = float(omega.min())
-    P, _ = transition_matrix(ss, omega)
+    P = transition_matrix(ss, omega)
     # split the step matrix: transitions into x absorb, the rest continue
     n = len(ss)
     keep = np.arange(n) != ix

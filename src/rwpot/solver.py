@@ -5,26 +5,26 @@ The walk pays exp(-omega) at every departure site and is killed on leaving
 the region (or on a taboo site). All quantities here reduce to solves with
 the matrix I - P, where P[z, z'] = exp(-omega(z))/(2d) for lattice neighbors
 z, z' inside the active set; P is a substochastic M-matrix on any finite box,
-so the systems are nonsingular. Every system is assembled by one operator,
-_KilledWalk, and solved with its sparse LU factorization (SuperLU); only the
-zero-potential return probability is solved by conjugate gradients. The
-Green diagonal G(y, y) over many sites comes from a banded Cholesky factor of
-the symmetrized operator by Takahashi's selected inversion.
+so the systems are nonsingular. Every system is one operator, _KilledWalk:
+a band over the sites in lexicographic order, factored once by banded
+Cholesky for every solve and for the Green diagonal G(y, y) (by Takahashi's
+selected inversion); only the gauged operator of the log-space fallback is
+solved by band LU.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import cholesky_banded
-from scipy.sparse.linalg import cg, splu
+from scipy.linalg import cho_solve_banded, cholesky_banded, solve_banded
 
 from .errors import DegenerateWeightError, DomainError, SolverError
 from .lattice import BoxRegion, as_point, block_sites, norms
 from .potential import ZERO_LAW, PotentialField
 
 RESIDUAL_TOL = 1e-9
+# omega beyond this changes no entry of P in double precision: e^{-800} is 0
+OMEGA_CAP = 800.0
 
 
 class SiteSet:
@@ -90,35 +90,6 @@ def _clip_unit(v):
     return np.clip(v, 0.0, 1.0)
 
 
-def _axis_shifts(d):
-    shifts = []
-    for axis in range(d):
-        for sign in (1, -1):
-            v = np.zeros(d, dtype=np.int64)
-            v[axis] = sign
-            shifts.append(v)
-    return shifts
-
-
-def transition_matrix(ss: SiteSet, omega):
-    """(P, outside_count): substochastic step matrix and per-site count of
-    neighbors falling outside the active set."""
-    n = len(ss)
-    w = np.exp(-np.asarray(omega, dtype=float)) / (2.0 * ss.d)
-    rows, cols = [], []
-    outside = np.zeros(n, dtype=np.int64)
-    for shift in _axis_shifts(ss.d):
-        j = ss.index(ss.sites + shift)
-        hit = j >= 0
-        rows.append(np.nonzero(hit)[0])
-        cols.append(j[hit])
-        outside += ~hit
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    P = sp.csr_matrix((w[rows], (rows, cols)), shape=(n, n))
-    return P, outside
-
-
 class _KilledWalk:
     """The killed-walk operator A = I - P on the sites of a region, less the
     kill site when one is given: the walk dies on exit and on the kill site.
@@ -126,7 +97,17 @@ class _KilledWalk:
     gauge, when given, is a log-scale g per site: P is conjugated to
     P[z, z'] e^{g(z) - g(z')} and the right-hand sides are scaled by e^{g(z)},
     so every solution comes out multiplied by e^{g}. The gauge is taken as 0
-    on the kill site and outside the region. A is factored once, on first use.
+    on the kill site and outside the region.
+
+    The sites are kept in lexicographic order (a box's row-major order), and
+    A is stored once, as M = e^{h} A e^{-h} in LAPACK general band storage,
+    with h = g under a gauge and h = omega/2 without. Then M is the symmetric
+    T = W^{-1/2} A W^{1/2}, W = diag(e^{-omega}/2d), with unit diagonal and
+    T[z, z'] = -e^{-(omega(z) + omega(z'))/2}/2d; it is factored once, on
+    first use, by banded Cholesky, and A x = b is solved as s T^{-1}(b / s),
+    s = e^{-h}. omega is capped at OMEGA_CAP in h and the band, where
+    e^{-omega}/2d is already 0. A gauged M is not symmetric: it is solved by
+    band LU, and has plain solves only.
     """
 
     def __init__(self, field, region, kill=None, gauge=None):
@@ -139,33 +120,66 @@ class _KilledWalk:
             sites = sites[keep]
         self.kill = kill
         self.gauge = gauge
-        self.ss = SiteSet(sites)
-        self.omega = field.values_at(self.ss.sites)
-        P, self.outside = transition_matrix(self.ss, self.omega)
-        if gauge is not None:
-            P = P.tocoo()
-            P.data *= np.exp(gauge[P.row] - gauge[P.col])
-        self.A = sp.identity(len(self.ss), format="csc") - P.tocsc()
+        self.ss = ss = SiteSet(sites[np.lexsort(sites.T[::-1])])
+        self.omega = field.values_at(ss.sites)
+        n = len(ss)
+        # each neighbor pair (i, j) once, j = i + e_axis, so j comes after i
+        nb = np.stack([ss.index(ss.sites + e) for e in np.eye(ss.d, dtype=np.int64)])
+        i, j = np.nonzero(nb >= 0)[1], nb[nb >= 0]
+        self.outside = (2 * ss.d - np.bincount(i, minlength=n)
+                        - np.bincount(j, minlength=n))
+        if gauge is None:
+            w = np.minimum(self.omega, OMEGA_CAP)
+            h, self.scale = w / 2, np.exp(-w / 2)
+        else:
+            w, h, self.scale = self.omega, gauge, np.ones(n)
+        off = j - i
+        self.bw = bw = int(off.max(initial=0))
+        self.offsets = np.unique(off)
+        # band[bw + r - c, c] = M[r, c]; rows bw.. are Cholesky's lower storage
+        self.band = np.zeros((2 * bw + 1, n))
+        self.band[bw] = 1.0
+        self.band[bw + off, i] = -np.exp(h[j] - h[i] - w[j]) / (2.0 * ss.d)
+        self.band[bw - off, j] = -np.exp(h[i] - h[j] - w[i]) / (2.0 * ss.d)
         self.residual = 0.0
         # factored on first use by a plain check: functools' cached property
         # takes one lock per class on Python 3.11, which would serialize the
         # factorizations of parallel_map's threads
-        self._lu = None
+        self._cholesky = None
 
     def _factor(self):
-        if self._lu is None:
-            self._lu = splu(self.A)
-        return self._lu
+        if self._cholesky is None:
+            self._cholesky = cholesky_banded(self.band[self.bw:], lower=True)
+        return self._cholesky
+
+    def _frame(self, trans):
+        """s with A = s M s^{-1} (A^T = s M s^{-1} for trans="T")."""
+        if trans == "N":
+            return self.scale
+        if self.gauge is not None:
+            raise SolverError("a gauged operator has plain solves only")
+        return 1.0 / self.scale
 
     def solve(self, b, trans="N"):
         """A^{-1} b, or A^{-T} b for trans="T", with its residual checked."""
-        return self.check(self._factor().solve(b, trans=trans), b, trans)
+        s = self._frame(trans)
+        if self.gauge is None:
+            v = cho_solve_banded((self._factor(), True), b / s)
+        else:
+            v = solve_banded((self.bw, self.bw), self.band, b, check_finite=False)
+        return self.check(s * v, b, trans)
 
     def check(self, x, b, trans="N"):
         """Return x after raising SolverError if the residual of A x = b
         (A^T x = b for trans="T") exceeds RESIDUAL_TOL; record the worst."""
-        A = self.A.T if trans == "T" else self.A
-        resid = float(np.abs(A @ x - b).max(initial=0.0))
+        s = self._frame(trans)
+        v = x / s
+        band, bw, n = self.band, self.bw, len(v)
+        Mv = band[bw] * v
+        for k in self.offsets:
+            Mv[k:] += band[bw + k, :n - k] * v[:n - k]
+            Mv[:n - k] += band[bw - k, k:] * v[k:]
+        resid = float(np.abs(s * Mv - b).max(initial=0.0))
         if not resid <= RESIDUAL_TOL * max(1.0, float(np.abs(b).max(initial=0.0))):
             raise SolverError(f"residual {resid:.3e} exceeds tolerance {RESIDUAL_TOL:.0e}")
         self.residual = max(self.residual, resid)
@@ -175,7 +189,8 @@ class _KilledWalk:
         """P[z, kill]: with it, solve gives e(z, kill), the weight of hitting
         the kill site before exiting."""
         b = np.zeros(len(self.ss))
-        j = self.ss.index(np.asarray(self.kill) + np.array(_axis_shifts(self.ss.d)))
+        steps = np.eye(self.ss.d, dtype=np.int64)
+        j = self.ss.index(np.asarray(self.kill) + np.vstack([steps, -steps]))
         j = j[j >= 0]
         b[j] = self._step_weight(j)
         return b
@@ -194,54 +209,29 @@ class _KilledWalk:
 
     def row(self, p):
         """G(p, .) for all active sites."""
-        e = np.zeros(len(self.ss))
-        e[self._idx(p)] = 1.0
-        return self.solve(e, trans="T")
+        return self.solve(self._unit(self._idx(p)), trans="T")
 
     def column(self, p):
         """G(., p) for all active sites."""
+        return self.solve(self._unit(self._idx(p)))
+
+    def _unit(self, i):
         e = np.zeros(len(self.ss))
-        e[self._idx(p)] = 1.0
-        return self.solve(e)
+        e[i] = 1.0
+        return e
 
     def diagonal(self, ids=None):
         """G(y, y) for the given site indices (all active sites by default).
         One id costs one checked column solve; more come from selected
-        inversion of the symmetrized operator's banded Cholesky factor."""
+        inversion of the Cholesky factor of T, which has the diagonal of
+        A^{-1}: O(n bw^2) time and O(n bw) memory."""
         if self.gauge is not None:
             raise SolverError("the Green diagonal is defined without a gauge")
         n = len(self.ss)
         ids = np.arange(n) if ids is None else np.asarray(ids)
         if len(ids) == 1:
-            e = np.zeros(n)
-            e[ids[0]] = 1.0
-            return self.solve(e)[ids]
-        return self._green_diagonal()[ids]
-
-    def _green_diagonal(self):
-        """diag(A^{-1}) by selected inversion. With W = diag(e^{-omega}/2d),
-        T = W^{-1/2} A W^{1/2} is symmetric positive definite with unit
-        diagonal and T[z, z'] = -sqrt(W[z] W[z']) for neighbors; it has the
-        diagonal of A^{-1} and, unlike S = W^{-1} A, no entry overflows
-        however large omega is. T is stored as a band over the sites in
-        lexicographic order (row-major for a box) and factored by LAPACK."""
-        ss, n = self.ss, len(self.ss)
-        order = np.lexsort(ss.sites.T[::-1])
-        pos = np.empty(n, dtype=np.int64)
-        pos[order] = np.arange(n)
-        pairs = []
-        for shift in _axis_shifts(ss.d)[::2]:  # each neighbor pair once
-            nb = ss.index(ss.sites + shift)
-            hit = np.nonzero(nb >= 0)[0]
-            pairs.append((hit, nb[hit]))
-        i, j = (np.concatenate(v) for v in zip(*pairs))
-        lo, off = np.minimum(pos[i], pos[j]), np.abs(pos[i] - pos[j])
-        band = np.zeros((int(off.max(initial=0)) + 1, n))
-        band[0] = 1.0
-        band[off, lo] = -np.exp(-(self.omega[i] + self.omega[j]) / 2) / (2.0 * ss.d)
-        out = np.empty(n)
-        out[order] = _takahashi_diagonal(cholesky_banded(band, lower=True))
-        return out
+            return self.solve(self._unit(ids[0]))[ids]
+        return _takahashi_diagonal(self._factor())[ids]
 
     def _idx(self, p):
         i = self.ss.index_one(as_point(p))
@@ -290,29 +280,24 @@ class SolveResult:
     e_values: np.ndarray
     log_e: np.ndarray
     residual: float
-    method: str
 
-    def e_at(self, p):
+    def _index(self, p):
         i = self.siteset.index_one(as_point(p))
         if i < 0:
             raise DomainError(f"site {tuple(p)} not in solved region")
-        return float(self.e_values[i])
+        return i
+
+    def e_at(self, p):
+        return float(self.e_values[self._index(p)])
 
     def cost_at(self, p):
         """a_V(p, target) = -log e_V(p, target)."""
-        i = self.siteset.index_one(as_point(p))
-        if i < 0:
-            raise DomainError(f"site {tuple(p)} not in solved region")
-        le = self.log_e[i]
+        le = self.log_e[self._index(p)]
         if not np.isfinite(le):
             raise DegenerateWeightError(
                 f"travel weight underflowed at {tuple(p)}; no rescaled value available"
             )
         return float(-le)
-
-    def iter_rows(self):
-        for z, e in zip(self.siteset.sites, self.e_values):
-            yield tuple(int(c) for c in z), float(e)
 
 
 def travel_weight(field, region, source, target, taboo=()):
@@ -336,17 +321,16 @@ def travel_weight(field, region, source, target, taboo=()):
         keep = np.array([tuple(z) not in taboo for z in sites])
         sites = sites[keep]
     ss = SiteSet(sites)
-    it = ss.index_one(target)
-    if it < 0:
+    if ss.index_one(target) < 0:
         raise DomainError(f"target {target} not in region")
     isrc = ss.index_one(source)
     if isrc < 0:
         raise DomainError(f"source {source} not in region")
 
-    # the operator's sites are ss without the target, in the same order
     kw = _KilledWalk(field, sites, kill=target)
-    u = kw.solve(kw.kill_vector())
-    e_values = np.insert(_clip_unit(u), it, 1.0)
+    at = ss.index(kw.ss.sites)  # the operator's sites: ss less the target
+    e_values = np.ones(len(ss))
+    e_values[at] = _clip_unit(kw.solve(kw.kill_vector()))
     with np.errstate(divide="ignore"):
         log_e = np.log(e_values)
 
@@ -357,11 +341,12 @@ def travel_weight(field, region, source, target, taboo=()):
         c = math.log(2.0 * ss.d) + float(np.mean(kw.omega))
         gauge = c * np.abs(kw.ss.sites - np.asarray(target)).sum(axis=1)
         gw = _KilledWalk(field, sites, kill=target, gauge=gauge)
+        log_w = np.zeros(len(ss))
         with np.errstate(divide="ignore", invalid="ignore"):
-            log_w = np.insert(np.log(gw.solve(gw.kill_vector())) - gauge, it, 0.0)
+            log_w[at] = np.log(gw.solve(gw.kill_vector())) - gauge
         fill = ~np.isfinite(log_e) & np.isfinite(log_w)
         log_e[fill] = log_w[fill]
-    return SolveResult(target, taboo, ss, e_values, log_e, kw.residual, "SuperLU")
+    return SolveResult(target, taboo, ss, e_values, log_e, kw.residual)
 
 
 def block_cost(field, xi, m, n, N):
@@ -384,8 +369,7 @@ def exit_functional(field, region, start, crossing=("exit",)):
     (("linf", r), relative to start). Value in (0, 1]."""
     start = as_point(start)
     sites = region_sites(region)
-    ss_all = SiteSet(sites)
-    if ss_all.index_one(start) < 0:
+    if SiteSet(sites).index_one(start) < 0:
         raise DomainError("start not in region")
     if crossing[0] == "exit":
         active = sites
@@ -395,7 +379,7 @@ def exit_functional(field, region, start, crossing=("exit",)):
         active = sites[off < r]
         # every lattice site strictly inside the shell must carry a potential
         k = int(math.ceil(r)) - 1
-        if len(active) != (2 * k + 1) ** ss_all.d:
+        if len(active) != (2 * k + 1) ** len(start):
             raise DomainError("crossing shell exits the region; enlarge the field")
     else:
         raise DomainError(f"unknown crossing {crossing!r}")
@@ -410,15 +394,8 @@ def return_probability(d, region):
     classical transient return probability."""
     kw = _KilledWalk(zero_field(d, region), region, kill=(0,) * d)
     b = kw.kill_vector()
-    # CG, not the operator's LU: A is symmetric positive definite at zero
-    # potential, and on the 35 937-site box of pinned_return_probability splu
-    # took 13.1 s and 625 MB against 0.9 s and 116 MB for CG.
-    u, info = cg(kw.A, b, rtol=1e-12, atol=0.0, maxiter=10_000)
-    if info != 0:
-        raise SolverError(f"CG failed with info={info}")
-    kw.check(u, b)
     # P is symmetric here, so b also holds the steps P[0, z] out of the origin
-    return float(b @ u)
+    return float(b @ kw.solve(b))
 
 
 # ---------------------------------------------------------------------------
@@ -483,53 +460,42 @@ def visit_probabilities(field, region, x, ys):
     x = as_point(x)
     kw, i0, u, g = _tilted_walk(field, region, x)
     out = {}
-    for y in ys:
-        y = as_point(y)
+    for y in map(as_point, ys):
+        iy = kw.ss.index_one(y)
         if y == x:
             out[y] = 0.0
-            continue
-        iy = kw.ss.index_one(y)
-        if iy < 0:
+        elif iy < 0:
             raise DomainError(f"site {y} not in region")
-        if iy == i0:
+        elif iy == i0:
             out[y] = 1.0
-            continue
-        gyy = kw.diagonal([iy])[0]
-        out[y] = float(_clip_unit(g[iy] / gyy * u[iy] / u[i0]))
+        else:
+            out[y] = float(_clip_unit(g[iy] / kw.diagonal([iy])[0] * u[iy] / u[i0]))
     return out
 
 
 def maximal_distance(field, region, x, eta):
     """sup over the l1-ball {y : |x-y|_1 < eta*|x|_1} of
-    max(a_V(x, y), a_V(y, x)), via one factorization plus per-target
-    diagonal solves."""
+    max(a_V(x, y), a_V(y, x)), from one factorization: the row and column
+    of G at x and the Green diagonal over the ball."""
     x = as_point(x)
-    l1x = norms(x)[0]
     kw = _KilledWalk(field, region)
     ix = kw.ss.index_one(x)
     if ix < 0:
         raise DomainError("x not in region")
-    radius = eta * l1x
+    radius = eta * norms(x)[0]
     off = np.abs(kw.ss.sites - np.asarray(x, dtype=np.int64)).sum(axis=1)
     ball = np.nonzero(off < radius)[0]
     # the whole lattice ball must be present in the region
-    expected = _l1_ball_count(kw.ss.d, radius)
-    if len(ball) != expected:
+    if len(ball) != _l1_ball_count(kw.ss.d, radius):
         raise DomainError("l1 ball around x exits the region")
     row_x = kw.row(x)  # G(x, .)
     col_x = kw.column(x)  # G(., x)
-    gxx = row_x[ix]
     diag = kw.diagonal(ball)
-    best = 0.0
-    for k, iy in enumerate(ball):
-        if iy == ix:
-            continue
-        e_xy = row_x[iy] / diag[k]
-        e_yx = col_x[iy] / gxx
-        if e_xy <= 0 or e_yx <= 0:
-            raise DegenerateWeightError("weight underflow inside maximal-distance ball")
-        best = max(best, -math.log(e_xy), -math.log(e_yx))
-    return best
+    ys = ball != ix
+    e = np.concatenate([row_x[ball[ys]] / diag[ys], col_x[ball[ys]] / row_x[ix]])
+    if np.any(e <= 0):
+        raise DegenerateWeightError("weight underflow inside maximal-distance ball")
+    return max(0.0, -math.log(e.min(initial=1.0)))
 
 
 def _l1_ball_count(d, radius):

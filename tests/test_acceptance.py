@@ -12,8 +12,7 @@ import pytest
 from rwpot.concentration import (compare_restricted, entropy_suite,
                                  pinned_return_probability, rank_one_verify,
                                  truncation_gap, variance_scaling)
-from rwpot.coarse import (chi_region, chi_upper_probe, in_omega_prime,
-                          occupied_cost_bound_check,
+from rwpot.coarse import (chi_upper_probe, occupied_cost_bound_check,
                           supermartingale_step_check)
 from rwpot.harness import ExperimentConfig, run
 from rwpot.lattice import AnimalSpec, BoxRegion, enumerate_animals

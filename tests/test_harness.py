@@ -61,6 +61,29 @@ def test_config_keys_no_runner_reads_are_rejected(tmp_path, capsys):
         _config("compare", geometry={"side": "UpperExp"})
 
 
+def test_config_values_of_the_wrong_type_are_rejected(tmp_path, capsys):
+    cfg_path = tmp_path / "typed.json"
+    cfg_path.write_text(json.dumps({
+        "experiment": "tails", "spec": TP_JSON,
+        "geometry": {"x": [3, 0]}, "sampling": {"seed": 1, "samples": "40"},
+    }))
+    code = cli.main(["--config", str(cfg_path), "--out", str(tmp_path / "r"),
+                     "tails"])
+    assert code == 2
+    assert "sampling.samples: must be int" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+    for experiment, part, value, name in (
+            ("tails", "geometry", {"x": [3, 0.5]}, "geometry.x"),
+            ("tails", "geometry", {"box_factor": "2"}, "geometry.box_factor"),
+            ("lyapunov", "sampling", {"samples": True}, "sampling.samples"),
+            ("psi", "sampling", {"lambda_grid": [-0.5, None]},
+             "sampling.lambda_grid"),
+            ("oracle-check", "sampling", {"battery": [{"seed": 1, "x": [2, 1]}]},
+             "sampling.battery")):
+        with pytest.raises(ParameterError, match=f"{name}: must be"):
+            _config(experiment, **{part: value})
+
+
 def test_shipped_configs_read_every_key():
     from test_acceptance import _SMALL_RUNS
 
@@ -143,15 +166,17 @@ def test_oracle_check_passes_and_detects_corruption(tmp_path, monkeypatch):
     report, assertions, _, warn = oracle_check(cfg)
     assert assertions == {"all_sandwich_ok": True, "all_mc_ok": True}
     assert not warn
-    # corrupt the solver's step matrix only: the path enumerator imported its
-    # own reference to transition_matrix, so it still sums the true walk
-    real = solver_mod.transition_matrix
+    # corrupt the solver's band only, scaling its off-diagonal (the steps of
+    # P) by 1 - 1e-4: the path enumerator builds its own step matrix, so it
+    # still sums the true walk
+    real = solver_mod._KilledWalk.__init__
 
-    def corrupted(ss, omega):
-        P, outside = real(ss, omega)
-        return P * (1.0 - 1e-4), outside
+    def corrupted(kw, *args, **kwargs):
+        real(kw, *args, **kwargs)
+        kw.band[:kw.bw] *= 1.0 - 1e-4
+        kw.band[kw.bw + 1:] *= 1.0 - 1e-4
 
-    monkeypatch.setattr(solver_mod, "transition_matrix", corrupted)
+    monkeypatch.setattr(solver_mod._KilledWalk, "__init__", corrupted)
     _, bad, _, _ = oracle_check(cfg)
     assert not bad["all_sandwich_ok"]
 

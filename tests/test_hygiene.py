@@ -1,15 +1,18 @@
-"""Source hygiene: every name a module imports is used in that module, and
-every module-level private name is used somewhere in the package."""
+"""Source hygiene: every name a module, test or demo imports is used in
+that file, and every module-level private name is used somewhere in the
+package."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "rwpot"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "rwpot"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 TREES = {p: ast.parse(p.read_text(), filename=str(p))
          for p in SRC.glob("*.py")}
+SCRIPTS = sorted([*(ROOT / "tests").glob("*.py"), *(ROOT / "demos").glob("*.py")])
 
 
 def _unused_imports(tree):
@@ -54,9 +57,11 @@ def _references(tree, skip):
     return names
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + SCRIPTS, ids=lambda p: (
+    p.name if p.parent == SRC else f"{p.parent.name}/{p.name}"))
 def test_no_unused_imports(path):
-    unused = _unused_imports(TREES[path])
+    tree = TREES.get(path) or ast.parse(path.read_text(), filename=str(path))
+    unused = _unused_imports(tree)
     assert not unused, ", ".join(f"{path.name}:{line} {name}"
                                  for line, name in unused)
 

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from rwpot.lyapunov import (AlphaEstimate, check_norm_properties,
-                            estimate_alpha, write_alpha_report)
+from rwpot.lyapunov import (check_norm_properties, estimate_alpha,
+                            write_alpha_report)
 from rwpot.concentration import prop_box
 from rwpot.potential import DistributionSpec, sample_field
 from rwpot.rng import derive_seed

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from rwpot.errors import CapacityError, DomainError, FeasibilityError
+from rwpot.errors import CapacityError, FeasibilityError
 from rwpot.lattice import BoxRegion
 from rwpot.oracle import (dump_traces, enumerate_paths, enumerate_paths_dfs,
                           sample_crossings, sample_walk_weight)

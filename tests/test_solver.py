@@ -8,12 +8,13 @@ from rwpot.errors import DomainError, SolverError
 from rwpot.lattice import BoxRegion
 from rwpot.potential import DistributionSpec, PotentialField, sample_field
 from rwpot import solver
+from rwpot.concentration import box_return_probability
+from rwpot.oracle import transition_matrix
 from rwpot.rng import derive_seed
 from rwpot.solver import (SiteSet, block_cost, exit_functional,
                           maximal_distance, return_probability,
-                          transition_matrix, travel_weight,
-                          visit_probabilities, weighted_functionals,
-                          zero_field)
+                          travel_weight, visit_probabilities,
+                          weighted_functionals, zero_field)
 
 TP = DistributionSpec.two_point(0.2, 1.0, 0.5)
 EXP = DistributionSpec.exponential(1.0)
@@ -147,10 +148,9 @@ def test_return_probability_tiny_region():
 
 
 def _dense_return_probability(d, box):
-    # the same killed walk, solved densely: the reference for the CG path
+    # the same killed walk, solved densely: the reference for the band path
     ss = SiteSet(box.sites())
-    P, _ = transition_matrix(ss, np.zeros(len(ss)))
-    P = P.toarray()
+    P = transition_matrix(ss, np.zeros(len(ss))).toarray()
     i0 = ss.index_one((0,) * d)
     keep = np.arange(len(ss)) != i0
     A = np.eye(len(ss) - 1) - P[keep][:, keep]
@@ -164,6 +164,21 @@ def test_return_probability_monotone_in_region():
     assert values[0] < values[1] < values[2] < 1
     for box, value in zip(boxes, values):
         assert abs(value - _dense_return_probability(3, box)) < 1e-12
+
+
+def test_box_return_probability_is_exact_and_below_watson():
+    for r in (2, 4, 8):
+        box = BoxRegion.centered(r, 3)
+        value = box_return_probability(3, r)
+        assert abs(value - return_probability(3, box)) < 1e-12
+        assert abs(value - _dense_return_probability(3, box)) < 1e-12
+    values = [box_return_probability(3, r) for r in (2, 4, 8, 16, 32)]
+    assert all(a < b for a, b in zip(values, values[1:]))
+    # Watson (1939): the d=3 walk returns with probability 1 - 1/u(3)
+    u3 = (math.sqrt(6) / (32 * math.pi ** 3) * math.gamma(1 / 24)
+          * math.gamma(5 / 24) * math.gamma(7 / 24) * math.gamma(11 / 24))
+    assert abs((1 - 1 / u3) - 0.34053732955) < 1e-10
+    assert values[-1] < 1 - 1 / u3
 
 
 def test_weighted_functionals_trivial_region():
@@ -209,18 +224,10 @@ def test_maximal_distance_ball_must_fit():
         maximal_distance(field, box, (3, 0), 1.0)
 
 
-
 def test_residual_guard_rejects_a_bad_solve(monkeypatch):
-    real_splu = solver.splu
-
-    class Perturbed:
-        def __init__(self, A):
-            self.lu = real_splu(A)
-
-        def solve(self, b, trans="N"):
-            return self.lu.solve(b, trans=trans) + 1e-6
-
-    monkeypatch.setattr(solver, "splu", Perturbed)
+    real = solver.cho_solve_banded
+    monkeypatch.setattr(solver, "cho_solve_banded",
+                        lambda factor, b: real(factor, b) + 1e-6)
     box = BoxRegion.centered(3, 2)
     field = sample_field(TP, box, 1)
     with pytest.raises(SolverError):
@@ -259,8 +266,13 @@ def test_residual_check_rejects_nan():
     assert kw.residual == 0.0
 
 
+def _dense_operator(kw):
+    """I - P on the operator's sites, assembled by the oracle's step matrix."""
+    return np.eye(len(kw.ss)) - transition_matrix(kw.ss, kw.omega).toarray()
+
+
 def _assert_diagonal_matches_dense_inverse(kw):
-    dense = np.diag(np.linalg.inv(kw.A.toarray()))
+    dense = np.diag(np.linalg.inv(_dense_operator(kw)))
     assert np.abs(kw.diagonal() / dense - 1).max() < 1e-12
 
 
@@ -291,8 +303,8 @@ def test_green_diagonal_on_shuffled_explicit_sites_and_huge_potential():
     vals = sample_field(TP, box, 5).values.copy()
     vals[7, 7:10] = 750.0  # e^omega overflows; the symmetrized operator does not
     field = PotentialField(box, vals, TP, 5)
+    assert not np.all(np.diff(disk[:, 0]) >= 0)  # not in row-major order
     kw = solver._KilledWalk(field, disk, kill=(3, 0))
-    assert not np.all(np.diff(kw.ss.sites[:, 0]) >= 0)  # not in row-major order
     _assert_diagonal_matches_dense_inverse(kw)
 
 
@@ -318,3 +330,64 @@ def test_weighted_functionals_cross_checks_the_green_diagonal(monkeypatch):
     box = BoxRegion.centered(3, 2)
     with pytest.raises(SolverError, match="G\\(0, 0\\)"):
         weighted_functionals(sample_field(TP, box, 1), box, (2, 0))
+
+
+def _huge_potential_field():
+    """A d=2 field whose potential spans its whole domain: e^{-omega}
+    underflows at 750 and 1e4, and e^{omega} overflows at 1e300."""
+    box = BoxRegion.centered(6, 2)
+    vals = sample_field(TP, box, 2).values.copy()
+    vals[7, 6:9] = 750.0
+    vals[4, 8] = vals[9, 4] = 1e4
+    vals[5, 5] = vals[8, 9] = 1e300
+    return box, PotentialField(box, vals, TP, 2)
+
+
+def _assert_close(a, b, rel):
+    a, b = np.asarray(a), np.asarray(b)
+    assert np.all(np.abs(a - b) <= rel * np.abs(b)), np.abs(a - b).max()
+
+
+def test_band_solves_match_dense_solve_across_the_potential_domain():
+    box, field = _huge_potential_field()
+    x = (3, 1)
+    kw = solver._KilledWalk(field, box, kill=x)
+    A = _dense_operator(kw)
+    e = np.linalg.solve(A, kw.kill_vector())
+    res = travel_weight(field, box, (0, 0), x)
+    _assert_close(np.delete(res.e_values, res.siteset.index_one(x)), e, 1e-12)
+    G = np.linalg.inv(A)
+    i0 = kw.ss.index_one((0, 0))
+    _assert_close(kw.row((0, 0)), G[i0], 1e-12)
+    _assert_close(kw.column((0, 0)), G[:, i0], 1e-12)
+    _assert_close(kw.diagonal(), np.diag(G), 1e-12)
+    wf = weighted_functionals(field, box, x)
+    q = G[i0] / np.diag(G) * e / e[i0]
+    _assert_close(wf.q_visit, q, 1e-12)
+
+
+def test_gauged_band_lu_matches_cholesky_solve():
+    box = BoxRegion.centered(5, 2)
+    field = sample_field(EXP, box, 7)
+    x = (4, 0)
+    plain = solver._KilledWalk(field, box, kill=x)
+    e = plain.solve(plain.kill_vector())
+    c = 0.8
+    gauge = c * np.abs(plain.ss.sites - np.asarray(x)).sum(axis=1)
+    gauged = solver._KilledWalk(field, box, kill=x, gauge=gauge)
+    _assert_close(gauged.solve(gauged.kill_vector()) * np.exp(-gauge), e, 1e-10)
+    with pytest.raises(SolverError):
+        gauged.solve(gauged.kill_vector(), trans="T")
+
+
+def test_weighted_functionals_and_maximal_distance_factor_once(monkeypatch):
+    calls = []
+    real = solver.cholesky_banded
+    monkeypatch.setattr(solver, "cholesky_banded",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    box = BoxRegion.centered(4, 2)
+    for n, seed in enumerate((1, 2, 3), start=1):
+        weighted_functionals(sample_field(TP, box, seed), box, (2, 1))
+        assert len(calls) == n
+    maximal_distance(sample_field(TP, box, 4), box, (2, 1), 1.0)
+    assert len(calls) == 4
