@@ -68,9 +68,7 @@ class BoxRegion:
 
     def sites(self):
         """All sites as an (n, d) int64 array, row-major order."""
-        axes = [np.arange(l, h) for l, h in zip(self.lo, self.hi)]
-        grid = np.meshgrid(*axes, indexing="ij")
-        return np.stack([g.ravel() for g in grid], axis=1).astype(np.int64)
+        return np.indices(self.shape, dtype=np.int64).reshape(self.dimension, -1).T + self.lo
 
     @staticmethod
     def centered(radius, d):

@@ -6,10 +6,11 @@ the region (or on a taboo site). All quantities here reduce to solves with
 the matrix I - P, where P[z, z'] = exp(-omega(z))/(2d) for lattice neighbors
 z, z' inside the active set; P is a substochastic M-matrix on any finite box,
 so the systems are nonsingular. Every system is one operator, _KilledWalk:
-a band over the sites in lexicographic order, factored once by banded
-Cholesky for every solve and for the Green diagonal G(y, y) (by Takahashi's
-selected inversion); only the gauged operator of the log-space fallback is
-solved by band LU.
+a grid band with Dirichlet rows (the points of the region's bounding box in
+row-major order, neighbors at fixed strides, and every point off the active
+set a decoupled unit row), factored once by banded Cholesky for every solve
+and for the Green diagonal G(y, y) (by Takahashi's selected inversion); only
+the gauged operator of the log-space fallback is solved by band LU.
 """
 
 import math
@@ -28,39 +29,43 @@ OMEGA_CAP = 800.0
 
 
 class SiteSet:
-    """Explicit set of lattice sites with O(1) vectorized index lookup."""
+    """Explicit set of lattice sites, in their given order, indexed through
+    the grid of their bounding box (lo, shape): keys[i] is the row-major grid
+    point of site i, and index() is an O(1) vectorized lookup."""
 
     def __init__(self, sites):
-        sites = np.asarray(sites, dtype=np.int64)
+        box = sites if isinstance(sites, BoxRegion) else None
+        self.sites = sites = region_sites(sites)
         if sites.ndim != 2 or len(sites) == 0:
             raise DomainError("site set must be a nonempty (n, d) array")
-        self.sites = sites
         self.d = sites.shape[1]
+        if box is not None:  # a box is its own grid, in row-major order
+            self.lo, self.shape = np.asarray(box.lo), box.shape
+            self.keys = self._flat = np.arange(len(sites))
+            return
         self.lo = sites.min(axis=0)
-        self.shape = tuple(sites.max(axis=0) - self.lo + 1)
-        flat = np.full(int(np.prod(self.shape)), -1, dtype=np.int64)
-        keys = np.ravel_multi_index((sites - self.lo).T, self.shape)
-        if len(np.unique(keys)) != len(sites):
+        self.shape = tuple(int(m) for m in sites.max(axis=0) - self.lo + 1)
+        self.keys = np.ravel_multi_index((sites - self.lo).T, self.shape)
+        self._flat = np.full(int(np.prod(self.shape)), -1, dtype=np.int64)
+        self._flat[self.keys] = rank = np.arange(len(sites))
+        if np.any(self._flat[self.keys] != rank):  # equal sites keep one point
             raise DomainError("duplicate sites in region")
-        flat[keys] = np.arange(len(sites))
-        self._flat = flat
 
     def __len__(self):
         return len(self.sites)
 
     def index(self, points):
         """Indices of points in the set, -1 where absent. points: (m, d)."""
-        pts = np.atleast_2d(np.asarray(points, dtype=np.int64))
-        rel = pts - self.lo
-        ok = np.all((rel >= 0) & (rel < np.asarray(self.shape)), axis=1)
-        out = np.full(len(pts), -1, dtype=np.int64)
-        if ok.any():
-            keys = np.ravel_multi_index(rel[ok].T, self.shape)
-            out[ok] = self._flat[keys]
+        rel = np.atleast_2d(np.asarray(points, dtype=np.int64)) - self.lo
+        ok = np.all((rel >= 0) & (rel < self.shape), axis=1)
+        out = np.full(len(rel), -1, dtype=np.int64)
+        out[ok] = self._flat[np.ravel_multi_index(rel[ok].T, self.shape)]
         return out
 
     def index_one(self, p):
-        return int(self.index(np.asarray(p, dtype=np.int64)[None, :])[0])
+        rel = [c - lo for c, lo in zip(p, self.lo.tolist(), strict=True)]
+        inside = all(0 <= r < m for r, m in zip(rel, self.shape))
+        return int(self._flat[np.ravel_multi_index(rel, self.shape)]) if inside else -1
 
 
 def region_sites(region):
@@ -72,10 +77,8 @@ def region_sites(region):
 
 def bounding_box(region):
     """The smallest BoxRegion containing every site of the region."""
-    sites = region_sites(region)
-    lo = tuple(int(v) for v in sites.min(axis=0))
-    hi = tuple(int(v) + 1 for v in sites.max(axis=0))
-    return BoxRegion(lo, hi)
+    ss = SiteSet(region)
+    return BoxRegion(ss.lo, ss.lo + ss.shape)
 
 
 def _clip_unit(v):
@@ -94,53 +97,61 @@ class _KilledWalk:
     """The killed-walk operator A = I - P on the sites of a region, less the
     kill site when one is given: the walk dies on exit and on the kill site.
 
-    gauge, when given, is a log-scale g per site: P is conjugated to
-    P[z, z'] e^{g(z) - g(z')} and the right-hand sides are scaled by e^{g(z)},
-    so every solution comes out multiplied by e^{g}. The gauge is taken as 0
-    on the kill site and outside the region.
+    A is a grid band with Dirichlet rows. The unknowns are the points of the
+    bounding box of the region's SiteSet ss in row-major order, so the
+    neighbor along axis k sits at stride s_k and the bandwidth is s_0; a
+    point off the active set (not a site, or the kill site) has unit
+    diagonal and zero row and column. Vectors are indexed by grid point: a
+    right-hand side vanishing off the active set gives a solution vanishing
+    there, and results are read at ss.keys.
 
-    The sites are kept in lexicographic order (a box's row-major order), and
-    A is stored once, as M = e^{h} A e^{-h} in LAPACK general band storage,
-    with h = g under a gauge and h = omega/2 without. Then M is the symmetric
-    T = W^{-1/2} A W^{1/2}, W = diag(e^{-omega}/2d), with unit diagonal and
-    T[z, z'] = -e^{-(omega(z) + omega(z'))/2}/2d; it is factored once, on
-    first use, by banded Cholesky, and A x = b is solved as s T^{-1}(b / s),
-    s = e^{-h}. omega is capped at OMEGA_CAP in h and the band, where
-    e^{-omega}/2d is already 0. A gauged M is not symmetric: it is solved by
-    band LU, and has plain solves only.
+    A is stored once, as M = e^{h} A e^{-h} in LAPACK general band storage.
+    Without a gauge h = omega/2, and M is the symmetric T = W^{-1/2} A W^{1/2},
+    W = diag(e^{-omega}/2d), with unit diagonal and T[z, z'] =
+    -e^{-(omega(z) + omega(z'))/2}/2d; it is factored once, on first use, by
+    banded Cholesky, and A x = b is solved as s T^{-1}(b / s), s = e^{-h}.
+    omega is capped at OMEGA_CAP in h and the band, where e^{-omega}/2d is
+    already 0. A gauge, a log-scale g per grid point, sets h = g and scales
+    the right-hand sides by e^{g}, so every solution comes out multiplied by
+    e^{g}; the gauged M is not symmetric, is solved by band LU, and has plain
+    solves only.
     """
 
     def __init__(self, field, region, kill=None, gauge=None):
-        sites = region_sites(region)
+        self.ss = ss = region if isinstance(region, SiteSet) else SiteSet(region)
+        shape = ss.shape
+        at = ss.lo - np.asarray(field.region.lo)
+        if np.any(at < 0) or np.any(at + shape > field.region.shape):
+            raise DomainError("some sites lie outside the field region")
+        self.omega = field.values[tuple(slice(a, a + m) for a, m in zip(at, shape))].ravel()
+        self.active = ss._flat >= 0
         if kill is not None:
-            kill = as_point(kill)
-            keep = ~np.all(sites == np.asarray(kill, dtype=np.int64), axis=1)
-            if keep.all():
-                raise DomainError(f"kill site {kill} not in region")
-            sites = sites[keep]
-        self.kill = kill
+            i = ss.index_one(as_point(kill))
+            if i < 0:
+                raise DomainError(f"kill site {tuple(kill)} not in region")
+            self._kill = int(ss.keys[i])
+            self.active[self._kill] = False
         self.gauge = gauge
-        self.ss = ss = SiteSet(sites[np.lexsort(sites.T[::-1])])
-        self.omega = field.values_at(ss.sites)
-        n = len(ss)
-        # each neighbor pair (i, j) once, j = i + e_axis, so j comes after i
-        nb = np.stack([ss.index(ss.sites + e) for e in np.eye(ss.d, dtype=np.int64)])
-        i, j = np.nonzero(nb >= 0)[1], nb[nb >= 0]
-        self.outside = (2 * ss.d - np.bincount(i, minlength=n)
-                        - np.bincount(j, minlength=n))
         if gauge is None:
             w = np.minimum(self.omega, OMEGA_CAP)
             h, self.scale = w / 2, np.exp(-w / 2)
         else:
-            w, h, self.scale = self.omega, gauge, np.ones(n)
-        off = j - i
-        self.bw = bw = int(off.max(initial=0))
-        self.offsets = np.unique(off)
+            w, h, self.scale = self.omega, gauge, np.ones(len(gauge))
+        # (stride, length) of every axis that has neighbors, strides ascending
+        self.axes = [(int(np.prod(shape[k + 1:])), shape[k])
+                     for k in reversed(range(ss.d)) if shape[k] > 1]
+        self.bw = bw = max((s for s, _ in self.axes), default=0)
         # band[bw + r - c, c] = M[r, c]; rows bw.. are Cholesky's lower storage
-        self.band = np.zeros((2 * bw + 1, n))
+        self.band = np.zeros((2 * bw + 1, len(w)))
         self.band[bw] = 1.0
-        self.band[bw + off, i] = -np.exp(h[j] - h[i] - w[j]) / (2.0 * ss.d)
-        self.band[bw - off, j] = -np.exp(h[i] - h[j] - w[i]) / (2.0 * ss.d)
+        for s, m in self.axes:
+            # seen as (outer, m, s), the grid's edges along this axis join
+            # the middle rows j and j + 1; only edges of two active points couple
+            act, hv, wv, lower, upper = (v.reshape(-1, m, s) for v in (
+                self.active, h, w, self.band[bw + s], self.band[bw - s]))
+            edge, dh = act[:, :-1] & act[:, 1:], hv[:, 1:] - hv[:, :-1]
+            lower[:, :-1] = np.where(edge, -np.exp(dh - wv[:, 1:]), 0.0) / (2.0 * ss.d)
+            upper[:, 1:] = np.where(edge, -np.exp(-dh - wv[:, :-1]), 0.0) / (2.0 * ss.d)
         self.residual = 0.0
         # factored on first use by a plain check: functools' cached property
         # takes one lock per class on Python 3.11, which would serialize the
@@ -149,7 +160,8 @@ class _KilledWalk:
 
     def _factor(self):
         if self._cholesky is None:
-            self._cholesky = cholesky_banded(self.band[self.bw:], lower=True)
+            self._cholesky = cholesky_banded(self.band[self.bw:], lower=True,
+                                             check_finite=False)
         return self._cholesky
 
     def _frame(self, trans):
@@ -176,7 +188,7 @@ class _KilledWalk:
         v = x / s
         band, bw, n = self.band, self.bw, len(v)
         Mv = band[bw] * v
-        for k in self.offsets:
+        for k, _ in self.axes:
             Mv[k:] += band[bw + k, :n - k] * v[:n - k]
             Mv[:n - k] += band[bw - k, k:] * v[k:]
         resid = float(np.abs(s * Mv - b).max(initial=0.0))
@@ -188,17 +200,23 @@ class _KilledWalk:
     def kill_vector(self):
         """P[z, kill]: with it, solve gives e(z, kill), the weight of hitting
         the kill site before exiting."""
-        b = np.zeros(len(self.ss))
-        steps = np.eye(self.ss.d, dtype=np.int64)
-        j = self.ss.index(np.asarray(self.kill) + np.vstack([steps, -steps]))
-        j = j[j >= 0]
+        b = np.zeros(len(self.omega))
+        c = self._kill
+        j = np.array([c + e * s for s, m in self.axes for e in (1, -1)
+                      if 0 <= c // s % m + e < m], dtype=np.int64)
+        j = j[self.active[j]]
         b[j] = self._step_weight(j)
         return b
 
     def exit_vector(self):
         """The weight of stepping off the active sites: with it, solve gives
         the weight of exiting (the kill site counts as outside)."""
-        return self._step_weight(slice(None)) * self.outside
+        inside = np.zeros(len(self.omega))
+        for s, m in self.axes:
+            act, k = self.active.reshape(-1, m, s), inside.reshape(-1, m, s)
+            k[:, :-1] += act[:, 1:]
+            k[:, 1:] += act[:, :-1]
+        return self._step_weight(slice(None)) * (2 * self.ss.d - inside) * self.active
 
     def _step_weight(self, ids):
         """exp(-omega(z))/(2d) at the given sites, in the gauge's frame."""
@@ -216,28 +234,28 @@ class _KilledWalk:
         return self.solve(self._unit(self._idx(p)))
 
     def _unit(self, i):
-        e = np.zeros(len(self.ss))
+        e = np.zeros(len(self.omega))
         e[i] = 1.0
         return e
 
     def diagonal(self, ids=None):
-        """G(y, y) for the given site indices (all active sites by default).
-        One id costs one checked column solve; more come from selected
-        inversion of the Cholesky factor of T, which has the diagonal of
-        A^{-1}: O(n bw^2) time and O(n bw) memory."""
+        """G(y, y) for the given grid points (all of them by default; a
+        Dirichlet row has 1). One id costs one checked column solve; more
+        come from selected inversion of the Cholesky factor of T, which has
+        the diagonal of A^{-1}: O(n bw^2) time and O(n bw) memory."""
         if self.gauge is not None:
             raise SolverError("the Green diagonal is defined without a gauge")
-        n = len(self.ss)
-        ids = np.arange(n) if ids is None else np.asarray(ids)
+        ids = np.arange(len(self.omega)) if ids is None else np.asarray(ids)
         if len(ids) == 1:
             return self.solve(self._unit(ids[0]))[ids]
         return _takahashi_diagonal(self._factor())[ids]
 
     def _idx(self, p):
+        """The grid point of an active site p."""
         i = self.ss.index_one(as_point(p))
-        if i < 0:
+        if i < 0 or not self.active[self.ss.keys[i]]:
             raise DomainError(f"site {tuple(p)} not active in Green system")
-        return i
+        return int(self.ss.keys[i])
 
 
 def _takahashi_diagonal(factor):
@@ -295,8 +313,7 @@ class SolveResult:
         le = self.log_e[self._index(p)]
         if not np.isfinite(le):
             raise DegenerateWeightError(
-                f"travel weight underflowed at {tuple(p)}; no rescaled value available"
-            )
+                f"travel weight underflowed at {tuple(p)}; no rescaled value available")
         return float(-le)
 
 
@@ -316,21 +333,20 @@ def travel_weight(field, region, source, target, taboo=()):
         raise DomainError("target may not be taboo")
     if source in taboo:
         raise DomainError("source may not be taboo")
-    sites = region_sites(region)
     if taboo:
-        keep = np.array([tuple(z) not in taboo for z in sites])
-        sites = sites[keep]
-    ss = SiteSet(sites)
-    if ss.index_one(target) < 0:
+        sites = region_sites(region)
+        region = sites[np.array([tuple(z) not in taboo for z in sites])]
+    ss = SiteSet(region)  # the one index: results, and the operator's grid
+    itgt = ss.index_one(target)
+    if itgt < 0:
         raise DomainError(f"target {target} not in region")
     isrc = ss.index_one(source)
     if isrc < 0:
         raise DomainError(f"source {source} not in region")
 
-    kw = _KilledWalk(field, sites, kill=target)
-    at = ss.index(kw.ss.sites)  # the operator's sites: ss less the target
-    e_values = np.ones(len(ss))
-    e_values[at] = _clip_unit(kw.solve(kw.kill_vector()))
+    kw = _KilledWalk(field, ss, kill=target)
+    e_values = _clip_unit(kw.solve(kw.kill_vector())[ss.keys])
+    e_values[itgt] = 1.0
     with np.errstate(divide="ignore"):
         log_e = np.log(e_values)
 
@@ -338,12 +354,12 @@ def travel_weight(field, region, source, target, taboo=()):
         # Underflow: solve again conjugated by exp(c * l1-distance to the
         # target), where the solution stays representable, and fill log_e
         # where the plain solve underflowed.
-        c = math.log(2.0 * ss.d) + float(np.mean(kw.omega))
-        gauge = c * np.abs(kw.ss.sites - np.asarray(target)).sum(axis=1)
-        gw = _KilledWalk(field, sites, kill=target, gauge=gauge)
-        log_w = np.zeros(len(ss))
+        c = math.log(2.0 * ss.d) + float(np.mean(kw.omega[kw.active]))
+        grid = np.indices(ss.shape).reshape(ss.d, -1).T + ss.lo
+        gauge = c * np.abs(grid - target).sum(axis=1)
+        gw = _KilledWalk(field, ss, kill=target, gauge=gauge)
         with np.errstate(divide="ignore", invalid="ignore"):
-            log_w[at] = np.log(gw.solve(gw.kill_vector())) - gauge
+            log_w = (np.log(gw.solve(gw.kill_vector())) - gauge)[ss.keys]
         fill = ~np.isfinite(log_e) & np.isfinite(log_w)
         log_e[fill] = log_w[fill]
     return SolveResult(target, taboo, ss, e_values, log_e, kw.residual)
@@ -351,16 +367,11 @@ def travel_weight(field, region, source, target, taboo=()):
 
 def block_cost(field, xi, m, n, N):
     """Restricted cost between m*xi and n*xi inside the rotated block of
-    half-width N around the segment. Subadditive in (m, n) on a common field."""
+    half-width N around the segment. Subadditive in (m, n) on a common field;
+    DomainError when an endpoint falls outside the rasterized block."""
     xi = np.asarray(xi, dtype=np.int64)
-    sites = block_sites(xi, m, n, N)
-    ss_probe = SiteSet(sites)
     src = tuple(int(v) for v in m * xi)
-    tgt = tuple(int(v) for v in n * xi)
-    if ss_probe.index_one(src) < 0 or ss_probe.index_one(tgt) < 0:
-        raise DomainError("block endpoints fall outside the rasterized block")
-    res = travel_weight(field, sites, src, tgt)
-    return res.cost_at(src)
+    return travel_weight(field, block_sites(xi, m, n, N), src, n * xi).cost_at(src)
 
 
 def exit_functional(field, region, start, crossing=("exit",)):
@@ -368,24 +379,18 @@ def exit_functional(field, region, start, crossing=("exit",)):
     region ("exit") or the first l-infinity crossing at radius r
     (("linf", r), relative to start). Value in (0, 1]."""
     start = as_point(start)
-    sites = region_sites(region)
-    if SiteSet(sites).index_one(start) < 0:
-        raise DomainError("start not in region")
-    if crossing[0] == "exit":
-        active = sites
-    elif crossing[0] == "linf":
-        r = float(crossing[1])
-        off = np.abs(sites - np.asarray(start, dtype=np.int64)).max(axis=1)
-        active = sites[off < r]
-        # every lattice site strictly inside the shell must carry a potential
-        k = int(math.ceil(r)) - 1
-        if len(active) != (2 * k + 1) ** len(start):
+    if crossing[0] == "linf":
+        # the box strictly inside the shell, every site of which the region holds
+        k = int(math.ceil(float(crossing[1]))) - 1
+        shell = BoxRegion([c - k for c in start], [c + k + 1 for c in start])
+        if np.any(SiteSet(region).index(shell.sites()) < 0):
             raise DomainError("crossing shell exits the region; enlarge the field")
-    else:
+        region = shell
+    elif crossing[0] != "exit":
         raise DomainError(f"unknown crossing {crossing!r}")
-    kw = _KilledWalk(field, active)
+    kw = _KilledWalk(field, region)
     v = kw.solve(kw.exit_vector())
-    return float(_clip_unit(v[kw.ss.index_one(start)]))
+    return float(_clip_unit(v[kw._idx(start)]))
 
 
 def return_probability(d, region):
@@ -423,15 +428,13 @@ class WeightedFunctionals:
 
 
 def _tilted_walk(field, region, x):
-    """(operator killed at x, index of the origin, e_V(., x), G(0, .)): the
-    pieces of q(y) = G(0, y) / G(y, y) * e_V(y, x) / e_V(0, x)."""
+    """(operator killed at x, grid point of the origin, e_V(., x), G(0, .)):
+    the pieces of q(y) = G(0, y) / G(y, y) * e_V(y, x) / e_V(0, x)."""
     origin = (0,) * len(x)
     if x == origin:
         raise DomainError("x must differ from the origin")
     kw = _KilledWalk(field, region, kill=x)
-    i0 = kw.ss.index_one(origin)
-    if i0 < 0:
-        raise DomainError("origin not in region")
+    i0 = kw._idx(origin)
     u = kw.solve(kw.kill_vector())  # e_V(z, x) for z != x
     if u[i0] <= 0.0:
         raise DegenerateWeightError("e_V(0, x) underflowed; weighted measure undefined")
@@ -450,27 +453,28 @@ def weighted_functionals(field, region, x):
                           f"with the row solve {g[i0]:.17g}")
     q = (g / diag) * u / u[i0]
     q[i0] = 1.0
-    q = _clip_unit(q)
-    return WeightedFunctionals(x, kw.ss, q, float(q.sum()))
+    active = kw.active[kw.ss.keys]  # the region's sites but x, in its order
+    q = _clip_unit(q[kw.ss.keys[active]])
+    return WeightedFunctionals(x, SiteSet(kw.ss.sites[active]), q, float(q.sum()))
 
 
-def visit_probabilities(field, region, x, ys):
-    """q(y) = Q(H(y) < H(x)) for selected sites y only (cheaper than the
-    full diagonal when just a few sites matter)."""
+def tilted_visits(field, region, x, ys):
+    """(a_V(0, x), {y: q(y)}) from one factorization: the cost and the visit
+    probabilities q(y) = Q(H(y) < H(x)) of selected sites y only (cheaper
+    than the full diagonal when just a few sites matter)."""
     x = as_point(x)
     kw, i0, u, g = _tilted_walk(field, region, x)
     out = {}
     for y in map(as_point, ys):
-        iy = kw.ss.index_one(y)
-        if y == x:
-            out[y] = 0.0
-        elif iy < 0:
-            raise DomainError(f"site {y} not in region")
-        elif iy == i0:
-            out[y] = 1.0
-        else:
-            out[y] = float(_clip_unit(g[iy] / kw.diagonal([iy])[0] * u[iy] / u[i0]))
-    return out
+        iy = None if y == x else kw._idx(y)
+        out[y] = 0.0 if iy is None else 1.0 if iy == i0 else float(
+            _clip_unit(g[iy] / kw.diagonal([iy])[0] * u[iy] / u[i0]))
+    return float(-np.log(_clip_unit(u[i0]))), out
+
+
+def visit_probabilities(field, region, x, ys):
+    """q(y) = Q(H(y) < H(x)) for selected sites y only."""
+    return tilted_visits(field, region, x, ys)[1]
 
 
 def maximal_distance(field, region, x, eta):
@@ -479,12 +483,10 @@ def maximal_distance(field, region, x, eta):
     of G at x and the Green diagonal over the ball."""
     x = as_point(x)
     kw = _KilledWalk(field, region)
-    ix = kw.ss.index_one(x)
-    if ix < 0:
-        raise DomainError("x not in region")
+    ix = kw._idx(x)
     radius = eta * norms(x)[0]
     off = np.abs(kw.ss.sites - np.asarray(x, dtype=np.int64)).sum(axis=1)
-    ball = np.nonzero(off < radius)[0]
+    ball = kw.ss.keys[off < radius]
     # the whole lattice ball must be present in the region
     if len(ball) != _l1_ball_count(kw.ss.d, radius):
         raise DomainError("l1 ball around x exits the region")

@@ -127,6 +127,18 @@ def test_solve_run_writes_expected_value(tmp_path):
     assert names == {"solve.csv", "solve.json"}
 
 
+def test_solve_csv_rows_follow_the_region_order(tmp_path):
+    # shuffled explicit sites with a hole at (3, 1) and a taboo site: the
+    # rows are the region's sites less the taboo one, in the region's order
+    sites = [[2, 1], [0, 0], [1, 1], [3, 0], [1, 0], [0, 1], [2, 0]]
+    cfg = _config("solve", geometry={"x": [3, 0], "sites": sites,
+                                     "taboo": [[1, 1]]})
+    assert run(cfg, out_dir=tmp_path).all_passed()
+    rows = (tmp_path / "solve.csv").read_text().splitlines()[1:]
+    assert [[int(c) for c in r.split(",")[:2]] for r in rows] == \
+        [s for s in sites if s != [1, 1]]
+
+
 def test_manifest_schema_and_reproducibility(tmp_path):
     cfg = _config("tails", geometry={"x": [3, 0]},
                   sampling={"samples": 40, "seed": 5})

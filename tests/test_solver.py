@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rwpot.errors import DomainError, SolverError
+from rwpot.errors import DegenerateWeightError, DomainError, SolverError
 from rwpot.lattice import BoxRegion
 from rwpot.potential import DistributionSpec, PotentialField, sample_field
 from rwpot import solver
-from rwpot.concentration import box_return_probability
+from rwpot.concentration import box_return_probability, rank_one_verify
 from rwpot.oracle import transition_matrix
 from rwpot.rng import derive_seed
 from rwpot.solver import (SiteSet, block_cost, exit_functional,
@@ -267,13 +267,19 @@ def test_residual_check_rejects_nan():
 
 
 def _dense_operator(kw):
-    """I - P on the operator's sites, assembled by the oracle's step matrix."""
-    return np.eye(len(kw.ss)) - transition_matrix(kw.ss, kw.omega).toarray()
+    """I - P on the operator's active sites, assembled by the oracle's step
+    matrix, and the grid points of those sites (ascending)."""
+    ids = np.flatnonzero(kw.active)
+    sites = np.column_stack(np.unravel_index(ids, kw.ss.shape)) + kw.ss.lo
+    P = transition_matrix(SiteSet(sites), kw.omega[ids]).toarray()
+    return np.eye(len(ids)) - P, ids
 
 
 def _assert_diagonal_matches_dense_inverse(kw):
-    dense = np.diag(np.linalg.inv(_dense_operator(kw)))
-    assert np.abs(kw.diagonal() / dense - 1).max() < 1e-12
+    A, ids = _dense_operator(kw)
+    diag = kw.diagonal()
+    assert np.abs(diag[ids] / np.diag(np.linalg.inv(A)) - 1).max() < 1e-12
+    assert np.all(np.delete(diag, ids) == 1.0)  # Dirichlet rows
 
 
 @pytest.mark.parametrize("r, kill", [(6, (2, 0)), (4, (1, 0, 0))])
@@ -352,15 +358,15 @@ def test_band_solves_match_dense_solve_across_the_potential_domain():
     box, field = _huge_potential_field()
     x = (3, 1)
     kw = solver._KilledWalk(field, box, kill=x)
-    A = _dense_operator(kw)
-    e = np.linalg.solve(A, kw.kill_vector())
+    A, ids = _dense_operator(kw)
+    e = np.linalg.solve(A, kw.kill_vector()[ids])
     res = travel_weight(field, box, (0, 0), x)
     _assert_close(np.delete(res.e_values, res.siteset.index_one(x)), e, 1e-12)
     G = np.linalg.inv(A)
-    i0 = kw.ss.index_one((0, 0))
-    _assert_close(kw.row((0, 0)), G[i0], 1e-12)
-    _assert_close(kw.column((0, 0)), G[:, i0], 1e-12)
-    _assert_close(kw.diagonal(), np.diag(G), 1e-12)
+    i0 = np.searchsorted(ids, kw._idx((0, 0)))
+    _assert_close(kw.row((0, 0))[ids], G[i0], 1e-12)
+    _assert_close(kw.column((0, 0))[ids], G[:, i0], 1e-12)
+    _assert_close(kw.diagonal()[ids], np.diag(G), 1e-12)
     wf = weighted_functionals(field, box, x)
     q = G[i0] / np.diag(G) * e / e[i0]
     _assert_close(wf.q_visit, q, 1e-12)
@@ -391,3 +397,88 @@ def test_weighted_functionals_and_maximal_distance_factor_once(monkeypatch):
         assert len(calls) == n
     maximal_distance(sample_field(TP, box, 4), box, (2, 1), 1.0)
     assert len(calls) == 4
+    field = sample_field(TP, box, 5)
+    travel_weight(field, box, (0, 0), (2, 1))
+    assert len(calls) == 5
+    exit_functional(field, box, (0, 0))
+    assert len(calls) == 6
+    # per trial: the unperturbed operator once, for both a(0, x) and q(y),
+    # and the perturbed one once
+    records = rank_one_verify(TP, (2, 0, 0), 3, 1)
+    assert len(calls) == 6 + 2 * len(records) == 12
+
+
+def test_site_set_rejects_duplicate_sites():
+    sites = np.array([[0, 0], [1, 0], [0, 1], [1, 0]])
+    assert len(SiteSet(sites[:3])) == 3
+    with pytest.raises(DomainError, match="duplicate"):
+        SiteSet(sites)
+    with pytest.raises(DomainError, match="duplicate"):
+        travel_weight(zero_field(2, sites), sites, (0, 0), (0, 1))
+
+
+def _dense_step_matrix(field, sites):
+    """P between the given sites, in their order, from the oracle's step
+    matrix: a reference that never touches the grid band."""
+    return transition_matrix(SiteSet(sites), field.values_at(sites)).toarray()
+
+
+def _dense_weights(P, t):
+    """e(z, t) for z != t, and G = (I - P)^{-1}, on the sites but t."""
+    keep = np.arange(len(P)) != t
+    G = np.linalg.inv(np.eye(len(P) - 1) - P[keep][:, keep])
+    return G @ P[keep, t], G, keep
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 6), st.integers(2, 6), st.data())
+def test_grid_band_matches_dense_operator_on_any_site_set(w, h, data):
+    i, j = data.draw(st.integers(0, w - 1)), data.draw(st.integers(0, h - 1))
+    box = BoxRegion((-i, -j), (w - i, h - j))
+    vals = data.draw(st.lists(st.floats(0.0, 20.0), min_size=w * h, max_size=w * h))
+    field = PotentialField(box, np.reshape(vals, box.shape), EXP, 0)
+    grid = box.sites()
+    origin = int(np.flatnonzero(~grid.any(axis=1))[0])
+    x = data.draw(st.sampled_from([k for k in range(len(grid)) if k != origin]))
+    # explicit sites with holes, shuffled, always holding 0 and x
+    holes = data.draw(st.lists(st.booleans(), min_size=len(grid), max_size=len(grid)))
+    kept = [k for k in range(len(grid)) if not holes[k] or k in (origin, x)]
+    kept = data.draw(st.permutations(kept))
+    region = grid[kept]
+    taboo_ids = data.draw(st.sets(st.sampled_from(kept), max_size=3)) - {origin, x}
+    taboo = [tuple(int(c) for c in grid[k]) for k in taboo_ids]
+    x = tuple(int(c) for c in grid[x])
+
+    # travel_weight: e_V(., x) on the region less the taboo sites, in its order
+    active = region[[tuple(z) not in taboo for z in region.tolist()]]
+    res = travel_weight(field, region, (0, 0), x, taboo=taboo)
+    assert np.array_equal(res.siteset.sites, active)  # no Dirichlet row
+    P = _dense_step_matrix(field, active)
+    t = res.siteset.index_one(x)
+    e, G, keep = _dense_weights(P, t)
+    _assert_close(res.e_values[keep], e, 1e-12)
+    assert res.e_values[t] == 1.0
+
+    # exit_functional from the origin on the untabooed active sites
+    i0 = SiteSet(active).index_one((0, 0))
+    exits = np.exp(-field.values_at(active)) * (4 - (P > 0).sum(axis=1)) / 4.0
+    v = np.linalg.solve(np.eye(len(P)) - P, exits)
+    _assert_close(exit_functional(field, active, (0, 0)), v[i0], 1e-12)
+
+    # the Green diagonal, at the grid points of the active sites but x
+    kw = solver._KilledWalk(field, active, kill=x)
+    _assert_close(kw.diagonal()[kw.ss.keys[keep]], np.diag(G), 1e-12)
+    for b in (kw.kill_vector(), kw.exit_vector()):
+        assert not b[~kw.active].any()  # Dirichlet rows: zero right-hand side
+
+    # weighted functionals: q and E_Q[#A] on the active sites but x
+    k0 = SiteSet(active[keep]).index_one((0, 0))
+    if e[k0] == 0.0:  # the holes cut x off from the origin
+        with pytest.raises(DegenerateWeightError):
+            weighted_functionals(field, active, x)
+        return
+    wf = weighted_functionals(field, active, x)
+    assert np.array_equal(wf.siteset.sites, active[keep])
+    q = G[k0] / np.diag(G) * e / e[k0]
+    _assert_close(wf.q_visit, q, 1e-12)
+    _assert_close(wf.expected_range, q.sum(), 1e-12)
