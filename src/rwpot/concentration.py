@@ -22,7 +22,7 @@ from .lattice import BoxRegion, as_point, norms
 from .potential import (PotentialField, assumption_report, fresh_site_value,
                         sample_field, sample_fields)
 from .rng import counter_uniform, derive_seed
-from .solver import tilted_visits, travel_weight, weighted_functionals
+from .solver import travel_weight, visit_probabilities, weighted_functionals
 from .stats import log_tail_slope, mean_ci, wilson_interval
 
 EXACT_TOL = 1e-8
@@ -328,7 +328,7 @@ def rank_one_verify(spec, x, n_trials, seed, box_factor=DEFAULT_BOX_FACTOR):
                 break
         w_y = fld.value_at(y)
         sigma_y = w_y + fresh_site_value(spec, sub, y, trial)
-        a_orig, q = tilted_visits(fld, region, x, [y])
+        a_orig, q = visit_probabilities(fld, region, x, [y])
         delta = origin_cost(fld.with_value(y, sigma_y), region, x) - a_orig
         q_y = q[y]
         bound_q = math.inf if q_y >= 1.0 else -math.log1p(-q_y)

@@ -132,9 +132,6 @@ class DistributionSpec:
             return math.exp(2 * self.param("mu") + 2 * self.param("sigma") ** 2)
         raise ParameterError(k)
 
-    def variance(self):
-        return self.second_moment() - self.mean() ** 2
-
     def exp_neg_moment(self):
         """E[exp(-omega)]."""
         k = self.kind

@@ -6,13 +6,14 @@ the region (or on a taboo site). All quantities here reduce to solves with
 the matrix I - P, where P[z, z'] = exp(-omega(z))/(2d) for lattice neighbors
 z, z' inside the active set; P is a substochastic M-matrix on any finite box,
 so the systems are nonsingular. Every system is one operator, _KilledWalk:
-a grid band with Dirichlet rows (the points of the region's bounding box in
-row-major order, neighbors at fixed strides, and every point off the active
-set a decoupled unit row), factored once by banded Cholesky for every solve
-and for the Green diagonal G(y, y) (by Takahashi's selected inversion); only
+a grid band with a Dirichlet row (the region's sites in row-major order,
+assembled from the strides of their bounding-box grid, the kill site a
+decoupled unit row), factored once by banded Cholesky for every solve and
+for the Green diagonal G(y, y) (by Takahashi's selected inversion); only
 the gauged operator of the log-space fallback is solved by band LU.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -34,15 +35,10 @@ class SiteSet:
     point of site i, and index() is an O(1) vectorized lookup."""
 
     def __init__(self, sites):
-        box = sites if isinstance(sites, BoxRegion) else None
         self.sites = sites = region_sites(sites)
         if sites.ndim != 2 or len(sites) == 0:
             raise DomainError("site set must be a nonempty (n, d) array")
         self.d = sites.shape[1]
-        if box is not None:  # a box is its own grid, in row-major order
-            self.lo, self.shape = np.asarray(box.lo), box.shape
-            self.keys = self._flat = np.arange(len(sites))
-            return
         self.lo = sites.min(axis=0)
         self.shape = tuple(int(m) for m in sites.max(axis=0) - self.lo + 1)
         self.keys = np.ravel_multi_index((sites - self.lo).T, self.shape)
@@ -50,6 +46,25 @@ class SiteSet:
         self._flat[self.keys] = rank = np.arange(len(sites))
         if np.any(self._flat[self.keys] != rank):  # equal sites keep one point
             raise DomainError("duplicate sites in region")
+        self._layout = None
+
+    def layout(self):
+        """(site, rows, bw, r, c, lo, up), built on first use, for the sites in
+        row-major order: site masks the grid, site i is row rows[i], r > c are
+        the rows of each neighbor pair, and lo, up the flat slots of M[r, c],
+        M[c, r] in a (2 bw + 1, n) band, bw the largest gap r - c."""
+        if self._layout is None:
+            site, pairs, g = self._flat >= 0, [], len(self._flat)
+            grid_row = np.cumsum(site) - 1
+            for k, m in enumerate(self.shape):  # grid points z, z + s_k that are sites
+                s = int(np.prod(self.shape[k + 1:]))
+                c = np.flatnonzero(site[:g - s] & site[s:] & (np.arange(g - s) // s % m < m - 1))
+                pairs.append((grid_row[c + s], grid_row[c]))
+            r, c = (np.concatenate(v) for v in zip(*pairs))
+            bw, n = int((r - c).max(initial=0)), len(self)
+            self._layout = (site, grid_row[self.keys], bw, r, c,
+                            (bw + r - c) * n + c, (bw + c - r) * n + r)
+        return self._layout
 
     def __len__(self):
         return len(self.sites)
@@ -75,10 +90,20 @@ def region_sites(region):
     return np.asarray(region, dtype=np.int64)
 
 
+@functools.lru_cache(maxsize=4)
+def _box_site_set(box):
+    """A box's SiteSet with its layout, built once and shared: read-only."""
+    ss = SiteSet(box)
+    for a in (ss.sites, ss.lo, ss.keys, ss._flat, *ss.layout()):
+        if isinstance(a, np.ndarray):
+            a.flags.writeable = False
+    return ss
+
+
 def bounding_box(region):
     """The smallest BoxRegion containing every site of the region."""
-    ss = SiteSet(region)
-    return BoxRegion(ss.lo, ss.lo + ss.shape)
+    sites = region_sites(region)
+    return BoxRegion(sites.min(axis=0), sites.max(axis=0) + 1)
 
 
 def _clip_unit(v):
@@ -97,13 +122,14 @@ class _KilledWalk:
     """The killed-walk operator A = I - P on the sites of a region, less the
     kill site when one is given: the walk dies on exit and on the kill site.
 
-    A is a grid band with Dirichlet rows. The unknowns are the points of the
-    bounding box of the region's SiteSet ss in row-major order, so the
-    neighbor along axis k sits at stride s_k and the bandwidth is s_0; a
-    point off the active set (not a site, or the kill site) has unit
-    diagonal and zero row and column. Vectors are indexed by grid point: a
-    right-hand side vanishing off the active set gives a solution vanishing
-    there, and results are read at ss.keys.
+    A is a grid band with a Dirichlet row. Its rows are the sites of the
+    region's SiteSet ss in row-major order (keys[i] is the row of site i, so
+    a box's rows are its grid), and two sites are neighbors along axis k when
+    their points in the bounding-box grid differ by the stride s_k; the
+    bandwidth is the largest row gap of a neighbor pair: s_0 for a box, less
+    for a set thin along axis 0. The kill site keeps its row, with unit
+    diagonal and zero row and column: a right-hand side vanishing there gives
+    a solution vanishing there. Vectors are indexed by row.
 
     A is stored once, as M = e^{h} A e^{-h} in LAPACK general band storage.
     Without a gauge h = omega/2, and M is the symmetric T = W^{-1/2} A W^{1/2},
@@ -111,25 +137,25 @@ class _KilledWalk:
     -e^{-(omega(z) + omega(z'))/2}/2d; it is factored once, on first use, by
     banded Cholesky, and A x = b is solved as s T^{-1}(b / s), s = e^{-h}.
     omega is capped at OMEGA_CAP in h and the band, where e^{-omega}/2d is
-    already 0. A gauge, a log-scale g per grid point, sets h = g and scales
-    the right-hand sides by e^{g}, so every solution comes out multiplied by
+    already 0. A gauge, a log-scale g per row, sets h = g and scales the
+    right-hand sides by e^{g}, so every solution comes out multiplied by
     e^{g}; the gauged M is not symmetric, is solved by band LU, and has plain
     solves only.
     """
 
     def __init__(self, field, region, kill=None, gauge=None):
-        self.ss = ss = region if isinstance(region, SiteSet) else SiteSet(region)
-        shape = ss.shape
+        self.ss = ss = _box_site_set(region) if isinstance(region, BoxRegion) else SiteSet(region)
         at = ss.lo - np.asarray(field.region.lo)
-        if np.any(at < 0) or np.any(at + shape > field.region.shape):
+        if np.any(at < 0) or np.any(at + ss.shape > field.region.shape):
             raise DomainError("some sites lie outside the field region")
-        self.omega = field.values[tuple(slice(a, a + m) for a, m in zip(at, shape))].ravel()
-        self.active = ss._flat >= 0
+        site, self.keys, self.bw, r, c, lo, up = self.layout = ss.layout()
+        self.omega = field.values[tuple(slice(a, a + m) for a, m in zip(at, ss.shape))].ravel()[site]
+        self.active = np.ones(len(ss), dtype=bool)
         if kill is not None:
             i = ss.index_one(as_point(kill))
             if i < 0:
-                raise DomainError(f"kill site {tuple(kill)} not in region")
-            self._kill = int(ss.keys[i])
+                raise DomainError(f"target {tuple(kill)} not in region")
+            self._kill = int(self.keys[i])
             self.active[self._kill] = False
         self.gauge = gauge
         if gauge is None:
@@ -137,21 +163,14 @@ class _KilledWalk:
             h, self.scale = w / 2, np.exp(-w / 2)
         else:
             w, h, self.scale = self.omega, gauge, np.ones(len(gauge))
-        # (stride, length) of every axis that has neighbors, strides ascending
-        self.axes = [(int(np.prod(shape[k + 1:])), shape[k])
-                     for k in reversed(range(ss.d)) if shape[k] > 1]
-        self.bw = bw = max((s for s, _ in self.axes), default=0)
         # band[bw + r - c, c] = M[r, c]; rows bw.. are Cholesky's lower storage
-        self.band = np.zeros((2 * bw + 1, len(w)))
-        self.band[bw] = 1.0
-        for s, m in self.axes:
-            # seen as (outer, m, s), the grid's edges along this axis join
-            # the middle rows j and j + 1; only edges of two active points couple
-            act, hv, wv, lower, upper = (v.reshape(-1, m, s) for v in (
-                self.active, h, w, self.band[bw + s], self.band[bw - s]))
-            edge, dh = act[:, :-1] & act[:, 1:], hv[:, 1:] - hv[:, :-1]
-            lower[:, :-1] = np.where(edge, -np.exp(dh - wv[:, 1:]), 0.0) / (2.0 * ss.d)
-            upper[:, 1:] = np.where(edge, -np.exp(-dh - wv[:, :-1]), 0.0) / (2.0 * ss.d)
+        self.band = np.zeros((2 * self.bw + 1, len(ss)))
+        self.band[self.bw] = 1.0
+        flat = self.band.reshape(-1)
+        # only pairs of two active sites couple
+        edge, dh = self.active[r] & self.active[c], h[r] - h[c]
+        flat[lo] = np.where(edge, -np.exp(dh - w[r]), 0.0) / (2.0 * ss.d)
+        flat[up] = np.where(edge, -np.exp(-dh - w[c]), 0.0) / (2.0 * ss.d)
         self.residual = 0.0
         # factored on first use by a plain check: functools' cached property
         # takes one lock per class on Python 3.11, which would serialize the
@@ -186,11 +205,10 @@ class _KilledWalk:
         (A^T x = b for trans="T") exceeds RESIDUAL_TOL; record the worst."""
         s = self._frame(trans)
         v = x / s
-        band, bw, n = self.band, self.bw, len(v)
-        Mv = band[bw] * v
-        for k, _ in self.axes:
-            Mv[k:] += band[bw + k, :n - k] * v[:n - k]
-            Mv[:n - k] += band[bw - k, k:] * v[k:]
+        _, _, bw, r, c, lo, up = self.layout
+        flat, n = self.band.reshape(-1), len(v)
+        Mv = (self.band[bw] * v + np.bincount(r, flat[lo] * v[c], minlength=n)
+              + np.bincount(c, flat[up] * v[r], minlength=n))
         resid = float(np.abs(s * Mv - b).max(initial=0.0))
         if not resid <= RESIDUAL_TOL * max(1.0, float(np.abs(b).max(initial=0.0))):
             raise SolverError(f"residual {resid:.3e} exceeds tolerance {RESIDUAL_TOL:.0e}")
@@ -200,22 +218,15 @@ class _KilledWalk:
     def kill_vector(self):
         """P[z, kill]: with it, solve gives e(z, kill), the weight of hitting
         the kill site before exiting."""
-        b = np.zeros(len(self.omega))
-        c = self._kill
-        j = np.array([c + e * s for s, m in self.axes for e in (1, -1)
-                      if 0 <= c // s % m + e < m], dtype=np.int64)
-        j = j[self.active[j]]
-        b[j] = self._step_weight(j)
-        return b
+        r, c = self.layout[3:5]
+        j = np.r_[r[c == self._kill], c[r == self._kill]]
+        return np.bincount(j, self._step_weight(j), len(self.omega))
 
     def exit_vector(self):
         """The weight of stepping off the active sites: with it, solve gives
         the weight of exiting (the kill site counts as outside)."""
-        inside = np.zeros(len(self.omega))
-        for s, m in self.axes:
-            act, k = self.active.reshape(-1, m, s), inside.reshape(-1, m, s)
-            k[:, :-1] += act[:, 1:]
-            k[:, 1:] += act[:, :-1]
+        r, c = self.layout[3:5]
+        inside = np.bincount(np.r_[r, c], np.r_[self.active[c], self.active[r]], len(self.omega))
         return self._step_weight(slice(None)) * (2 * self.ss.d - inside) * self.active
 
     def _step_weight(self, ids):
@@ -239,7 +250,7 @@ class _KilledWalk:
         return e
 
     def diagonal(self, ids=None):
-        """G(y, y) for the given grid points (all of them by default; a
+        """G(y, y) for the given rows (all of them by default; the
         Dirichlet row has 1). One id costs one checked column solve; more
         come from selected inversion of the Cholesky factor of T, which has
         the diagonal of A^{-1}: O(n bw^2) time and O(n bw) memory."""
@@ -251,11 +262,11 @@ class _KilledWalk:
         return _takahashi_diagonal(self._factor())[ids]
 
     def _idx(self, p):
-        """The grid point of an active site p."""
+        """The row of an active site p."""
         i = self.ss.index_one(as_point(p))
-        if i < 0 or not self.active[self.ss.keys[i]]:
+        if i < 0 or not self.active[self.keys[i]]:
             raise DomainError(f"site {tuple(p)} not active in Green system")
-        return int(self.ss.keys[i])
+        return int(self.keys[i])
 
 
 def _takahashi_diagonal(factor):
@@ -326,8 +337,7 @@ def travel_weight(field, region, source, target, taboo=()):
     precision the solve is repeated with an exponential rescaling so that
     costs stay available in log space.
     """
-    source = as_point(source)
-    target = as_point(target)
+    source, target = as_point(source), as_point(target)
     taboo = frozenset(as_point(t) for t in taboo)
     if target in taboo:
         raise DomainError("target may not be taboo")
@@ -336,16 +346,12 @@ def travel_weight(field, region, source, target, taboo=()):
     if taboo:
         sites = region_sites(region)
         region = sites[np.array([tuple(z) not in taboo for z in sites])]
-    ss = SiteSet(region)  # the one index: results, and the operator's grid
-    itgt = ss.index_one(target)
-    if itgt < 0:
-        raise DomainError(f"target {target} not in region")
-    isrc = ss.index_one(source)
+    kw = _KilledWalk(field, region, kill=target)
+    ss = kw.ss  # the one index: results, and the operator's rows
+    itgt, isrc = ss.index_one(target), ss.index_one(source)
     if isrc < 0:
         raise DomainError(f"source {source} not in region")
-
-    kw = _KilledWalk(field, ss, kill=target)
-    e_values = _clip_unit(kw.solve(kw.kill_vector())[ss.keys])
+    e_values = _clip_unit(kw.solve(kw.kill_vector())[kw.keys])
     e_values[itgt] = 1.0
     with np.errstate(divide="ignore"):
         log_e = np.log(e_values)
@@ -355,11 +361,11 @@ def travel_weight(field, region, source, target, taboo=()):
         # target), where the solution stays representable, and fill log_e
         # where the plain solve underflowed.
         c = math.log(2.0 * ss.d) + float(np.mean(kw.omega[kw.active]))
-        grid = np.indices(ss.shape).reshape(ss.d, -1).T + ss.lo
-        gauge = c * np.abs(grid - target).sum(axis=1)
-        gw = _KilledWalk(field, ss, kill=target, gauge=gauge)
+        gauge = np.empty(len(ss))
+        gauge[kw.keys] = c * np.abs(ss.sites - target).sum(axis=1)
+        gw = _KilledWalk(field, region, kill=target, gauge=gauge)
         with np.errstate(divide="ignore", invalid="ignore"):
-            log_w = (np.log(gw.solve(gw.kill_vector())) - gauge)[ss.keys]
+            log_w = (np.log(gw.solve(gw.kill_vector())) - gauge)[kw.keys]
         fill = ~np.isfinite(log_e) & np.isfinite(log_w)
         log_e[fill] = log_w[fill]
     return SolveResult(target, taboo, ss, e_values, log_e, kw.residual)
@@ -428,7 +434,7 @@ class WeightedFunctionals:
 
 
 def _tilted_walk(field, region, x):
-    """(operator killed at x, grid point of the origin, e_V(., x), G(0, .)):
+    """(operator killed at x, row of the origin, e_V(., x), G(0, .)):
     the pieces of q(y) = G(0, y) / G(y, y) * e_V(y, x) / e_V(0, x)."""
     origin = (0,) * len(x)
     if x == origin:
@@ -453,12 +459,12 @@ def weighted_functionals(field, region, x):
                           f"with the row solve {g[i0]:.17g}")
     q = (g / diag) * u / u[i0]
     q[i0] = 1.0
-    active = kw.active[kw.ss.keys]  # the region's sites but x, in its order
-    q = _clip_unit(q[kw.ss.keys[active]])
+    active = kw.active[kw.keys]  # the region's sites but x, in its order
+    q = _clip_unit(q[kw.keys[active]])
     return WeightedFunctionals(x, SiteSet(kw.ss.sites[active]), q, float(q.sum()))
 
 
-def tilted_visits(field, region, x, ys):
+def visit_probabilities(field, region, x, ys):
     """(a_V(0, x), {y: q(y)}) from one factorization: the cost and the visit
     probabilities q(y) = Q(H(y) < H(x)) of selected sites y only (cheaper
     than the full diagonal when just a few sites matter)."""
@@ -472,11 +478,6 @@ def tilted_visits(field, region, x, ys):
     return float(-np.log(_clip_unit(u[i0]))), out
 
 
-def visit_probabilities(field, region, x, ys):
-    """q(y) = Q(H(y) < H(x)) for selected sites y only."""
-    return tilted_visits(field, region, x, ys)[1]
-
-
 def maximal_distance(field, region, x, eta):
     """sup over the l1-ball {y : |x-y|_1 < eta*|x|_1} of
     max(a_V(x, y), a_V(y, x)), from one factorization: the row and column
@@ -486,7 +487,7 @@ def maximal_distance(field, region, x, eta):
     ix = kw._idx(x)
     radius = eta * norms(x)[0]
     off = np.abs(kw.ss.sites - np.asarray(x, dtype=np.int64)).sum(axis=1)
-    ball = kw.ss.keys[off < radius]
+    ball = kw.keys[off < radius]
     # the whole lattice ball must be present in the region
     if len(ball) != _l1_ball_count(kw.ss.d, radius):
         raise DomainError("l1 ball around x exits the region")

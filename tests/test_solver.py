@@ -1,12 +1,13 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rwpot.errors import DegenerateWeightError, DomainError, SolverError
-from rwpot.lattice import BoxRegion
-from rwpot.potential import DistributionSpec, PotentialField, sample_field
+from rwpot.lattice import BoxRegion, block_sites
+from rwpot.potential import DistributionSpec, PotentialField, sample_field, sample_fields
 from rwpot import solver
 from rwpot.concentration import box_return_probability, rank_one_verify
 from rwpot.oracle import transition_matrix
@@ -194,7 +195,8 @@ def test_weighted_functionals_range_bound_and_targeted_match():
     field = sample_field(EXP, box, 8)
     wf = weighted_functionals(field, box, (3, 0))
     assert wf.expected_range >= 3 - 1e-8
-    targeted = visit_probabilities(field, box, (3, 0), [(0, 0), (1, 0), (2, 2)])
+    cost, targeted = visit_probabilities(field, box, (3, 0), [(0, 0), (1, 0), (2, 2)])
+    assert cost == travel_weight(field, box, (0, 0), (3, 0)).cost_at((0, 0))
     for y, q in targeted.items():
         assert abs(q - wf.q_at(y)) < 1e-12
         assert 0 <= q <= 1
@@ -268,10 +270,11 @@ def test_residual_check_rejects_nan():
 
 def _dense_operator(kw):
     """I - P on the operator's active sites, assembled by the oracle's step
-    matrix, and the grid points of those sites (ascending)."""
+    matrix, and the rows of those sites (ascending)."""
     ids = np.flatnonzero(kw.active)
-    sites = np.column_stack(np.unravel_index(ids, kw.ss.shape)) + kw.ss.lo
-    P = transition_matrix(SiteSet(sites), kw.omega[ids]).toarray()
+    sites = np.empty_like(kw.ss.sites)
+    sites[kw.keys] = kw.ss.sites
+    P = transition_matrix(SiteSet(sites[ids]), kw.omega[ids]).toarray()
     return np.eye(len(ids)) - P, ids
 
 
@@ -465,9 +468,9 @@ def test_grid_band_matches_dense_operator_on_any_site_set(w, h, data):
     v = np.linalg.solve(np.eye(len(P)) - P, exits)
     _assert_close(exit_functional(field, active, (0, 0)), v[i0], 1e-12)
 
-    # the Green diagonal, at the grid points of the active sites but x
+    # the Green diagonal, at the rows of the active sites but x
     kw = solver._KilledWalk(field, active, kill=x)
-    _assert_close(kw.diagonal()[kw.ss.keys[keep]], np.diag(G), 1e-12)
+    _assert_close(kw.diagonal()[kw.keys[keep]], np.diag(G), 1e-12)
     for b in (kw.kill_vector(), kw.exit_vector()):
         assert not b[~kw.active].any()  # Dirichlet rows: zero right-hand side
 
@@ -482,3 +485,45 @@ def test_grid_band_matches_dense_operator_on_any_site_set(w, h, data):
     q = G[k0] / np.diag(G) * e / e[k0]
     _assert_close(wf.q_visit, q, 1e-12)
     _assert_close(wf.expected_range, q.sum(), 1e-12)
+
+
+def test_thin_site_sets_band_only_their_own_sites():
+    # a staircase corridor from 0 to (L, L): its bounding box has stride
+    # L + 1, while neighbors in its own row-major order are at most 2 apart
+    L = 30
+    steps = np.repeat(np.arange(L + 1), 2)
+    stair = np.column_stack([steps[1:], steps[:-1]])
+    field = sample_field(TP, solver.bounding_box(stair), 1)
+    kw = solver._KilledWalk(field, stair, kill=(L, L))
+    assert kw.band.shape == (2 * kw.bw + 1, len(stair)) and kw.bw <= 2
+    e, _, keep = _dense_weights(_dense_step_matrix(field, stair), len(stair) - 1)
+    res = travel_weight(field, stair, (0, 0), (L, L))
+    _assert_close(res.e_values[keep], e, 1e-12)
+    block = block_sites(np.array([1, 1, 1]), 0, 6, 3)
+    kw = solver._KilledWalk(zero_field(3, block), block)
+    assert kw.band.shape[1] == len(block) < np.prod(kw.ss.shape) / 5
+    assert kw.bw < np.prod(kw.ss.shape[1:]) / 3
+
+
+def test_box_layouts_are_shared_read_only_and_thread_safe():
+    box = BoxRegion.centered(4, 2)
+    field = sample_field(TP, box, 1)
+    res = travel_weight(field, box, (0, 0), (2, 1))
+    assert travel_weight(field, BoxRegion.centered(4, 2), (0, 0), (3, 0)).siteset is res.siteset
+    with pytest.raises(ValueError):
+        res.siteset.sites[0, 0] = 7
+    # threads racing to build the first layout of a box still solve alike
+    seeds = list(range(16))
+
+    def cost(fld):
+        return travel_weight(fld, box, (0, 0), (2, 1)).cost_at((0, 0))
+
+    want = [cost(sample_field(TP, box, s)) for s in seeds]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            solver._box_site_set.cache_clear()
+            assert sample_fields(cost, TP, box, seeds, threads=8) == want
+    finally:
+        sys.setswitchinterval(interval)
