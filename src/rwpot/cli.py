@@ -1,9 +1,8 @@
 """Command-line entry point.
 
 One subcommand per experiment. Configuration comes from a JSON file
-(--config); --seed and --out override the config, --threads sets the worker
-pool (never changes results), and --override-assumptions bypasses the moment
-hypothesis gates by name.
+(--config); --seed and --out override the config, and --override-assumptions
+bypasses the moment hypothesis gates by name.
 """
 
 import argparse
@@ -29,19 +28,12 @@ def default_config(experiment):
 def _add_flags(parser, defaults):
     # accepted both before and after the subcommand; the subparser variant
     # suppresses defaults so it never clobbers a value given up front
-    kw = (lambda **k: k) if defaults else (
-        lambda **k: {**k, "default": argparse.SUPPRESS})
-    parser.add_argument("--config", help="JSON experiment config file",
-                        **kw())
-    parser.add_argument("--seed", type=int, help="overrides config seed",
-                        **kw())
-    parser.add_argument("--out", help="output directory", **kw())
-    parser.add_argument("--threads", type=int,
-                        help="worker threads (does not change results)",
-                        **kw(default=1) if defaults else kw())
+    kw = {} if defaults else {"default": argparse.SUPPRESS}
+    parser.add_argument("--config", help="JSON experiment config file", **kw)
+    parser.add_argument("--seed", type=int, help="overrides config seed", **kw)
+    parser.add_argument("--out", help="output directory", **kw)
     parser.add_argument("--override-assumptions", action="store_true",
-                        help="bypass moment-hypothesis gates",
-                        **({} if defaults else {"default": argparse.SUPPRESS}))
+                        help="bypass moment-hypothesis gates", **kw)
 
 
 def build_parser():
@@ -70,7 +62,7 @@ def main(argv=None):
         if args.override_assumptions:
             config.override_assumptions = True
         config.validate()
-        manifest = run(config, out_dir=args.out, threads=max(1, args.threads))
+        manifest = run(config, out_dir=args.out)
     except AssumptionError as exc:
         print(f"refused: ({exc.name}) {exc}", file=sys.stderr)
         return 3

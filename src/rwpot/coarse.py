@@ -230,11 +230,12 @@ def chi_upper_probe(spec, l, kappa, n_configs, seed, witness_path=None, d=2):
     }
 
 
-def supermartingale_step_check(spec, l, kappa, chi_value, n_trials, seed):
-    """One-step inequality behind the crossing supermartingale: from an
-    occupied cube the crossing weight is at most the probed chi; from an
-    unoccupied cube it is at most 1. Validity is relative to the probe."""
-    d = 2
+def supermartingale_step_check(spec, l, kappa, chi_value, n_trials, seed,
+                               d=2):
+    """One-step inequality behind the crossing supermartingale in Z^d: from
+    an occupied cube the crossing weight is at most the probed chi (probe it
+    in the same d); from an unoccupied cube it is at most 1. Validity is
+    relative to the probe."""
     region = chi_region(l, d)
     origin = (0,) * d
 

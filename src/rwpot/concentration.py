@@ -102,13 +102,13 @@ def require_assumptions(spec, needed, d, override=False):
 
 
 def cost_samples(spec, x, samples, seed, box_factor=DEFAULT_BOX_FACTOR,
-                 threads=1, region=None):
+                 region=None):
     """a_V(0, x) on fresh seeded fields over the default box."""
     x = as_point(x)
     region = prop_box(x, box_factor) if region is None else region
     seeds = [derive_seed(seed, i) for i in range(samples)]
     return np.asarray(sample_fields(lambda fld: origin_cost(fld, region, x),
-                                    spec, region, seeds, threads))
+                                    spec, region, seeds))
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +138,7 @@ class TailReport:
 
 def tail_experiment(spec, x, side, samples, t_grid, seed,
                     box_factor=DEFAULT_BOX_FACTOR, alpha_ref=None,
-                    override=False, threads=1):
+                    override=False):
     if side not in TAIL_SIDES:
         raise ParameterError(f"side must be one of {TAIL_SIDES}")
     x = as_point(x)
@@ -147,7 +147,7 @@ def tail_experiment(spec, x, side, samples, t_grid, seed,
     require_assumptions(spec, needed, d, override)
     if side == "UpperLD" and alpha_ref is None:
         raise ParameterError("UpperLD needs alpha_ref (an alpha_hat estimate)")
-    a = cost_samples(spec, x, samples, seed, box_factor, threads)
+    a = cost_samples(spec, x, samples, seed, box_factor)
     mean, se, _ = mean_ci(a)
     l1 = norms(x)[0]
     scale = math.sqrt(l1)
@@ -201,15 +201,14 @@ def write_tail_report(report: TailReport, csv_path, json_path):
 
 
 def variance_scaling(spec, samples, seed, n_small=8, n_large=16, d=2,
-                     box_factor=DEFAULT_BOX_FACTOR, threads=1):
+                     box_factor=DEFAULT_BOX_FACTOR):
     """Var(a(0, n e1)) at two scales; the concentration scale sqrt(|x|_1)
     predicts a ratio near n_large/n_small."""
     e1 = (1,) + (0,) * (d - 1)
     out = {}
     for tag, n in (("small", n_small), ("large", n_large)):
         x = tuple(n * v for v in e1)
-        a = cost_samples(spec, x, samples, derive_seed(seed, n), box_factor,
-                         threads)
+        a = cost_samples(spec, x, samples, derive_seed(seed, n), box_factor)
         out[tag] = {"n": n, "mean": float(a.mean()), "var": float(a.var(ddof=1))}
     out["ratio"] = out["large"]["var"] / out["small"]["var"]
     return out
@@ -222,7 +221,10 @@ def variance_scaling(spec, samples, seed, n_small=8, n_large=16, d=2,
 def compare_restricted(spec, x, box_factor_grid, samples, seed, threads=1):
     """Costs across nested boxes on common fields: per-sample monotonicity is
     exact; the 'large box beats small box by more than log 2' event should be
-    (exponentially) rare and is counted."""
+    (exponentially) rare and is counted.
+
+    threads is accepted and ignored: samples are drawn serially, and
+    perfbench/workloads.py still passes threads=."""
     x = as_point(x)
     factors = [float(f) for f in box_factor_grid]
     if factors != sorted(factors) or factors[0] < 1:
@@ -231,7 +233,7 @@ def compare_restricted(spec, x, box_factor_grid, samples, seed, threads=1):
     seeds = [derive_seed(seed, i) for i in range(samples)]
     costs = np.asarray(sample_fields(
         lambda fld: [origin_cost(fld, reg, x) for reg in regions],
-        spec, regions[-1], seeds, threads))
+        spec, regions[-1], seeds))
     gaps = costs[:, :-1] - costs[:, -1:]  # a_small - a_large per column pair
     log2_event = int(np.sum(costs[:, -1] < costs[:, 0] - math.log(2.0)))
     return {
@@ -245,7 +247,7 @@ def compare_restricted(spec, x, box_factor_grid, samples, seed, threads=1):
     }
 
 
-def truncation_gap(spec, x, gamma, samples, seed, threads=1, override=False):
+def truncation_gap(spec, x, gamma, samples, seed, override=False):
     """Cost gap between the raw field and its capped version. The cap only
     lowers the potential, so the gap is nonnegative pathwise; its tail should
     decay at rate >= gamma/2."""
@@ -263,7 +265,7 @@ def truncation_gap(spec, x, gamma, samples, seed, threads=1, override=False):
         return origin_cost(fld, region, x) - origin_cost(capped, region, x)
 
     seeds = [derive_seed(seed, i) for i in range(samples)]
-    gaps = np.asarray(sample_fields(gap, spec, region, seeds, threads))
+    gaps = np.asarray(sample_fields(gap, spec, region, seeds))
     positive = gaps[gaps > 0]
     fitted = None
     if len(positive) >= 10:
@@ -415,14 +417,17 @@ def entropy_global_probe(spec, x, lambda_grid, samples, seed,
                          box_factor=DEFAULT_BOX_FACTOR, threads=1):
     """Monte Carlo probe of the global inequality
     Ent(e^{lambda a}) <= C lambda^2 E[e^{lambda a} E_Q[#A]]: reports the
-    implied C per lambda (expected bounded across the grid)."""
+    implied C per lambda (expected bounded across the grid).
+
+    threads is accepted and ignored: samples are drawn serially, and
+    perfbench/workloads.py still passes threads=."""
     x = as_point(x)
     region = prop_box(x, box_factor)
     seeds = [derive_seed(seed, i) for i in range(samples)]
     pairs = np.asarray(sample_fields(
         lambda fld: (origin_cost(fld, region, x),
                      weighted_functionals(fld, region, x).expected_range),
-        spec, region, seeds, threads))
+        spec, region, seeds))
     a, rng = pairs[:, 0], pairs[:, 1]
     w = np.full(samples, 1.0 / samples)
     out = []
@@ -441,7 +446,7 @@ def entropy_global_probe(spec, x, lambda_grid, samples, seed,
 
 
 def psi_herbst(spec, x_grid, lambda_grid, samples, seed,
-               box_factor=DEFAULT_BOX_FACTOR, lambda_max=0.5, threads=1):
+               box_factor=DEFAULT_BOX_FACTOR, lambda_max=0.5):
     """psi(lambda) = log E[e^{lambda a}] - lambda E[a] on the sample measure;
     nonnegative by Jensen, with psi/(lambda^2 |x|_1) expected bounded."""
     for lam in lambda_grid:
@@ -453,8 +458,7 @@ def psi_herbst(spec, x_grid, lambda_grid, samples, seed,
     for k, x in enumerate(x_grid):
         x = as_point(x)
         l1 = norms(x)[0]
-        a = cost_samples(spec, x, samples, derive_seed(seed, k), box_factor,
-                         threads)
+        a = cost_samples(spec, x, samples, derive_seed(seed, k), box_factor)
         for lam in lambda_grid:
             lam = float(lam)
             psi = float(np.log(np.mean(np.exp(lam * a))) - lam * a.mean())

@@ -4,8 +4,9 @@ Every run is a pure function of its config (seed included; wall-clock time
 is never used for anything but the recorded runtime), writes its tabular
 results as RFC-4180 CSV and summaries as sorted-key JSON via atomic
 temp-then-rename, and emits a manifest with the config hash and a SHA-256
-inventory of every produced file. Thread count never changes output bytes:
-parallel units are pure and aggregated in index order.
+inventory of every produced file. Reruns of a config write identical bytes:
+every Monte Carlo sample is a pure function of its own seed, aggregated in
+seed order.
 """
 
 import json
@@ -128,7 +129,7 @@ def _box_factor(cfg):
     return float(cfg.geometry.get("box_factor", DEFAULT_BOX_FACTOR))
 
 
-def _run_solve(cfg, out, threads):
+def _run_solve(cfg, out):
     x = _geometry_x(cfg)
     region = (np.asarray(cfg.geometry["sites"], dtype=np.int64)
               if "sites" in cfg.geometry else prop_box(x, _box_factor(cfg)))
@@ -153,7 +154,7 @@ def _run_solve(cfg, out, threads):
         [csv_path, os.path.join(out, "solve.json")]
 
 
-def _run_lyapunov(cfg, out, threads):
+def _run_lyapunov(cfg, out):
     direction = tuple(int(v) for v in cfg.geometry.get("direction", [1, 0]))
     est = estimate_alpha(cfg.spec, direction,
                          cfg.sampling.get("n_grid", [2, 4, 8]),
@@ -166,7 +167,7 @@ def _run_lyapunov(cfg, out, threads):
             "alpha_nonnegative": est.alpha_hat >= 0}, [csv_path, json_path]
 
 
-def _run_tails(cfg, out, threads):
+def _run_tails(cfg, out):
     x = _geometry_x(cfg)
     report = tail_experiment(
         cfg.spec, x, cfg.geometry.get("side", "UpperExp"),
@@ -174,7 +175,7 @@ def _run_tails(cfg, out, threads):
         cfg.sampling.get("t_grid", [0.0, 0.5, 1.0, 1.5, 2.0]), cfg.seed,
         box_factor=_box_factor(cfg),
         alpha_ref=cfg.geometry.get("alpha_ref"),
-        override=cfg.override_assumptions, threads=threads)
+        override=cfg.override_assumptions)
     csv_path = os.path.join(out, "tails.csv")
     json_path = os.path.join(out, "tails.json")
     write_tail_report(report, csv_path, json_path)
@@ -184,12 +185,11 @@ def _run_tails(cfg, out, threads):
         [csv_path, json_path]
 
 
-def _run_compare(cfg, out, threads):
+def _run_compare(cfg, out):
     x = _geometry_x(cfg)
     rep = compare_restricted(cfg.spec, x,
                              cfg.geometry.get("box_factor_grid", [1.5, 3.0]),
-                             cfg.sampling.get("samples", 200), cfg.seed,
-                             threads=threads)
+                             cfg.sampling.get("samples", 200), cfg.seed)
     csv_path = os.path.join(out, "compare.csv")
     write_csv(csv_path, ("box_factor", "mean_cost"),
               list(zip(rep["box_factors"], rep["mean_costs"])))
@@ -200,11 +200,11 @@ def _run_compare(cfg, out, threads):
         [csv_path, json_path]
 
 
-def _run_truncate(cfg, out, threads):
+def _run_truncate(cfg, out):
     x = _geometry_x(cfg)
     rep = truncation_gap(cfg.spec, x, float(cfg.geometry.get("gamma", 0.5)),
                          cfg.sampling.get("samples", 500), cfg.seed,
-                         threads=threads, override=cfg.override_assumptions)
+                         override=cfg.override_assumptions)
     gaps = rep.pop("gaps")
     csv_path = os.path.join(out, "truncate.csv")
     write_csv(csv_path, ("sample", "gap"), list(enumerate(gaps.tolist())))
@@ -214,7 +214,7 @@ def _run_truncate(cfg, out, threads):
         [csv_path, json_path]
 
 
-def _run_perturb(cfg, out, threads):
+def _run_perturb(cfg, out):
     x = _geometry_x(cfg, default=(2, 1, 0))
     records = rank_one_verify(cfg.spec, x, cfg.sampling.get("samples", 50),
                               cfg.seed, _box_factor(cfg))
@@ -225,7 +225,7 @@ def _run_perturb(cfg, out, threads):
         [csv_path, json_path]
 
 
-def _run_entropy(cfg, out, threads):
+def _run_entropy(cfg, out):
     x = _geometry_x(cfg)
     if cfg.spec.finite_support() is None and not cfg.override_assumptions:
         raise AssumptionError(
@@ -238,7 +238,7 @@ def _run_entropy(cfg, out, threads):
     records = entropy_suite(cfg.spec, env, x, lambda_grid, cfg.seed)
     probe = entropy_global_probe(cfg.spec, x, lambda_grid,
                                  cfg.sampling.get("samples", 100),
-                                 derive_seed(cfg.seed, 0x91), threads=threads)
+                                 derive_seed(cfg.seed, 0x91))
     csv_path = os.path.join(out, "entropy.csv")
     write_csv(csv_path, ("lambda", "ent", "rhs", "psi"),
               [(r.lam, r.ent_value, r.rhs_bound, r.psi_value) for r in records])
@@ -252,14 +252,14 @@ def _run_entropy(cfg, out, threads):
     }, [csv_path, json_path]
 
 
-def _run_psi(cfg, out, threads):
+def _run_psi(cfg, out):
     x = _geometry_x(cfg)
     x_grid = [tuple(int(v) for v in xx)
               for xx in cfg.geometry.get("x_grid", [list(x)])]
     rep = psi_herbst(cfg.spec, x_grid,
                      cfg.sampling.get("lambda_grid", [-0.5, -0.25, -0.1, 0.0]),
                      cfg.sampling.get("samples", 500), cfg.seed,
-                     box_factor=_box_factor(cfg), threads=threads)
+                     box_factor=_box_factor(cfg))
     csv_path = os.path.join(out, "psi.csv")
     write_csv(csv_path, ("x", "lambda", "psi", "ratio"),
               [(" ".join(str(v) for v in r["x"]), r["lambda"], r["psi"],
@@ -271,7 +271,7 @@ def _run_psi(cfg, out, threads):
     return {"psi_nonnegative": rep["psi_min"] >= -1e-9}, [csv_path, json_path]
 
 
-def _run_animals(cfg, out, threads):
+def _run_animals(cfg, out):
     d = int(cfg.geometry.get("d", 2))
     l_cap = int(cfg.geometry.get("l_cap", 5))
     rep = animal_occupancy_check(cfg.spec, int(cfg.geometry.get("M", 1)),
@@ -290,17 +290,17 @@ def _run_animals(cfg, out, threads):
         [csv_path, json_path]
 
 
-def _run_chi(cfg, out, threads):
+def _run_chi(cfg, out):
     l = int(cfg.geometry.get("l", 8))
     kappa = float(cfg.geometry.get("kappa", 0.5))
+    d = int(cfg.geometry.get("d", 2))
     witness = os.path.join(out, "chi_witness.field")
     probe = chi_upper_probe(cfg.spec, l, kappa,
                             cfg.sampling.get("samples", 20), cfg.seed,
-                            witness_path=witness,
-                            d=int(cfg.geometry.get("d", 2)))
+                            witness_path=witness, d=d)
     sm = supermartingale_step_check(cfg.spec, l, kappa, probe["chi_probe"],
                                     cfg.sampling.get("trials", 50),
-                                    derive_seed(cfg.seed, 0x51))
+                                    derive_seed(cfg.seed, 0x51), d=d)
     json_path = os.path.join(out, "chi.json")
     write_json(json_path, {
         "chi_probe": probe["chi_probe"],
@@ -325,7 +325,7 @@ DEFAULT_ORACLE_BATTERY = tuple(
 )
 
 
-def oracle_check(cfg, out=None, threads=1):
+def oracle_check(cfg, out=None):
     """Cross-validation battery: the linear solver against exhaustive path
     enumeration (sandwich, exact) and Monte Carlo (4 standard errors)."""
     battery = cfg.sampling.get("battery", None)
@@ -427,7 +427,7 @@ _DISPATCH = {
 }
 
 
-def run(config: ExperimentConfig, out_dir=None, threads=1) -> RunManifest:
+def run(config: ExperimentConfig, out_dir=None) -> RunManifest:
     config.validate()
     out = str(out_dir if out_dir is not None
               else config.output.get("directory", "results"))
@@ -435,9 +435,9 @@ def run(config: ExperimentConfig, out_dir=None, threads=1) -> RunManifest:
     start = time.perf_counter()
     warn = ()
     if config.experiment == "oracle-check":
-        _, assertions, files, warn = oracle_check(config, out, threads)
+        _, assertions, files, warn = oracle_check(config, out)
     else:
-        assertions, files = _DISPATCH[config.experiment](config, out, threads)
+        assertions, files = _DISPATCH[config.experiment](config, out)
     runtime = time.perf_counter() - start
     manifest = RunManifest(
         config_hash=sha256_of_json(config.to_json()),

@@ -4,7 +4,7 @@ All artifacts are written to a temporary file in the destination directory
 and renamed into place, so readers never observe partial files. Numeric
 formatting is fixed (17 significant digits, LF line endings, sorted JSON
 keys) so identical inputs produce byte-identical files regardless of
-platform or thread count.
+platform.
 """
 
 import csv
@@ -63,21 +63,6 @@ def sha256_of_json(obj):
     return hashlib.sha256(
         json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
     ).hexdigest()
-
-
-def parallel_map(fn, items, threads=1):
-    """Order-preserving map, optionally over a thread pool.
-
-    Each item must be computed purely from its own inputs (counter-based
-    seeding), so the result list is identical for any thread count.
-    """
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def sha256_of_file(path):

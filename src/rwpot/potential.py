@@ -2,7 +2,7 @@
 
 Fields are immutable after creation; mutating operations return copies.
 Each site's value is a pure function of (seed, site coordinates), so the
-same site has the same value regardless of traversal order or worker count.
+same site has the same value regardless of traversal order.
 """
 
 import json
@@ -16,7 +16,6 @@ from scipy.integrate import quad
 from scipy.special import ndtri
 
 from .errors import DomainError, ParameterError
-from .io import parallel_map
 from .lattice import BoxRegion, as_point, norms
 from .rng import counter_uniform, derive_seed
 
@@ -387,14 +386,13 @@ def sample_field(spec, region, seed):
     return PotentialField(region, values, spec, int(seed))
 
 
-def sample_fields(fn, spec, region, seeds, threads=1):
+def sample_fields(fn, spec, region, seeds):
     """[fn(field) for one field sampled per seed], in seed order.
 
     The sampling kernel of the Monte Carlo experiments: each result depends
-    on its seed alone, so the list is the same for any thread count.
+    on its seed alone.
     """
-    return parallel_map(lambda s: fn(sample_field(spec, region, s)), seeds,
-                        threads)
+    return [fn(sample_field(spec, region, s)) for s in seeds]
 
 
 def sample_field_where(accept, spec, region, key, limit):

@@ -172,10 +172,7 @@ class _KilledWalk:
         flat[lo] = np.where(edge, -np.exp(dh - w[r]), 0.0) / (2.0 * ss.d)
         flat[up] = np.where(edge, -np.exp(-dh - w[c]), 0.0) / (2.0 * ss.d)
         self.residual = 0.0
-        # factored on first use by a plain check: functools' cached property
-        # takes one lock per class on Python 3.11, which would serialize the
-        # factorizations of parallel_map's threads
-        self._cholesky = None
+        self._cholesky = None  # factored on first use, by _factor
 
     def _factor(self):
         if self._cholesky is None:

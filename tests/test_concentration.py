@@ -205,7 +205,15 @@ def test_martingale_capacity():
 
 def test_cost_samples_deterministic_and_region_override():
     a = cost_samples(TP, (3, 0), 5, 77)
-    b = cost_samples(TP, (3, 0), 5, 77, threads=4)
+    b = cost_samples(TP, (3, 0), 5, 77)
     assert np.array_equal(a, b)
     small = cost_samples(TP, (3, 0), 5, 77, region=BoxRegion.centered(4, 2))
     assert np.all(small >= a - 1e-10)  # smaller box never cheaper
+
+
+def test_threads_keyword_is_ignored():
+    # perfbench/workloads.call still passes threads=; the result is serial
+    assert compare_restricted(TP, (3, 0), [1.5, 3.0], 4, 7, threads=2) == \
+        compare_restricted(TP, (3, 0), [1.5, 3.0], 4, 7)
+    assert entropy_global_probe(TP, (3, 0), [-0.5], 3, 7, threads=2) == \
+        entropy_global_probe(TP, (3, 0), [-0.5], 3, 7)

@@ -144,9 +144,9 @@ def test_manifest_schema_and_reproducibility(tmp_path):
                   sampling={"samples": 40, "seed": 5})
     m1 = run(cfg, out_dir=tmp_path / "a")
     bytes1 = (tmp_path / "a" / "tails.csv").read_bytes()
-    m2 = run(cfg, out_dir=tmp_path / "b", threads=8)
+    m2 = run(cfg, out_dir=tmp_path / "b")
     bytes2 = (tmp_path / "b" / "tails.csv").read_bytes()
-    assert bytes1 == bytes2  # same config, any thread count: identical bytes
+    assert bytes1 == bytes2  # same config: identical bytes
     obj = json.loads((tmp_path / "a" / "manifest.json").read_text())
     assert set(obj) == {"config_hash", "code_version", "experiment", "seed",
                         "runtime_seconds", "assertions", "files",
@@ -223,6 +223,34 @@ def test_cli_exit_codes(tmp_path, capsys):
     code = cli.main(["--config", str(cfg_path), "--out", str(tmp_path / "r3"),
                      "--override-assumptions", "tails"])
     assert code == 0
+
+
+def test_cli_rejects_unknown_threads_flag(tmp_path, capsys):
+    for argv in (["tails", "--threads", "8"], ["--threads", "8", "tails"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--out", str(tmp_path / "r")])
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+def test_chi_supermartingale_runs_in_the_configured_dimension(tmp_path,
+                                                              monkeypatch):
+    from rwpot import coarse
+
+    dims = []
+    exit_functional = coarse.exit_functional
+
+    def spy(field, *args, **kwargs):
+        dims.append(field.dimension)
+        return exit_functional(field, *args, **kwargs)
+
+    monkeypatch.setattr(coarse, "exit_functional", spy)
+    cfg = _config("chi", geometry={"d": 3, "l": 4},
+                  sampling={"seed": 3, "samples": 1, "trials": 4})
+    assert run(cfg, out_dir=tmp_path).all_passed()
+    assert set(dims) == {3}
+    assert len(dims) == 2 * 5 ** 3 + 4  # probe starts, then one per trial
 
 
 def test_cli_default_configs_cover_every_experiment():

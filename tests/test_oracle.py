@@ -163,7 +163,7 @@ def test_trace_dump_format(tmp_path):
                               include_rejected=True)
     path = tmp_path / "traces.jsonl"
     dump_traces(traces, path)
-    lines = [json.loads(line) for line in open(path)]
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
     assert len(lines) == len(traces)
     for obj in lines:
         assert set(obj) == {"accepted", "weight", "range_size", "animal_size",

@@ -1,5 +1,6 @@
 import math
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from rwpot.errors import DegenerateWeightError, DomainError, SolverError
 from rwpot.lattice import BoxRegion, block_sites
-from rwpot.potential import DistributionSpec, PotentialField, sample_field, sample_fields
+from rwpot.potential import DistributionSpec, PotentialField, sample_field
 from rwpot import solver
 from rwpot.concentration import box_return_probability, rank_one_verify
 from rwpot.oracle import transition_matrix
@@ -512,18 +513,21 @@ def test_box_layouts_are_shared_read_only_and_thread_safe():
     assert travel_weight(field, BoxRegion.centered(4, 2), (0, 0), (3, 0)).siteset is res.siteset
     with pytest.raises(ValueError):
         res.siteset.sites[0, 0] = 7
-    # threads racing to build the first layout of a box still solve alike
+    # callers' threads racing to build the first layout of a box still
+    # solve alike
     seeds = list(range(16))
 
-    def cost(fld):
+    def cost(seed):
+        fld = sample_field(TP, box, seed)
         return travel_weight(fld, box, (0, 0), (2, 1)).cost_at((0, 0))
 
-    want = [cost(sample_field(TP, box, s)) for s in seeds]
+    want = [cost(s) for s in seeds]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(5):
             solver._box_site_set.cache_clear()
-            assert sample_fields(cost, TP, box, seeds, threads=8) == want
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                assert list(pool.map(cost, seeds)) == want
     finally:
         sys.setswitchinterval(interval)
