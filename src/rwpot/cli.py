@@ -61,7 +61,6 @@ def main(argv=None):
             config.sampling["seed"] = args.seed
         if args.override_assumptions:
             config.override_assumptions = True
-        config.validate()
         manifest = run(config, out_dir=args.out)
     except AssumptionError as exc:
         print(f"refused: ({exc.name}) {exc}", file=sys.stderr)

@@ -321,13 +321,7 @@ def rank_one_verify(spec, x, n_trials, seed, box_factor=DEFAULT_BOX_FACTOR):
     for trial in range(n_trials):
         sub = derive_seed(seed, trial)
         fld = sample_field(spec, region, sub)
-        # uniform y in the box, excluding 0 and x
-        while True:
-            u = counter_uniform(sub, np.asarray([trial, 0xA11CE], dtype=np.int64))
-            y = tuple(int(v) for v in sites[int(u * len(sites)) % len(sites)])
-            sub = derive_seed(sub, 1)
-            if y != origin and y != x:
-                break
+        y, sub = _draw_site(sites, sub, (trial, 0xA11CE), (origin, x))
         w_y = fld.value_at(y)
         sigma_y = w_y + fresh_site_value(spec, sub, y, trial)
         a_orig, q = visit_probabilities(fld, region, x, [y])
@@ -343,6 +337,18 @@ def rank_one_verify(spec, x, n_trials, seed, box_factor=DEFAULT_BOX_FACTOR):
             bound_site = sigma_y - w_y + (math.inf if m >= 1.0 else 1.0 / (1.0 - m))
         records.append(PerturbationRecord(y, w_y, sigma_y, delta, bound_q, bound_site))
     return records
+
+
+def _draw_site(sites, seed, counter, avoid):
+    """A uniform site of the (n, d) array not in avoid, and the seed after
+    it: draw k reads seed_k at the counter, and seed_{k+1} =
+    derive_seed(seed_k, 1)."""
+    while True:
+        u = counter_uniform(seed, np.asarray(counter, dtype=np.int64))
+        y = tuple(int(v) for v in sites[int(u * len(sites)) % len(sites)])
+        seed = derive_seed(seed, 1)
+        if y not in avoid:
+            return y, seed
 
 
 # ---------------------------------------------------------------------------
@@ -387,13 +393,7 @@ def entropy_suite(marginal, field_rest, x, lambda_grid, seed, y=None):
     region = field_rest.region
     origin = (0,) * len(x)
     if y is None:
-        sites = region.sites()
-        while True:
-            u = counter_uniform(seed, np.asarray([0xE27, 0], dtype=np.int64))
-            y = tuple(int(v) for v in sites[int(u * len(sites)) % len(sites)])
-            if y != origin and y != x:
-                break
-            seed = derive_seed(seed, 1)
+        y, _ = _draw_site(region.sites(), seed, (0xE27, 0), (origin, x))
     y = as_point(y)
     probs = np.asarray([p for _, p in support])
     u_vals = np.asarray([origin_cost(field_rest.with_value(y, v), region, x)
@@ -424,10 +424,12 @@ def entropy_global_probe(spec, x, lambda_grid, samples, seed,
     x = as_point(x)
     region = prop_box(x, box_factor)
     seeds = [derive_seed(seed, i) for i in range(samples)]
-    pairs = np.asarray(sample_fields(
-        lambda fld: (origin_cost(fld, region, x),
-                     weighted_functionals(fld, region, x).expected_range),
-        spec, region, seeds))
+
+    def cost_and_range(fld):
+        wf = weighted_functionals(fld, region, x)
+        return wf.cost, wf.expected_range
+
+    pairs = np.asarray(sample_fields(cost_and_range, spec, region, seeds))
     a, rng = pairs[:, 0], pairs[:, 1]
     w = np.full(samples, 1.0 / samples)
     out = []

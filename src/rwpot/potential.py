@@ -211,20 +211,6 @@ class DistributionSpec:
             return 0.0
         raise ParameterError(k)
 
-    def median(self):
-        k = self.kind
-        if k == "Constant":
-            return self.param("c")
-        if k == "TwoPoint":
-            return self.param("v_hi") if self.param("p_hi") >= 0.5 else self.param("v_lo")
-        if k == "Exponential":
-            return math.log(2.0) / self.param("rate")
-        if k == "ShiftedExponential":
-            return self.param("shift") + math.log(2.0) / self.param("rate")
-        if k == "LogNormal":
-            return math.exp(self.param("mu"))
-        raise ParameterError(k)
-
     def finite_support(self):
         """[(value, prob), ...] when the law has finite support, else None."""
         if self.kind == "Constant":

@@ -9,8 +9,8 @@ so the systems are nonsingular. Every system is one operator, _KilledWalk:
 a grid band with a Dirichlet row (the region's sites in row-major order,
 assembled from the strides of their bounding-box grid, the kill site a
 decoupled unit row), factored once by banded Cholesky for every solve and
-for the Green diagonal G(y, y) (by Takahashi's selected inversion); only
-the gauged operator of the log-space fallback is solved by band LU.
+for the Green diagonal G(y, y) (by Takahashi's selected inversion). Band
+LU runs only inside the log-space fallback, _KilledWalk.log_kill_weight.
 """
 
 import functools
@@ -90,6 +90,11 @@ def region_sites(region):
     return np.asarray(region, dtype=np.int64)
 
 
+def _site_set(region):
+    """The region's SiteSet; a box's is built once and shared."""
+    return _box_site_set(region) if isinstance(region, BoxRegion) else SiteSet(region)
+
+
 @functools.lru_cache(maxsize=4)
 def _box_site_set(box):
     """A box's SiteSet with its layout, built once and shared: read-only."""
@@ -131,20 +136,17 @@ class _KilledWalk:
     diagonal and zero row and column: a right-hand side vanishing there gives
     a solution vanishing there. Vectors are indexed by row.
 
-    A is stored once, as M = e^{h} A e^{-h} in LAPACK general band storage.
-    Without a gauge h = omega/2, and M is the symmetric T = W^{-1/2} A W^{1/2},
-    W = diag(e^{-omega}/2d), with unit diagonal and T[z, z'] =
-    -e^{-(omega(z) + omega(z'))/2}/2d; it is factored once, on first use, by
-    banded Cholesky, and A x = b is solved as s T^{-1}(b / s), s = e^{-h}.
-    omega is capped at OMEGA_CAP in h and the band, where e^{-omega}/2d is
-    already 0. A gauge, a log-scale g per row, sets h = g and scales the
-    right-hand sides by e^{g}, so every solution comes out multiplied by
-    e^{g}; the gauged M is not symmetric, is solved by band LU, and has plain
-    solves only.
+    A is stored once, as the symmetric T = e^{h} A e^{-h} = W^{-1/2} A W^{1/2},
+    h = omega/2, W = diag(e^{-omega}/2d), in LAPACK general band storage: unit
+    diagonal and T[z, z'] = -e^{-(omega(z) + omega(z'))/2}/2d. T is factored
+    once, on first use, by banded Cholesky, and A x = b is solved as
+    s T^{-1}(b / s), s = e^{-h}. omega is capped at OMEGA_CAP in h and the
+    band, where e^{-omega}/2d is already 0. The log-space fallback,
+    log_kill_weight, conjugates A by a log-scale of its own instead.
     """
 
-    def __init__(self, field, region, kill=None, gauge=None):
-        self.ss = ss = _box_site_set(region) if isinstance(region, BoxRegion) else SiteSet(region)
+    def __init__(self, field, region, kill=None):
+        self.ss = ss = _site_set(region)
         at = ss.lo - np.asarray(field.region.lo)
         if np.any(at < 0) or np.any(at + ss.shape > field.region.shape):
             raise DomainError("some sites lie outside the field region")
@@ -157,22 +159,23 @@ class _KilledWalk:
                 raise DomainError(f"target {tuple(kill)} not in region")
             self._kill = int(self.keys[i])
             self.active[self._kill] = False
-        self.gauge = gauge
-        if gauge is None:
-            w = np.minimum(self.omega, OMEGA_CAP)
-            h, self.scale = w / 2, np.exp(-w / 2)
-        else:
-            w, h, self.scale = self.omega, gauge, np.ones(len(gauge))
-        # band[bw + r - c, c] = M[r, c]; rows bw.. are Cholesky's lower storage
-        self.band = np.zeros((2 * self.bw + 1, len(ss)))
-        self.band[self.bw] = 1.0
-        flat = self.band.reshape(-1)
-        # only pairs of two active sites couple
-        edge, dh = self.active[r] & self.active[c], h[r] - h[c]
-        flat[lo] = np.where(edge, -np.exp(dh - w[r]), 0.0) / (2.0 * ss.d)
-        flat[up] = np.where(edge, -np.exp(-dh - w[c]), 0.0) / (2.0 * ss.d)
+        w = np.minimum(self.omega, OMEGA_CAP)
+        self.scale, self.band = np.exp(-w / 2), self._band(w / 2, w)
         self.residual = 0.0
         self._cholesky = None  # factored on first use, by _factor
+
+    def _band(self, h, w):
+        """e^{h} A e^{-h} with steps e^{-w}/2d: band[bw + r - c, c] holds
+        entry [r, c], and rows bw.. are Cholesky's lower storage."""
+        _, _, bw, r, c, lo, up = self.layout
+        band = np.zeros((2 * bw + 1, len(self.omega)))
+        band[bw] = 1.0
+        flat = band.reshape(-1)
+        # only pairs of two active sites couple
+        edge, dh = self.active[r] & self.active[c], h[r] - h[c]
+        flat[lo] = np.where(edge, -np.exp(dh - w[r]), 0.0) / (2.0 * self.ss.d)
+        flat[up] = np.where(edge, -np.exp(-dh - w[c]), 0.0) / (2.0 * self.ss.d)
+        return band
 
     def _factor(self):
         if self._cholesky is None:
@@ -181,30 +184,26 @@ class _KilledWalk:
         return self._cholesky
 
     def _frame(self, trans):
-        """s with A = s M s^{-1} (A^T = s M s^{-1} for trans="T")."""
-        if trans == "N":
-            return self.scale
-        if self.gauge is not None:
-            raise SolverError("a gauged operator has plain solves only")
-        return 1.0 / self.scale
+        """s with A = s T s^{-1} (A^T = s T s^{-1} for trans="T")."""
+        return self.scale if trans == "N" else 1.0 / self.scale
 
     def solve(self, b, trans="N"):
         """A^{-1} b, or A^{-T} b for trans="T", with its residual checked."""
         s = self._frame(trans)
-        if self.gauge is None:
-            v = cho_solve_banded((self._factor(), True), b / s)
-        else:
-            v = solve_banded((self.bw, self.bw), self.band, b, check_finite=False)
+        v = cho_solve_banded((self._factor(), True), b / s)
         return self.check(s * v, b, trans)
 
     def check(self, x, b, trans="N"):
         """Return x after raising SolverError if the residual of A x = b
         (A^T x = b for trans="T") exceeds RESIDUAL_TOL; record the worst."""
-        s = self._frame(trans)
+        return self._check(self.band, self._frame(trans), x, b)
+
+    def _check(self, band, s, x, b):
+        """check for the operator s M s^{-1}, M in band storage."""
         v = x / s
         _, _, bw, r, c, lo, up = self.layout
-        flat, n = self.band.reshape(-1), len(v)
-        Mv = (self.band[bw] * v + np.bincount(r, flat[lo] * v[c], minlength=n)
+        flat, n = band.reshape(-1), len(v)
+        Mv = (band[bw] * v + np.bincount(r, flat[lo] * v[c], minlength=n)
               + np.bincount(c, flat[up] * v[r], minlength=n))
         resid = float(np.abs(s * Mv - b).max(initial=0.0))
         if not resid <= RESIDUAL_TOL * max(1.0, float(np.abs(b).max(initial=0.0))):
@@ -212,26 +211,31 @@ class _KilledWalk:
         self.residual = max(self.residual, resid)
         return x
 
-    def kill_vector(self):
-        """P[z, kill]: with it, solve gives e(z, kill), the weight of hitting
-        the kill site before exiting."""
+    def log_kill_weight(self, g):
+        """log e(., kill) by row, from B = e^{g} A e^{-g} (omega uncapped)
+        solved for e^{g} e(., kill): a log-scale g per row that tracks the
+        decay of e keeps that solution representable where e underflows. B
+        is not symmetric, so it is solved by band LU; the residual is checked."""
+        band = self._band(g, self.omega)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            b = self.kill_vector(g)
+            v = solve_banded((self.bw, self.bw), band, b, check_finite=False)
+            return np.log(self._check(band, 1.0, v, b)) - g
+
+    def kill_vector(self, g=None):
+        """P[z, kill] (times e^{g(z)} for a log-scale g): with it, solve
+        gives e(z, kill), the weight of hitting the kill site before exiting."""
         r, c = self.layout[3:5]
         j = np.r_[r[c == self._kill], c[r == self._kill]]
-        return np.bincount(j, self._step_weight(j), len(self.omega))
+        log_w = -self.omega[j] if g is None else g[j] - self.omega[j]
+        return np.bincount(j, np.exp(log_w) / (2.0 * self.ss.d), len(self.omega))
 
     def exit_vector(self):
         """The weight of stepping off the active sites: with it, solve gives
         the weight of exiting (the kill site counts as outside)."""
         r, c = self.layout[3:5]
         inside = np.bincount(np.r_[r, c], np.r_[self.active[c], self.active[r]], len(self.omega))
-        return self._step_weight(slice(None)) * (2 * self.ss.d - inside) * self.active
-
-    def _step_weight(self, ids):
-        """exp(-omega(z))/(2d) at the given sites, in the gauge's frame."""
-        log_w = -self.omega[ids]
-        if self.gauge is not None:
-            log_w = log_w + self.gauge[ids]
-        return np.exp(log_w) / (2.0 * self.ss.d)
+        return np.exp(-self.omega) / (2.0 * self.ss.d) * (2 * self.ss.d - inside) * self.active
 
     def row(self, p):
         """G(p, .) for all active sites."""
@@ -251,8 +255,6 @@ class _KilledWalk:
         Dirichlet row has 1). One id costs one checked column solve; more
         come from selected inversion of the Cholesky factor of T, which has
         the diagonal of A^{-1}: O(n bw^2) time and O(n bw) memory."""
-        if self.gauge is not None:
-            raise SolverError("the Green diagonal is defined without a gauge")
         ids = np.arange(len(self.omega)) if ids is None else np.asarray(ids)
         if len(ids) == 1:
             return self.solve(self._unit(ids[0]))[ids]
@@ -298,7 +300,8 @@ def _takahashi_diagonal(factor):
 
 @dataclass(eq=False)
 class SolveResult:
-    """Travel-weight vector e_V(z, target) for every site z of the region."""
+    """Travel-weight vector e_V(z, target) for every site z of the region,
+    and the factored operator that solved it."""
 
     target: tuple
     taboo: frozenset
@@ -306,6 +309,7 @@ class SolveResult:
     e_values: np.ndarray
     log_e: np.ndarray
     residual: float
+    walk: _KilledWalk
 
     def _index(self, p):
         i = self.siteset.index_one(as_point(p))
@@ -354,18 +358,15 @@ def travel_weight(field, region, source, target, taboo=()):
         log_e = np.log(e_values)
 
     if e_values[isrc] <= 0.0:
-        # Underflow: solve again conjugated by exp(c * l1-distance to the
-        # target), where the solution stays representable, and fill log_e
-        # where the plain solve underflowed.
+        # Underflow: fill log_e where the plain solve underflowed, from the
+        # log-space solve at the log-scale c * l1-distance to the target.
         c = math.log(2.0 * ss.d) + float(np.mean(kw.omega[kw.active]))
         gauge = np.empty(len(ss))
         gauge[kw.keys] = c * np.abs(ss.sites - target).sum(axis=1)
-        gw = _KilledWalk(field, region, kill=target, gauge=gauge)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_w = (np.log(gw.solve(gw.kill_vector())) - gauge)[kw.keys]
+        log_w = kw.log_kill_weight(gauge)[kw.keys]
         fill = ~np.isfinite(log_e) & np.isfinite(log_w)
         log_e[fill] = log_w[fill]
-    return SolveResult(target, taboo, ss, e_values, log_e, kw.residual)
+    return SolveResult(target, taboo, ss, e_values, log_e, kw.residual, kw)
 
 
 def block_cost(field, xi, m, n, N):
@@ -386,7 +387,7 @@ def exit_functional(field, region, start, crossing=("exit",)):
         # the box strictly inside the shell, every site of which the region holds
         k = int(math.ceil(float(crossing[1]))) - 1
         shell = BoxRegion([c - k for c in start], [c + k + 1 for c in start])
-        if np.any(SiteSet(region).index(shell.sites()) < 0):
+        if np.any(_site_set(region).index(shell.sites()) < 0):
             raise DomainError("crossing shell exits the region; enlarge the field")
         region = shell
     elif crossing[0] != "exit":
@@ -416,6 +417,7 @@ class WeightedFunctionals:
     exp(-sum omega) and conditioned on hitting x before exiting."""
 
     x: tuple
+    cost: float  # a_V(0, x)
     siteset: SiteSet  # active sites (x excluded)
     q_visit: np.ndarray
     expected_range: float
@@ -431,25 +433,26 @@ class WeightedFunctionals:
 
 
 def _tilted_walk(field, region, x):
-    """(operator killed at x, row of the origin, e_V(., x), G(0, .)):
-    the pieces of q(y) = G(0, y) / G(y, y) * e_V(y, x) / e_V(0, x)."""
+    """(travel_weight's result e_V(., x), the origin's index, G(0, .)), all
+    by site of the region and from one operator: the pieces of
+    q(y) = G(0, y) / G(y, y) * e_V(y, x) / e_V(0, x)."""
     origin = (0,) * len(x)
     if x == origin:
         raise DomainError("x must differ from the origin")
-    kw = _KilledWalk(field, region, kill=x)
-    i0 = kw._idx(origin)
-    u = kw.solve(kw.kill_vector())  # e_V(z, x) for z != x
-    if u[i0] <= 0.0:
+    res = travel_weight(field, region, origin, x)
+    i0 = res.siteset.index_one(origin)
+    if res.e_values[i0] <= 0.0:
         raise DegenerateWeightError("e_V(0, x) underflowed; weighted measure undefined")
-    return kw, i0, u, kw.row(origin)
+    return res, i0, res.walk.row(origin)[res.walk.keys]
 
 
 def weighted_functionals(field, region, x):
-    """Full visit-probability vector q(y) = Q(H(y) < H(x)) and the expected
-    range of the weighted walk, E_Q[#A] = sum_y q(y)."""
+    """a_V(0, x), the full visit-probability vector q(y) = Q(H(y) < H(x))
+    and the expected range of the weighted walk, E_Q[#A] = sum_y q(y)."""
     x = as_point(x)
-    kw, i0, u, g = _tilted_walk(field, region, x)
-    diag = kw.diagonal()
+    res, i0, g = _tilted_walk(field, region, x)
+    kw, u = res.walk, res.e_values
+    diag = kw.diagonal()[kw.keys]
     # g[i0] = G(0, 0) from the residual-checked row solve vets the diagonal
     if not abs(diag[i0] - g[i0]) <= RESIDUAL_TOL * g[i0]:
         raise SolverError(f"Green diagonal G(0, 0) = {diag[i0]:.17g} disagrees "
@@ -457,8 +460,9 @@ def weighted_functionals(field, region, x):
     q = (g / diag) * u / u[i0]
     q[i0] = 1.0
     active = kw.active[kw.keys]  # the region's sites but x, in its order
-    q = _clip_unit(q[kw.keys[active]])
-    return WeightedFunctionals(x, SiteSet(kw.ss.sites[active]), q, float(q.sum()))
+    q = _clip_unit(q[active])
+    return WeightedFunctionals(x, res.cost_at((0,) * len(x)),
+                               SiteSet(res.siteset.sites[active]), q, float(q.sum()))
 
 
 def visit_probabilities(field, region, x, ys):
@@ -466,13 +470,14 @@ def visit_probabilities(field, region, x, ys):
     probabilities q(y) = Q(H(y) < H(x)) of selected sites y only (cheaper
     than the full diagonal when just a few sites matter)."""
     x = as_point(x)
-    kw, i0, u, g = _tilted_walk(field, region, x)
+    res, i0, g = _tilted_walk(field, region, x)
+    kw, u = res.walk, res.e_values
     out = {}
     for y in map(as_point, ys):
-        iy = None if y == x else kw._idx(y)
+        iy = None if y == x else res._index(y)
         out[y] = 0.0 if iy is None else 1.0 if iy == i0 else float(
-            _clip_unit(g[iy] / kw.diagonal([iy])[0] * u[iy] / u[i0]))
-    return float(-np.log(_clip_unit(u[i0]))), out
+            _clip_unit(g[iy] / kw.diagonal([kw.keys[iy]])[0] * u[iy] / u[i0]))
+    return res.cost_at((0,) * len(x)), out
 
 
 def maximal_distance(field, region, x, eta):

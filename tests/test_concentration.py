@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from rwpot.concentration import (cost_samples, compare_restricted, entropy_fn,
-                                 entropy_global_probe, entropy_suite,
+from rwpot.concentration import (_draw_site, cost_samples, compare_restricted,
+                                 entropy_fn, entropy_global_probe, entropy_suite,
                                  martingale_diagnostics,
                                  pinned_return_probability, psi_herbst,
                                  rank_one_verify, require_assumptions,
@@ -13,6 +13,7 @@ from rwpot.concentration import (cost_samples, compare_restricted, entropy_fn,
 from rwpot.errors import AssumptionError, CapacityError, ParameterError
 from rwpot.lattice import BoxRegion
 from rwpot.potential import DistributionSpec, sample_field
+from rwpot.rng import derive_seed
 
 TP = DistributionSpec.two_point(0.2, 1.0, 0.5)
 EXP = DistributionSpec.exponential(1.0)
@@ -124,6 +125,19 @@ def test_rank_one_zero_perturbation_in_d3():
     records = rank_one_verify(EXP, (2, 1, 0), 10, 3)
     assert all(math.isfinite(r.bound_site) for r in records)
     assert all(not r.violates() for r in records)
+
+
+def test_site_draw_skips_avoided_sites_and_advances_the_seed_per_draw():
+    sites = BoxRegion.centered(1, 2).sites()
+    seeds = [11]
+    for _ in range(40):
+        seeds.append(derive_seed(seeds[-1], 1))
+    draws = [_draw_site(sites, s, (4, 0), ()) for s in seeds[:-1]]
+    assert [after for _, after in draws] == seeds[1:]  # one draw each
+    # avoiding the first draw's site: the first later draw of another site
+    first = draws[0][0]
+    k = next(k for k, (y, _) in enumerate(draws) if y != first)
+    assert _draw_site(sites, 11, (4, 0), (first,)) == draws[k]
 
 
 def test_entropy_fn_closed_form():

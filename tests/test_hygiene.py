@@ -1,6 +1,7 @@
 """Source hygiene: every name a module, test or demo imports is used in
-that file, and every module-level private name is used somewhere in the
-package."""
+that file, every module-level private name is used somewhere in the
+package, and every public function, method and class is used somewhere in
+the package, its tests or its demos."""
 
 import ast
 from pathlib import Path
@@ -13,6 +14,7 @@ MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 TREES = {p: ast.parse(p.read_text(), filename=str(p))
          for p in SRC.glob("*.py")}
 SCRIPTS = sorted([*(ROOT / "tests").glob("*.py"), *(ROOT / "demos").glob("*.py")])
+SCRIPT_TREES = {p: ast.parse(p.read_text(), filename=str(p)) for p in SCRIPTS}
 
 
 def _unused_imports(tree):
@@ -60,7 +62,7 @@ def _references(tree, skip):
 @pytest.mark.parametrize("path", MODULES + SCRIPTS, ids=lambda p: (
     p.name if p.parent == SRC else f"{p.parent.name}/{p.name}"))
 def test_no_unused_imports(path):
-    tree = TREES.get(path) or ast.parse(path.read_text(), filename=str(path))
+    tree = TREES.get(path) or SCRIPT_TREES[path]
     unused = _unused_imports(tree)
     assert not unused, ", ".join(f"{path.name}:{line} {name}"
                                  for line, name in unused)
@@ -72,6 +74,31 @@ def test_no_dead_private_names(path):
     for name, node in _private_definitions(TREES[path]):
         used = any(name in _references(tree, node if other == path else None)
                    for other, tree in TREES.items())
+        if not used:
+            dead.append(f"{path.name}:{node.lineno} {name}")
+    assert not dead, ", ".join(dead)
+
+
+def _public_definitions(tree):
+    """Module-level functions and classes, and the methods of those classes,
+    whose names do not start with _, with the node that defines each."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.append((node.name, node))
+        if isinstance(node, ast.ClassDef):
+            out.extend((item.name, item) for item in node.body
+                       if isinstance(item, ast.FunctionDef))
+    return [(name, node) for name, node in out if not name.startswith("_")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_dead_public_names(path):
+    trees = {**TREES, **SCRIPT_TREES}
+    dead = []
+    for name, node in _public_definitions(TREES[path]):
+        used = any(name in _references(tree, node if other == path else None)
+                   for other, tree in trees.items())
         if not used:
             dead.append(f"{path.name}:{node.lineno} {name}")
     assert not dead, ", ".join(dead)

@@ -10,7 +10,8 @@ from rwpot.errors import DegenerateWeightError, DomainError, SolverError
 from rwpot.lattice import BoxRegion, block_sites
 from rwpot.potential import DistributionSpec, PotentialField, sample_field
 from rwpot import solver
-from rwpot.concentration import box_return_probability, rank_one_verify
+from rwpot.concentration import (box_return_probability, entropy_global_probe,
+                                 rank_one_verify)
 from rwpot.oracle import transition_matrix
 from rwpot.rng import derive_seed
 from rwpot.solver import (SiteSet, block_cost, exit_functional,
@@ -95,7 +96,7 @@ def test_taboo_reduces_weight():
         travel_weight(field, box, (0, 0), (2, 0), taboo=[(2, 0)])
 
 
-def test_underflow_rescale_recovers_cost_in_log_space():
+def test_underflow_rescale_recovers_cost_in_log_space(monkeypatch):
     import warnings
 
     with warnings.catch_warnings():
@@ -108,6 +109,14 @@ def test_underflow_rescale_recovers_cost_in_log_space():
     cost = res.cost_at((0, 0))
     # dominated by the straight path: 25 steps paying 60 + log(4) each
     assert abs(cost - 25 * (60 + math.log(4))) < 1.0
+    # the weighted measure needs the plain weight, log space or not
+    with pytest.raises(DegenerateWeightError):
+        weighted_functionals(field, strip, (25, 0))
+    # the log-space solve is residual-checked like every other
+    real = solver.solve_banded
+    monkeypatch.setattr(solver, "solve_banded", lambda *a, **k: real(*a, **k) * (1 + 1e-6))
+    with pytest.raises(SolverError):
+        travel_weight(field, strip, (0, 0), (25, 0))
 
 
 def test_block_cost_subadditive_and_monotone_in_width():
@@ -327,13 +336,6 @@ def test_green_diagonal_above_5000_sites_matches_column_solves():
     assert np.abs(kw.diagonal(ids) / columns - 1).max() < 1e-12
 
 
-def test_green_diagonal_refuses_a_gauge():
-    box = BoxRegion.centered(2, 2)
-    kw = solver._KilledWalk(zero_field(2, box), box, gauge=np.zeros(box.site_count))
-    with pytest.raises(SolverError):
-        kw.diagonal()
-
-
 def test_weighted_functionals_cross_checks_the_green_diagonal(monkeypatch):
     real = solver._takahashi_diagonal
     monkeypatch.setattr(solver, "_takahashi_diagonal", lambda f: real(f) * (1 + 1e-6))
@@ -383,11 +385,12 @@ def test_gauged_band_lu_matches_cholesky_solve():
     plain = solver._KilledWalk(field, box, kill=x)
     e = plain.solve(plain.kill_vector())
     c = 0.8
-    gauge = c * np.abs(plain.ss.sites - np.asarray(x)).sum(axis=1)
-    gauged = solver._KilledWalk(field, box, kill=x, gauge=gauge)
-    _assert_close(gauged.solve(gauged.kill_vector()) * np.exp(-gauge), e, 1e-10)
-    with pytest.raises(SolverError):
-        gauged.solve(gauged.kill_vector(), trans="T")
+    gauge = np.empty(len(plain.ss))
+    gauge[plain.keys] = c * np.abs(plain.ss.sites - np.asarray(x)).sum(axis=1)
+    _assert_close(np.exp(plain.log_kill_weight(gauge)), e, 1e-10)
+    # the same operator still solves, transposed too, on its own factor
+    assert np.array_equal(plain.solve(plain.kill_vector()), e)
+    plain.row((0, 0))
 
 
 def test_weighted_functionals_and_maximal_distance_factor_once(monkeypatch):
@@ -410,6 +413,9 @@ def test_weighted_functionals_and_maximal_distance_factor_once(monkeypatch):
     # and the perturbed one once
     records = rank_one_verify(TP, (2, 0, 0), 3, 1)
     assert len(calls) == 6 + 2 * len(records) == 12
+    # per sample: one operator gives a(0, x) and E_Q[#A]
+    entropy_global_probe(TP, (2, 1), [-0.5], 3, 1)
+    assert len(calls) == 12 + 3
 
 
 def test_site_set_rejects_duplicate_sites():
