@@ -8,9 +8,11 @@ Two independent routes to the travel weight e_V(0, x):
 
 Neither route touches the linear-algebra solver, so agreement is evidence,
 not tautology. The module also samples path-level coarse-graining statistics
-(crossing times and visited-cube animals).
+(crossing times and visited-cube animals). One lockstep walk kernel, `_walk`,
+runs the episodes of both Monte Carlo samplers.
 """
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -25,6 +27,7 @@ from .solver import SiteSet, region_sites
 
 ENUM_MAX_SITES = 49
 ENUM_MAX_STEPS = 30
+CROSSING_BATCH = 1024  # episodes walked in lockstep per sample_crossings batch
 
 
 def transition_matrix(ss, omega):
@@ -161,12 +164,46 @@ class WalkWeightResult:
         yield self.std_error
 
 
-def _step_directions(seed, episodes, t, d):
-    u = counter_uniform(seed, np.stack(
-        [episodes, np.full_like(episodes, t)], axis=-1))
-    dirs = np.minimum((u * 2 * d).astype(np.int64), 2 * d - 1)
-    axis, sign = dirs // 2, 1 - 2 * (dirs % 2)
-    return axis, sign
+def _walk(field, ss, x, seed, episodes, record=False):
+    """Run the consecutive episode ids `episodes` of the walk from 0 in
+    lockstep, each until it hits x or leaves ss, paying exp(-omega) at every
+    departure site. Step t of episode k is keyed by (seed, k, t), so an
+    episode's path never depends on the batch it runs in.
+
+    Returns the per-episode hit flags and log weights (meaningful on hits)
+    and, with record, each episode's rows of ss in step order: from the
+    origin up to x on a hit, the exit point left out.
+    """
+    d, first, n = ss.d, int(episodes[0]), len(episodes)
+    xv = np.asarray(x, dtype=np.int64)
+    hit_all, logw_all = np.zeros(n, dtype=bool), np.zeros(n)
+    pos = np.zeros((n, d), dtype=np.int64)
+    logw = np.zeros(n)
+    trail = [(episodes, np.full(n, ss.index_one((0,) * d)))] if record else None
+    t = 0
+    while len(episodes):
+        logw -= field.values_at(pos)  # pay at the departure site
+        u = counter_uniform(seed, np.stack(
+            [episodes, np.full_like(episodes, t)], axis=-1))
+        dirs = np.minimum((u * 2 * d).astype(np.int64), 2 * d - 1)
+        pos[np.arange(len(episodes)), dirs // 2] += 1 - 2 * (dirs % 2)
+        t += 1
+        hit = np.all(pos == xv, axis=1)
+        rows = ss.index(pos)
+        if hit.any():
+            hit_all[episodes[hit] - first] = True
+            logw_all[episodes[hit] - first] = logw[hit]
+        if record:
+            inside = rows >= 0
+            trail.append((episodes[inside], rows[inside]))
+        alive = (rows >= 0) & ~hit
+        episodes, pos, logw = episodes[alive], pos[alive], logw[alive]
+    if not record:
+        return hit_all, logw_all
+    ids, rows = (np.concatenate(a) for a in zip(*trail))
+    counts = np.bincount(ids - first, minlength=n)
+    paths = np.split(rows[np.argsort(ids, kind="stable")], np.cumsum(counts)[:-1])
+    return hit_all, logw_all, paths
 
 
 def sample_walk_weight(field, region, x, n_samples, seed):
@@ -175,36 +212,18 @@ def sample_walk_weight(field, region, x, n_samples, seed):
     Each episode runs the simple walk from 0, multiplying exp(-omega) at
     every departure site, until it hits x (weight kept) or leaves the region
     (weight zero). Episode randomness is keyed by (seed, episode, step), so
-    the result is identical however episodes are ordered or parallelized.
+    the result is identical however episodes are ordered or batched.
     """
     x = as_point(x)
     if n_samples < 1:
         raise ParameterError("n_samples must be >= 1")
-    sites = region_sites(region)
-    ss = SiteSet(sites)
+    ss = SiteSet(region_sites(region))
     if ss.index_one(x) < 0 or ss.index_one((0,) * ss.d) < 0:
         raise DomainError("0 and x must lie in the region")
-    d = ss.d
-    xv = np.asarray(x, dtype=np.int64)
-
+    hit, logw = _walk(field, ss, x, seed, np.arange(n_samples, dtype=np.int64))
     weights = np.zeros(n_samples)
-    episodes = np.arange(n_samples, dtype=np.int64)
-    pos = np.zeros((n_samples, d), dtype=np.int64)
-    logw = np.zeros(n_samples)
-    n_hit = 0
-    t = 0
-    while len(episodes):
-        logw -= field.values_at(pos)  # pay at the departure site
-        axis, sign = _step_directions(seed, episodes, t, d)
-        pos[np.arange(len(episodes)), axis] += sign
-        t += 1
-        hit = np.all(pos == xv, axis=1)
-        inside = ss.index(pos) >= 0
-        if hit.any():
-            weights[episodes[hit]] = np.exp(logw[hit])
-            n_hit += int(hit.sum())
-        alive = inside & ~hit
-        episodes, pos, logw = episodes[alive], pos[alive], logw[alive]
+    weights[hit] = np.exp(logw[hit])
+    n_hit = int(hit.sum())
     mean = float(weights.mean())
     se = float(weights.std(ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0
     return WalkWeightResult(mean, se, weights, n_hit, n_samples - n_hit)
@@ -226,38 +245,16 @@ class CrossingTrace:
         return len(self.visited_cubes)
 
 
-def _trace_episode(field, ss, x, l, seed, episode):
-    """Run one episode to completion, recording the full path."""
-    d = ss.d
-    xv = np.asarray(x, dtype=np.int64)
-    pos = np.zeros(d, dtype=np.int64)
-    path = [tuple(pos)]
-    logw = 0.0
-    t = 0
-    while True:
-        logw -= field.value_at(tuple(pos))
-        axis, sign = _step_directions(seed, np.asarray([episode], dtype=np.int64), t, d)
-        pos = pos.copy()
-        pos[axis[0]] += sign[0]
-        t += 1
-        if np.all(pos == xv):
-            path.append(tuple(pos))
-            return True, logw, path
-        if ss.index_one(tuple(pos)) < 0:
-            return False, 0.0, path
-        path.append(tuple(pos))
-
-
 def _crossing_skeleton(path, l):
     """tau times: successive first exits of the l-infinity ball of radius
     3l/4 around the previous crossing point."""
     threshold = 3 * l / 4
     taus = [0]
-    anchor = np.asarray(path[0])
+    anchor = path[0]
     for k in range(1, len(path)):
-        if np.abs(np.asarray(path[k]) - anchor).max() >= threshold:
+        if max(abs(a - b) for a, b in zip(path[k], anchor)) >= threshold:
             taus.append(k)
-            anchor = np.asarray(path[k])
+            anchor = path[k]
     return tuple(taus)
 
 
@@ -266,44 +263,47 @@ def sample_crossings(field, region, x, l, n_samples, seed,
     """Episodes of the walk conditioned on hitting x before exiting the
     region, by plain rejection; each accepted trace carries the importance
     weight exp(-sum omega) so weighted means estimate expectations under the
-    tilted-and-conditioned path measure."""
+    tilted-and-conditioned path measure. Episodes run in lockstep batches of
+    CROSSING_BATCH consecutive ids and are consumed in id order, so the
+    traces do not depend on the batch size."""
     if l < 4 or l % 2:
         raise ParameterError("l must be even and >= 4")
+    if n_samples < 1:
+        raise ParameterError("n_samples must be >= 1")
     x = as_point(x)
-    sites = region_sites(region)
-    ss = SiteSet(sites)
+    ss = SiteSet(region_sites(region))
     if ss.index_one(x) < 0 or ss.index_one((0,) * ss.d) < 0:
         raise DomainError("0 and x must lie in the region")
     if max_attempts is None:
         max_attempts = max(200_000, 50 * n_samples)
     traces = []
     accepted = 0
-    attempts = 0
-    episode = 0
-    while accepted < n_samples:
-        if attempts >= max_attempts:
-            rate = accepted / attempts
-            if rate < 1e-6:
-                raise FeasibilityError(
-                    f"acceptance rate {rate:.2e} below 1e-6 after {attempts} attempts"
-                )
-            max_attempts *= 2
-        ok, logw, path = _trace_episode(field, ss, x, l, seed, episode)
-        episode += 1
-        attempts += 1
-        if ok:
-            taus = _crossing_skeleton(path, l)
-            # the range A = {S_k : 0 <= k < H(x)} excludes the endpoint x
-            visited = set(path[:-1])
-            cubes = tuple(sorted({coarse_index(p, "C", l) for p in visited}))
-            rng = len(visited)
-            tr = CrossingTrace(True, math.exp(logw), taus, cubes, rng, l)
-            assert tr.range_size <= (3 * l) ** ss.d * tr.animal_size
-            traces.append(tr)
-            accepted += 1
-        elif include_rejected:
-            traces.append(CrossingTrace(False, 0.0, (), (), len(set(path)), l))
-    return traces
+    for first in itertools.count(0, CROSSING_BATCH):
+        batch = np.arange(first, first + CROSSING_BATCH, dtype=np.int64)
+        walked = _walk(field, ss, x, seed, batch, record=True)
+        # episode ids count from 0, so an episode's id is the attempts before it
+        for attempts, ok, logw, rows in zip(batch.tolist(), *walked):
+            if attempts >= max_attempts:
+                rate = accepted / attempts
+                if rate < 1e-6:
+                    raise FeasibilityError(
+                        f"acceptance rate {rate:.2e} below 1e-6 after {attempts} attempts"
+                    )
+                max_attempts *= 2
+            if ok:
+                path = [tuple(p) for p in ss.sites[rows].tolist()]
+                taus = _crossing_skeleton(path, l)
+                # the range A = {S_k : 0 <= k < H(x)} excludes the endpoint x
+                visited = set(path[:-1])
+                cubes = tuple(sorted({coarse_index(p, "C", l) for p in visited}))
+                tr = CrossingTrace(True, math.exp(logw), taus, cubes, len(visited), l)
+                assert tr.range_size <= (3 * l) ** ss.d * tr.animal_size
+                traces.append(tr)
+                accepted += 1
+                if accepted == n_samples:
+                    return traces
+            elif include_rejected:
+                traces.append(CrossingTrace(False, 0.0, (), (), len(set(rows.tolist())), l))
 
 
 def dump_traces(traces, path):

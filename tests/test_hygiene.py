@@ -102,3 +102,22 @@ def test_no_dead_public_names(path):
         if not used:
             dead.append(f"{path.name}:{node.lineno} {name}")
     assert not dead, ", ".join(dead)
+
+
+def test_oracle_takes_only_index_helpers_from_solver():
+    """The oracles check the solver, so they must not run through it:
+    oracle.py may import SiteSet and region_sites from solver.py, and
+    nothing else of it."""
+    allowed = {"SiteSet", "region_sites"}
+    bad = []
+    for node in ast.walk(TREES[SRC / "oracle.py"]):
+        if isinstance(node, ast.ImportFrom):
+            names = {alias.name for alias in node.names}
+            if (node.module or "").split(".")[-1] == "solver":
+                bad += sorted(names - allowed)
+            elif "solver" in names:
+                bad.append("solver")
+        elif isinstance(node, ast.Import):
+            bad += [alias.name for alias in node.names
+                    if "solver" in alias.name.split(".")]
+    assert not bad, f"oracle.py imports {', '.join(bad)} from the solver"

@@ -4,13 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from rwpot.errors import CapacityError, FeasibilityError
+from rwpot import oracle
+from rwpot.errors import CapacityError, FeasibilityError, ParameterError
 from rwpot.lattice import BoxRegion
 from rwpot.oracle import (dump_traces, enumerate_paths, enumerate_paths_dfs,
                           sample_crossings, sample_walk_weight)
 from rwpot.potential import DistributionSpec, sample_field
 from rwpot.solver import travel_weight, weighted_functionals, zero_field
 from rwpot.stats import weighted_mean_se
+from util_oracles import reference_crossings
 
 TP = DistributionSpec.two_point(0.2, 1.0, 0.5)
 EXP = DistributionSpec.exponential(1.0)
@@ -110,11 +112,14 @@ def test_walk_weight_matches_solver():
 
 
 def test_walk_weight_independent_of_episode_order():
+    # randomness is keyed by (seed, episode, step): episode k has the same
+    # weight whether it runs among 500 or 1000 lockstep episodes
     box = BoxRegion.centered(2, 2)
     field = sample_field(TP, box, 7)
-    a = sample_walk_weight(field, box, (1, 0), 500, 77)
+    a = sample_walk_weight(field, box, (1, 0), 1000, 77)
     b = sample_walk_weight(field, box, (1, 0), 500, 77)
-    assert np.array_equal(a.weights, b.weights)
+    assert a.weights[:500].tobytes() == b.weights.tobytes()
+    assert a.n_hit > b.n_hit > 0
 
 
 def test_crossing_trace_single_step():
@@ -154,6 +159,51 @@ def test_crossing_infeasible_conditioning():
     field = zero_field(2, sites)
     with pytest.raises(FeasibilityError):
         sample_crossings(field, sites, (2, 0), 4, 1, 1, max_attempts=2000)
+
+
+def test_crossing_rejects_bad_sample_counts():
+    box = BoxRegion.centered(3, 2)
+    field = sample_field(TP, box, 2)
+    for n in (0, -5):
+        with pytest.raises(ParameterError, match="n_samples must be >= 1"):
+            sample_crossings(field, box, (1, 1), 4, n, 3)
+
+
+def _trace_fields(traces):
+    return [(t.accepted, t.weight, t.tau_times, t.visited_cubes, t.range_size,
+             t.l) for t in traces]
+
+
+@pytest.mark.parametrize("batch, d, n, max_attempts", [
+    (oracle.CROSSING_BATCH, 2, 12, None),
+    (7, 2, 12, None),  # many lockstep batches
+    (7, 2, 12, 5),  # the attempt budget of 5 doubles at 5, 10 and 20
+    (7, 3, 6, None),
+])
+def test_crossings_match_one_episode_reference(monkeypatch, batch, d, n,
+                                              max_attempts):
+    monkeypatch.setattr(oracle, "CROSSING_BATCH", batch)
+    box = BoxRegion.centered(3, d)
+    field = sample_field(TP, box, 2)
+    x = (1, 1) + (0,) * (d - 2)
+    got = sample_crossings(field, box, x, 4, n, 3, include_rejected=True,
+                           max_attempts=max_attempts)
+    want = reference_crossings(field, box.sites(), x, 4, n, 3,
+                               include_rejected=True, max_attempts=max_attempts)
+    assert _trace_fields(got) == want
+    assert sum(t.accepted for t in got) == n and len(got) > n
+
+
+def test_crossing_infeasibility_matches_reference(monkeypatch):
+    monkeypatch.setattr(oracle, "CROSSING_BATCH", 7)
+    sites = np.array([[0, 0], [2, 0]])
+    field = zero_field(2, sites)
+    with pytest.raises(FeasibilityError) as want:
+        reference_crossings(field, sites, (2, 0), 4, 1, 1, max_attempts=30)
+    with pytest.raises(FeasibilityError) as got:
+        sample_crossings(field, sites, (2, 0), 4, 1, 1, max_attempts=30)
+    assert str(got.value) == str(want.value)
+    assert "after 30 attempts" in str(got.value)
 
 
 def test_trace_dump_format(tmp_path):

@@ -1,11 +1,16 @@
 """Independent brute-force oracles used only by the tests.
 
 These deliberately avoid the library's own algorithms: connectivity is
-checked by flood fill over explicit subsets, and travel weights are
-accumulated path by path.
+checked by flood fill over explicit subsets, travel weights are
+accumulated path by path, and crossing traces are walked one episode and
+one step at a time (sharing only the counter-based randomness).
 """
 
+import math
 from itertools import combinations
+
+from rwpot.errors import FeasibilityError
+from rwpot.rng import counter_uniform
 
 
 def _l1_neighbors(cell):
@@ -59,3 +64,63 @@ def brute_force_fixed_animal_count(d, size):
         if flood_fill_connected(cells):
             count += 1
     return count
+
+
+def reference_walk(field, allowed, x, seed, episode):
+    """One episode of the walk from 0, one step at a time, with step t of
+    the episode keyed by (seed, episode, t). Returns the hit flag, the log
+    weight (sum of -omega over departure sites) and the path: the origin
+    first, x last on a hit, the exit point left out."""
+    d = len(x)
+    pos = (0,) * d
+    path = [pos]
+    logw = 0.0
+    t = 0
+    while True:
+        logw -= field.value_at(pos)
+        u = float(counter_uniform(seed, [episode, t]))
+        k = min(int(u * 2 * d), 2 * d - 1)
+        axis, sign = k // 2, 1 - 2 * (k % 2)
+        pos = pos[:axis] + (pos[axis] + sign,) + pos[axis + 1:]
+        t += 1
+        if pos == x:
+            path.append(pos)
+            return True, logw, path
+        if pos not in allowed:
+            return False, 0.0, path
+        path.append(pos)
+
+
+def reference_crossings(field, sites, x, l, n_samples, seed,
+                        include_rejected=False, max_attempts=None):
+    """Crossing traces by rejection, one reference_walk episode at a time,
+    as (accepted, weight, tau_times, visited_cubes, range_size, l) tuples.
+    Episodes are consumed in order up to the n-th acceptance; the attempt
+    budget doubles when spent unless the acceptance rate is below 1e-6."""
+    allowed = {tuple(int(c) for c in z) for z in sites}
+    if max_attempts is None:
+        max_attempts = max(200_000, 50 * n_samples)
+    out, accepted, episode = [], 0, 0
+    while accepted < n_samples:
+        if episode >= max_attempts:
+            rate = accepted / episode
+            if rate < 1e-6:
+                raise FeasibilityError(
+                    f"acceptance rate {rate:.2e} below 1e-6 after {episode} attempts")
+            max_attempts *= 2
+        ok, logw, path = reference_walk(field, allowed, x, seed, episode)
+        episode += 1
+        if ok:
+            taus, anchor = [0], path[0]
+            for k, p in enumerate(path[1:], 1):
+                if max(abs(a - b) for a, b in zip(p, anchor)) >= 3 * l / 4:
+                    taus.append(k)
+                    anchor = p
+            visited = set(path[:-1])
+            cubes = tuple(sorted({tuple((c + l // 2) // l for c in p)
+                                  for p in visited}))
+            out.append((True, math.exp(logw), tuple(taus), cubes, len(visited), l))
+            accepted += 1
+        elif include_rejected:
+            out.append((False, 0.0, (), (), len(set(path)), l))
+    return out
