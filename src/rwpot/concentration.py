@@ -172,7 +172,7 @@ def tail_experiment(spec, x, side, samples, t_grid, seed,
     fitted = None
     ref = ()
     if int(np.sum(tails > 0)) >= 2:
-        slope, intercept, _ = log_tail_slope(xfit, tails)
+        slope, intercept = log_tail_slope(xfit, tails)
         fitted = -slope
         ref = tuple(float(np.exp(intercept + slope * v)) for v in xfit)
     return TailReport(x, side, t_grid, tuple(emp), ref, fitted,
@@ -272,7 +272,7 @@ def truncation_gap(spec, x, gamma, samples, seed, override=False):
         u_grid = np.quantile(positive, [0.0, 0.3, 0.6, 0.85])
         tails = [float(np.mean(gaps >= u)) for u in u_grid]
         try:
-            slope, _, _ = log_tail_slope(u_grid, tails)
+            slope, _ = log_tail_slope(u_grid, tails)
             fitted = -slope
         except ValueError:
             fitted = None

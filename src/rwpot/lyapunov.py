@@ -20,7 +20,7 @@ from .io import write_csv, write_json
 from .lattice import norms
 from .potential import sample_fields
 from .rng import derive_seed
-from .stats import intervals_overlap, mean_ci, z_value
+from .stats import Z95, intervals_overlap, mean_ci
 
 # Slack between box-restricted and unrestricted costs used when comparing
 # estimates across directions: each side may overshoot by up to log 2 except
@@ -73,12 +73,11 @@ def estimate_alpha(spec, direction, n_grid, samples_per_n, seed,
     means = [m for m, _, _ in per_n]
     k = int(np.argmin(means))
     alpha_hat = means[k]
-    z = z_value()
-    ci = (alpha_hat - z * per_n[k][1], alpha_hat + z * per_n[k][1])
+    ci = (alpha_hat - Z95 * per_n[k][1], alpha_hat + Z95 * per_n[k][1])
     band_lo = -math.log(spec.exp_neg_moment())
     band_hi = math.log(2 * len(direction)) + spec.mean()
     ratio = alpha_hat / l1
-    half = z * per_n[k][1] / l1
+    half = Z95 * per_n[k][1] / l1
     band_ok = (band_lo - half <= ratio <= band_hi + half)
     return AlphaEstimate(direction, n_grid, tuple(per_n), alpha_hat, ci,
                          (band_lo, band_hi), band_ok)

@@ -12,8 +12,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
 
 from .errors import DomainError, ParameterError
 from .lattice import BoxRegion, as_point, norms
@@ -146,13 +145,12 @@ class DistributionSpec:
             s, r = self.param("shift"), self.param("rate")
             return math.exp(-s) * r / (r + 1.0)
         if k == "LogNormal":
-            mu, sg = self.param("mu"), self.param("sigma")
-
-            def integrand(z):
-                return math.exp(-math.exp(mu + sg * z)) * math.exp(-z * z / 2) / math.sqrt(2 * math.pi)
-
-            val, _ = quad(integrand, -12, 12, limit=200)
-            return val
+            # trapezoid rule in the standard normal variable z on [-12, 12];
+            # where exp(omega) overflows, exp(-exp(omega)) is 0
+            z = np.linspace(-12.0, 12.0, 4801)
+            with np.errstate(over="ignore"):
+                f = np.exp(-np.exp(self.param("mu") + self.param("sigma") * z) - z * z / 2)
+            return float(np.trapezoid(f, z)) / math.sqrt(2 * math.pi)
         raise ParameterError(k)
 
     def exp_moment(self, gamma):
@@ -192,9 +190,7 @@ class DistributionSpec:
         if k == "LogNormal":
             if kappa <= 0:
                 return 1.0
-            from scipy.stats import norm
-
-            return float(norm.sf((math.log(kappa) - self.param("mu")) / self.param("sigma")))
+            return float(ndtr((self.param("mu") - math.log(kappa)) / self.param("sigma")))
         raise ParameterError(k)
 
     def essential_infimum(self):

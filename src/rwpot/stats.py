@@ -4,18 +4,16 @@ import math
 
 import numpy as np
 from scipy.special import ndtri
-from scipy.stats import linregress
+
+# two-sided 95% normal quantile, the confidence level of every interval
+Z95 = float(ndtri(0.975))
 
 
-def z_value(confidence=0.95):
-    return float(ndtri(0.5 + confidence / 2.0))
-
-
-def wilson_interval(successes, n, confidence=0.95):
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes, n):
+    """95% Wilson score interval for a binomial proportion."""
     if n <= 0:
         raise ValueError("n must be positive")
-    z = z_value(confidence)
+    z = Z95
     p = successes / n
     denom = 1.0 + z * z / n
     center = (p + z * z / (2 * n)) / denom
@@ -23,13 +21,12 @@ def wilson_interval(successes, n, confidence=0.95):
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def mean_ci(samples, confidence=0.95):
-    """(mean, std_error, (lo, hi)) by the normal approximation."""
+def mean_ci(samples):
+    """(mean, std_error, (lo, hi)) with a 95% normal-approximation interval."""
     x = np.asarray(samples, dtype=float)
     m = float(x.mean())
     se = float(x.std(ddof=1) / math.sqrt(len(x))) if len(x) > 1 else 0.0
-    z = z_value(confidence)
-    return m, se, (m - z * se, m + z * se)
+    return m, se, (m - Z95 * se, m + Z95 * se)
 
 
 def weighted_mean_se(weights, values):
@@ -49,15 +46,19 @@ def log_tail_slope(thresholds, tail_probs):
     """Least-squares slope of log tail probability against the threshold.
 
     Zero tail probabilities are dropped (they carry no slope information).
-    Returns (slope, intercept, r_value).
+    Returns (slope, intercept), fitted on centred data.
     """
     t = np.asarray(thresholds, dtype=float)
     p = np.asarray(tail_probs, dtype=float)
     keep = p > 0
     if keep.sum() < 2:
         raise ValueError("need at least two positive tail points to fit")
-    res = linregress(t[keep], np.log(p[keep]))
-    return float(res.slope), float(res.intercept), float(res.rvalue)
+    t, y = t[keep], np.log(p[keep])
+    if t.min() == t.max():
+        raise ValueError("cannot fit a slope: all thresholds are equal")
+    dt = t - t.mean()
+    slope = (dt @ (y - y.mean())) / (dt @ dt)
+    return float(slope), float(y.mean() - slope * t.mean())
 
 
 def intervals_overlap(a, b):

@@ -1,9 +1,12 @@
 """Source hygiene: every name a module, test or demo imports is used in
 that file, every module-level private name is used somewhere in the
 package, and every public function, method and class is used somewhere in
-the package, its tests or its demos."""
+the package, its tests or its demos; and importing the package loads no
+scipy subpackage it does not run."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -121,3 +124,16 @@ def test_oracle_takes_only_index_helpers_from_solver():
             bad += [alias.name for alias in node.names
                     if "solver" in alias.name.split(".")]
     assert not bad, f"oracle.py imports {', '.join(bad)} from the solver"
+
+
+def test_import_loads_no_heavy_scipy_subpackage():
+    """`import rwpot` and `import rwpot.cli` load numpy and scipy's linalg,
+    special and sparse only: scipy.stats, scipy.integrate and scipy.optimize
+    each cost a large share of a CLI run's start-up."""
+    heavy = ("scipy.stats", "scipy.integrate", "scipy.optimize")
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import rwpot, rwpot.cli; "
+            f"print(' '.join(m for m in {heavy!r} if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code, str(ROOT / "src")],
+                         capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.split() == [], f"import rwpot.cli loads {out.stdout.strip()}"

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.stats import norm
 
 from rwpot.errors import DomainError, ParameterError
 from rwpot.lattice import BoxRegion
@@ -51,6 +53,36 @@ def test_tail_prob_and_essential_infimum():
     se = DistributionSpec.shifted_exponential(0.3, 1.0)
     assert se.essential_infimum() == 0.3
     assert se.tail_prob(0.2) == 1.0
+
+
+@pytest.mark.parametrize("mu, sigma", [(0.0, 1.0), (-2.0, 0.3), (3.0, 2.5)])
+def test_log_normal_tail_prob_matches_norm_sf(mu, sigma):
+    """P(omega >= kappa) = P(Z >= z) at z = (log kappa - mu)/sigma, for z
+    from -8 into the deep tail at 30."""
+    spec = DistributionSpec.log_normal(mu, sigma)
+    assert spec.tail_prob(0.0) == 1.0
+    for kappa in np.exp(mu + sigma * np.linspace(-8.0, 30.0, 381)):
+        ref = float(norm.sf((math.log(kappa) - mu) / sigma))
+        got = spec.tail_prob(kappa)
+        assert math.isclose(got, ref, rel_tol=1e-14), (kappa, got, ref)
+
+
+def test_log_normal_exp_neg_moment_matches_tight_quad():
+    """The fixed trapezoid rule against adaptive quadrature at a tight
+    relative tolerance, for mu in [-4, 4] and sigma in [0.05, 10]. At
+    mu = 4, sigma = 0.3 the moment is about 2e-11, far below quad's default
+    absolute tolerance of 1.49e-8, so only a relative tolerance checks it."""
+    for mu in np.linspace(-4.0, 4.0, 9):
+        for sigma in (0.05, 0.3, 1.0, 2.0, 5.0, 10.0):
+            def integrand(z):
+                return math.exp(-math.exp(mu + sigma * z) - z * z / 2) / math.sqrt(2 * math.pi)
+
+            ref, _ = quad(integrand, -12, 12, epsabs=0, epsrel=1e-13, limit=2000)
+            got = DistributionSpec.log_normal(mu, sigma).exp_neg_moment()
+            assert math.isclose(got, ref, rel_tol=1e-12), (mu, sigma, got, ref)
+    # exp(omega) overflows at the top of the grid: that end adds 0, so the
+    # moment stays finite, just under P(Z < 0) = 1/2
+    assert 0.49 < DistributionSpec.log_normal(0.0, 100.0).exp_neg_moment() < 0.5
 
 
 def test_assumption_reports():
