@@ -18,8 +18,9 @@ from .potential import (AssumptionReport, DistributionSpec, PotentialField,
                         assumption_report, load_field, sample_field,
                         save_field)
 from .solver import (SolveResult, WeightedFunctionals, block_cost,
-                     exit_functional, maximal_distance, return_probability,
-                     travel_weight, visit_probabilities, weighted_functionals)
+                     exit_functional, exit_functionals, maximal_distance,
+                     raise_site, return_probability, travel_weight,
+                     visit_probabilities, weighted_functionals)
 from .oracle import (CrossingTrace, PathEnumResult, enumerate_paths,
                      sample_crossings, sample_walk_weight)
 from .lyapunov import AlphaEstimate, check_norm_properties, estimate_alpha

@@ -19,7 +19,7 @@ from .lattice import AnimalSpec, BoxRegion, enumerate_animals
 from .potential import (ZERO_LAW, PotentialField, sample_field_where,
                         sample_fields, save_field)
 from .rng import counter_uniform, derive_seed
-from .solver import exit_functional
+from .solver import exit_functional, exit_functionals
 from .stats import wilson_interval
 
 STRICTNESS_TOL = 1e-12
@@ -156,14 +156,11 @@ def chi_evaluate(field, l, kappa):
     d = field.dimension
     if not in_omega_prime(field, l, kappa):
         raise DomainError("configuration not in Omega': central cube unoccupied")
-    region = field.region
     starts = [tuple(int(v) for v in z)
               for z in BoxRegion.centered(l // 2, d).sites()]
-    best_val, best_start = -1.0, None
-    for start in starts:
-        v = exit_functional(field, region, start, ("linf", 3 * l / 4.0))
-        if v > best_val:
-            best_val, best_start = v, start
+    values = exit_functionals(field, field.region, starts, ("linf", 3 * l / 4.0))
+    best = int(np.argmax(values))  # the first maximum, in start order
+    best_val, best_start = float(values[best]), starts[best]
     # straight +e1 path from the argmax start to the crossing shell
     steps = int(math.ceil(3 * l / 4.0))
     path_omega = sum(field.value_at(

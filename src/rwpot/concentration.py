@@ -22,7 +22,7 @@ from .lattice import BoxRegion, as_point, norms
 from .potential import (PotentialField, assumption_report, fresh_site_value,
                         sample_field, sample_fields)
 from .rng import counter_uniform, derive_seed
-from .solver import travel_weight, visit_probabilities, weighted_functionals
+from .solver import raise_site, travel_weight, weighted_functionals
 from .stats import log_tail_slope, mean_ci, wilson_interval
 
 EXACT_TOL = 1e-8
@@ -307,7 +307,8 @@ class PerturbationRecord:
 
 
 def rank_one_verify(spec, x, n_trials, seed, box_factor=DEFAULT_BOX_FACTOR):
-    """Raise one site's potential and compare the exact cost change against
+    """Raise one site's potential and compare the exact cost change (in
+    closed form, from the unperturbed operator: solver.raise_site) against
     the two bounds: the visit-probability bound -log Q(H(x) <= H(y)) and the
     per-site bound sigma - omega + 1/(1 - min(e^{-omega(y)}, p_return))."""
     x = as_point(x)
@@ -324,9 +325,7 @@ def rank_one_verify(spec, x, n_trials, seed, box_factor=DEFAULT_BOX_FACTOR):
         y, sub = _draw_site(sites, sub, (trial, 0xA11CE), (origin, x))
         w_y = fld.value_at(y)
         sigma_y = w_y + fresh_site_value(spec, sub, y, trial)
-        a_orig, q = visit_probabilities(fld, region, x, [y])
-        delta = origin_cost(fld.with_value(y, sigma_y), region, x) - a_orig
-        q_y = q[y]
+        _, q_y, delta = raise_site(fld, region, x, y, sigma_y)
         bound_q = math.inf if q_y >= 1.0 else -math.log1p(-q_y)
         m = min(math.exp(-w_y), p_return)
         if d == 2 and not a3 and m >= 1.0:

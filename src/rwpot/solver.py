@@ -27,6 +27,8 @@ from .potential import ZERO_LAW, PotentialField
 RESIDUAL_TOL = 1e-9
 # omega beyond this changes no entry of P in double precision: e^{-800} is 0
 OMEGA_CAP = 800.0
+# the band of one stacked system of exit_functionals' shells: 16 MB at most
+STACK_BAND_ENTRIES = 2 ** 21
 
 
 class SiteSet:
@@ -91,18 +93,37 @@ def region_sites(region):
 
 
 def _site_set(region):
-    """The region's SiteSet; a box's is built once and shared."""
+    """The region's SiteSet; a box's is built once and shared, and a
+    SiteSet is its own."""
+    if isinstance(region, SiteSet):
+        return region
     return _box_site_set(region) if isinstance(region, BoxRegion) else SiteSet(region)
+
+
+def _frozen(ss):
+    """ss with its layout built and every array read-only, to be shared."""
+    for a in (ss.sites, ss.lo, ss.keys, ss._flat, *ss.layout()):
+        if isinstance(a, np.ndarray):
+            a.flags.writeable = False
+    return ss
 
 
 @functools.lru_cache(maxsize=4)
 def _box_site_set(box):
     """A box's SiteSet with its layout, built once and shared: read-only."""
-    ss = SiteSet(box)
-    for a in (ss.sites, ss.lo, ss.keys, ss._flat, *ss.layout()):
-        if isinstance(a, np.ndarray):
-            a.flags.writeable = False
-    return ss
+    return _frozen(SiteSet(box))
+
+
+@functools.lru_cache(maxsize=4)
+def _shell_stack(d, k, count):
+    """count copies of the box [0, 2k]^d side by side along axis 0, one
+    empty layer between neighbours, as one SiteSet (read-only, shared):
+    its operator is block diagonal, one block per box, with a box's bw."""
+    m = 2 * k + 1
+    box = BoxRegion((0,) * d, (m,) * d).sites()
+    shift = np.zeros((count, 1, d), dtype=np.int64)
+    shift[:, 0, 0] = np.arange(count) * (m + 1)
+    return _frozen(SiteSet((box + shift).reshape(-1, d)))
 
 
 def bounding_box(region):
@@ -381,20 +402,49 @@ def block_cost(field, xi, m, n, N):
 def exit_functional(field, region, start, crossing=("exit",)):
     """E^start[exp(-sum_{k<tau} omega(S_k))] with tau the exit time of the
     region ("exit") or the first l-infinity crossing at radius r
-    (("linf", r), relative to start). Value in (0, 1]."""
-    start = as_point(start)
-    if crossing[0] == "linf":
-        # the box strictly inside the shell, every site of which the region holds
-        k = int(math.ceil(float(crossing[1]))) - 1
-        shell = BoxRegion([c - k for c in start], [c + k + 1 for c in start])
-        if np.any(_site_set(region).index(shell.sites()) < 0):
-            raise DomainError("crossing shell exits the region; enlarge the field")
-        region = shell
-    elif crossing[0] != "exit":
+    (("linf", r), relative to start). Value in (0, 1]. The one-start case
+    of exit_functionals."""
+    return float(exit_functionals(field, region, [start], crossing)[0])
+
+
+def exit_functionals(field, region, starts, crossing=("exit",)):
+    """exit_functional at every start, in start order. ("exit",) reads all
+    starts from one solve. ("linf", r) solves the box strictly inside each
+    start's shell, [start - k, start + k]^d with k = ceil(r) - 1, every
+    site of which the region must hold: the boxes are translates of one, so
+    they go side by side along axis 0, an empty layer between neighbours,
+    on a field holding each box's window of omega. Its operator is block
+    diagonal with one box's bandwidth, and is solved once per
+    STACK_BAND_ENTRIES of band."""
+    d = field.dimension
+    starts = np.asarray([as_point(s) for s in starts], dtype=np.int64).reshape(-1, d)
+    if crossing[0] == "exit":
+        kw = _KilledWalk(field, region)
+        v = kw.solve(kw.exit_vector())
+        return _clip_unit(v[[kw._idx(s) for s in starts]])
+    if crossing[0] != "linf":
         raise DomainError(f"unknown crossing {crossing!r}")
-    kw = _KilledWalk(field, region)
-    v = kw.solve(kw.exit_vector())
-    return float(_clip_unit(v[kw._idx(start)]))
+    k = int(math.ceil(float(crossing[1]))) - 1
+    m = 2 * k + 1
+    box = BoxRegion((-k,) * d, (k + 1,) * d).sites()
+    per = max(1, STACK_BAND_ENTRIES // ((2 * m ** (d - 1) + 1) * len(box)))
+    inside, out = _site_set(region), []
+    for j in range(0, len(starts), per):
+        chunk = starts[j:j + per]
+        sites = (chunk[:, None] + box).reshape(-1, d)
+        if np.any(inside.index(sites) < 0):
+            raise DomainError("crossing shell exits the region; enlarge the field")
+        ss = _shell_stack(d, k, len(chunk))
+        values = np.zeros((len(chunk), m + 1) + (m,) * (d - 1))
+        values[:, :m] = field.values_at(sites).reshape((len(chunk),) + (m,) * d)
+        stacked = PotentialField(BoxRegion((0,) * d, ss.shape),
+                                 values.reshape((-1,) + (m,) * (d - 1))[:ss.shape[0]],
+                                 field.spec, field.seed)
+        kw = _KilledWalk(stacked, ss)
+        # box j is rows j |box| .. (j + 1) |box| - 1, its start the middle one
+        mid = np.arange(len(chunk)) * len(box) + len(box) // 2
+        out.append(kw.solve(kw.exit_vector())[mid])
+    return _clip_unit(np.concatenate(out))
 
 
 def return_probability(d, region):
@@ -471,13 +521,38 @@ def visit_probabilities(field, region, x, ys):
     than the full diagonal when just a few sites matter)."""
     x = as_point(x)
     res, i0, g = _tilted_walk(field, region, x)
-    kw, u = res.walk, res.e_values
-    out = {}
-    for y in map(as_point, ys):
-        iy = None if y == x else res._index(y)
-        out[y] = 0.0 if iy is None else 1.0 if iy == i0 else float(
-            _clip_unit(g[iy] / kw.diagonal([kw.keys[iy]])[0] * u[iy] / u[i0]))
-    return res.cost_at((0,) * len(x)), out
+    return res.cost_at((0,) * len(x)), {
+        y: _visit(res, i0, g, y)[0] for y in map(as_point, ys)}
+
+
+def raise_site(field, region, x, y, sigma):
+    """(a_V(0, x), q(y), the change of a_V(0, x) when omega(y) is raised to
+    sigma), from one factorization. Only departures from y change, each by
+    the factor t = e^{-(sigma - omega(y))}, so by the rank-one
+    (Sherman-Morrison) identity on the operator killed at x, with
+    G = G(y, y) and em = 1 - t, the change is
+    -log(1 - q(y) G em / (1 + (G - 1) em)). em is formed by expm1, which
+    stays exact for a small raise and is 1 for a huge one."""
+    x, y = as_point(x), as_point(y)
+    omega = field.value_at(y)
+    if not sigma >= omega:
+        raise DomainError(f"sigma {sigma!r} lies below omega(y) = {omega!r}")
+    res, i0, g = _tilted_walk(field, region, x)
+    q, G = _visit(res, i0, g, y)
+    em = -math.expm1(-(sigma - omega))
+    lost = q * G * em / (1.0 + (G - 1.0) * em)  # the share of e_V(0, x) lost
+    return res.cost_at((0,) * len(x)), q, math.inf if lost >= 1.0 else -math.log1p(-lost)
+
+
+def _visit(res, i0, g, y):
+    """(q(y), G(y, y)) on the factored operator of _tilted_walk's result
+    res (i0 the origin's index, g = G(0, .)): G by one checked column
+    solve, and q(y) = G(0, y) / G(y, y) * e_V(y, x) / e_V(0, x)."""
+    if y == res.target:
+        return 0.0, 1.0
+    iy, kw, u = res._index(y), res.walk, res.e_values
+    G = float(kw.diagonal([kw.keys[iy]])[0])
+    return 1.0 if iy == i0 else float(_clip_unit(g[iy] / G * u[iy] / u[i0])), G
 
 
 def maximal_distance(field, region, x, eta):

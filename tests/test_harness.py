@@ -236,21 +236,32 @@ def test_cli_rejects_unknown_threads_flag(tmp_path, capsys):
 
 def test_chi_supermartingale_runs_in_the_configured_dimension(tmp_path,
                                                               monkeypatch):
-    from rwpot import coarse
+    from rwpot import coarse, solver
 
     dims = []
-    exit_functional = coarse.exit_functional
+    exit_functionals = solver.exit_functionals
 
     def spy(field, *args, **kwargs):
         dims.append(field.dimension)
-        return exit_functional(field, *args, **kwargs)
+        return exit_functionals(field, *args, **kwargs)
 
-    monkeypatch.setattr(coarse, "exit_functional", spy)
+    # chi_evaluate calls coarse's name; exit_functional, solver's
+    for module in (coarse, solver):
+        monkeypatch.setattr(module, "exit_functionals", spy)
     cfg = _config("chi", geometry={"d": 3, "l": 4},
                   sampling={"seed": 3, "samples": 1, "trials": 4})
     assert run(cfg, out_dir=tmp_path).all_passed()
     assert set(dims) == {3}
-    assert len(dims) == 2 * 5 ** 3 + 4  # probe starts, then one per trial
+    assert len(dims) == 2 + 4  # one per probed field, then one per trial
+
+
+def test_default_chi_run_builds_a_handful_of_layouts(tmp_path):
+    # one layout per shape: the field box, and one stack of shells per count
+    solver_mod._box_site_set.cache_clear()
+    solver_mod._shell_stack.cache_clear()
+    assert run(cli.default_config("chi"), out_dir=tmp_path).all_passed()
+    assert solver_mod._box_site_set.cache_info().misses <= 3
+    assert solver_mod._shell_stack.cache_info().misses <= 3
 
 
 def test_cli_default_configs_cover_every_experiment():

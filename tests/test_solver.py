@@ -10,14 +10,17 @@ from rwpot.errors import DegenerateWeightError, DomainError, SolverError
 from rwpot.lattice import BoxRegion, block_sites
 from rwpot.potential import DistributionSpec, PotentialField, sample_field
 from rwpot import solver
+from rwpot.coarse import chi_region
 from rwpot.concentration import (box_return_probability, entropy_global_probe,
-                                 rank_one_verify)
+                                 pinned_return_probability, rank_one_verify)
 from rwpot.oracle import transition_matrix
 from rwpot.rng import derive_seed
 from rwpot.solver import (SiteSet, block_cost, exit_functional,
-                          maximal_distance, return_probability,
-                          travel_weight, visit_probabilities,
-                          weighted_functionals, zero_field)
+                          exit_functionals, maximal_distance, raise_site,
+                          return_probability, travel_weight,
+                          visit_probabilities, weighted_functionals,
+                          zero_field)
+from util_oracles import reference_exit_functionals, two_solve_delta
 
 TP = DistributionSpec.two_point(0.2, 1.0, 0.5)
 EXP = DistributionSpec.exponential(1.0)
@@ -151,6 +154,94 @@ def test_crossing_shell_must_fit():
     field = sample_field(TP, box, 0)
     with pytest.raises(DomainError):
         exit_functional(field, box, (0, 0), ("linf", 10.0))
+
+
+def _count_factorizations(monkeypatch):
+    """A list that gains one entry per cholesky_banded call of the solver."""
+    calls = []
+    real = solver.cholesky_banded
+    monkeypatch.setattr(solver, "cholesky_banded",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    return calls
+
+
+@pytest.mark.parametrize("d, l", [(2, 8), (3, 4)])
+def test_exit_functionals_match_one_operator_per_shell(d, l):
+    # chi's starts: every crossing shell a block of one band
+    region = chi_region(l, d)
+    field = sample_field(EXP, region, 40 + d)
+    starts = [tuple(z) for z in BoxRegion.centered(l // 2, d).sites()]
+    crossing = ("linf", 3 * l / 4)
+    got = exit_functionals(field, region, starts, crossing)
+    ref = reference_exit_functionals(field, region, starts, crossing)
+    assert np.all(np.abs(got - ref) <= 1e-15 * ref)
+    assert np.argmax(got) == np.argmax(ref)
+    one = exit_functional(field, region, starts[7], crossing)
+    assert abs(one - got[7]) <= 1e-15 * got[7]
+
+
+def test_exit_functionals_split_into_chunks_give_the_same_values(monkeypatch):
+    region = chi_region(8, 2)
+    field = sample_field(TP, region, 3)
+    starts = [tuple(z) for z in BoxRegion.centered(4, 2).sites()]
+    whole = exit_functionals(field, region, starts, ("linf", 6.0))
+    calls = _count_factorizations(monkeypatch)
+    # a shell is an 11 x 11 box with bw = 11: 23 * 121 band entries
+    monkeypatch.setattr(solver, "STACK_BAND_ENTRIES", 7 * 23 * 121 + 5)
+    chunked = exit_functionals(field, region, starts, ("linf", 6.0))
+    assert len(calls) == 12  # 81 shells, 7 to a band
+    assert np.all(np.abs(chunked - whole) <= 1e-15 * whole)
+
+
+def test_exit_functionals_read_every_start_from_one_exit_solve(monkeypatch):
+    box = BoxRegion.centered(5, 2)
+    field = sample_field(EXP, box, 8)
+    starts = box.sites()[::3]
+    calls = _count_factorizations(monkeypatch)
+    got = exit_functionals(field, box, starts)
+    assert len(calls) == 1
+    ref = reference_exit_functionals(field, box, starts, ("exit",))
+    assert np.all(np.abs(got - ref) <= 1e-15 * ref)
+
+
+def test_exit_functionals_reject_a_shell_leaving_the_region():
+    region = chi_region(8, 2)
+    field = sample_field(TP, region, 0)
+    with pytest.raises(DomainError, match="crossing shell exits"):
+        exit_functionals(field, region, [(0, 0), (6, 0)], ("linf", 6.0))
+    with pytest.raises(DomainError, match="unknown crossing"):
+        exit_functionals(field, region, [(0, 0)], ("l1", 6.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 3]), st.integers(0, 2 ** 32), st.data())
+def test_raise_site_closed_form_matches_two_solves(d, seed, data):
+    x = (2, 1, 0)[:d]
+    box = BoxRegion.centered(3, d)
+    field = sample_field(TP, box, seed)
+    sites = [tuple(int(v) for v in z) for z in box.sites() if any(z)]
+    y = data.draw(st.sampled_from(sites))
+    lift = data.draw(st.sampled_from([0.0, 1e-12, 800.0, 1e300])
+                     | st.floats(0.0, 60.0))
+    omega = field.value_at(y)
+    sigma = omega + lift
+    cost, q, delta = raise_site(field, box, x, y, sigma)
+    ref, q_ref = two_solve_delta(field, box, x, y, sigma)
+    assert abs(delta - ref) <= 1e-10
+    assert q == q_ref
+    assert cost == travel_weight(field, box, (0,) * d, x).cost_at((0,) * d)
+    # the paper's two bounds on the cost change, checked on the two solves
+    bound_q = math.inf if q_ref >= 1.0 else -math.log1p(-q_ref)
+    m = min(math.exp(-omega), pinned_return_probability(d))
+    bound_site = sigma - omega + 1.0 / (1.0 - m)
+    assert -1e-12 <= ref <= min(bound_q, bound_site) + 1e-12
+
+
+def test_raise_site_only_raises():
+    box = BoxRegion.centered(3, 2)
+    field = sample_field(TP, box, 1)
+    with pytest.raises(DomainError, match="below"):
+        raise_site(field, box, (2, 1), (1, 1), field.value_at((1, 1)) - 0.1)
 
 
 def test_return_probability_tiny_region():
@@ -394,10 +485,7 @@ def test_gauged_band_lu_matches_cholesky_solve():
 
 
 def test_weighted_functionals_and_maximal_distance_factor_once(monkeypatch):
-    calls = []
-    real = solver.cholesky_banded
-    monkeypatch.setattr(solver, "cholesky_banded",
-                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    calls = _count_factorizations(monkeypatch)
     box = BoxRegion.centered(4, 2)
     for n, seed in enumerate((1, 2, 3), start=1):
         weighted_functionals(sample_field(TP, box, seed), box, (2, 1))
@@ -409,13 +497,13 @@ def test_weighted_functionals_and_maximal_distance_factor_once(monkeypatch):
     assert len(calls) == 5
     exit_functional(field, box, (0, 0))
     assert len(calls) == 6
-    # per trial: the unperturbed operator once, for both a(0, x) and q(y),
-    # and the perturbed one once
+    # per trial: the unperturbed operator once, for a(0, x), q(y) and the
+    # closed-form change of a(0, x); the raised field is never factored
     records = rank_one_verify(TP, (2, 0, 0), 3, 1)
-    assert len(calls) == 6 + 2 * len(records) == 12
+    assert len(calls) == 6 + len(records) == 9
     # per sample: one operator gives a(0, x) and E_Q[#A]
     entropy_global_probe(TP, (2, 1), [-0.5], 3, 1)
-    assert len(calls) == 12 + 3
+    assert len(calls) == 9 + 3
 
 
 def test_site_set_rejects_duplicate_sites():

@@ -1,16 +1,22 @@
 """Independent brute-force oracles used only by the tests.
 
-These deliberately avoid the library's own algorithms: connectivity is
+Most deliberately avoid the library's own algorithms: connectivity is
 checked by flood fill over explicit subsets, travel weights are
 accumulated path by path, and crossing traces are walked one episode and
-one step at a time (sharing only the counter-based randomness).
+one step at a time (sharing only the counter-based randomness). The last
+two run the solver the slow way its batched paths replace: one operator
+per crossing shell, and one factorization per field for a raised site.
 """
 
 import math
 from itertools import combinations
 
+import numpy as np
+
 from rwpot.errors import FeasibilityError
+from rwpot.lattice import BoxRegion
 from rwpot.rng import counter_uniform
+from rwpot.solver import _KilledWalk, travel_weight, visit_probabilities
 
 
 def _l1_neighbors(cell):
@@ -124,3 +130,27 @@ def reference_crossings(field, sites, x, l, n_samples, seed,
         elif include_rejected:
             out.append((False, 0.0, (), (), len(set(path)), l))
     return out
+
+
+def reference_exit_functionals(field, region, starts, crossing):
+    """exit_functionals one start at a time, each on its own operator: the
+    region's for ("exit",), that of the box strictly inside the start's
+    l-infinity shell for ("linf", r)."""
+    out = []
+    for start in starts:
+        own = region
+        if crossing[0] == "linf":
+            k = math.ceil(crossing[1]) - 1
+            own = BoxRegion([c - k for c in start], [c + k + 1 for c in start])
+        kw = _KilledWalk(field, own)
+        out.append(kw.solve(kw.exit_vector())[kw._idx(start)])
+    return np.asarray(out)
+
+
+def two_solve_delta(field, region, x, y, sigma):
+    """(a(0, x) after raising omega(y) to sigma, minus a(0, x); q(y)): the
+    cost change from two factorizations, the field's and the raised one's."""
+    origin = (0,) * len(x)
+    cost, q = visit_probabilities(field, region, x, [y])
+    raised = travel_weight(field.with_value(y, sigma), region, origin, x)
+    return raised.cost_at(origin) - cost, q[tuple(y)]
