@@ -20,7 +20,8 @@ from rwpot.solver import (SiteSet, block_cost, exit_functional,
                           return_probability, travel_weight,
                           visit_probabilities, weighted_functionals,
                           zero_field)
-from util_oracles import reference_exit_functionals, two_solve_delta
+from util_oracles import (reference_exit_functionals, reference_green_diagonal,
+                          two_solve_delta)
 
 TP = DistributionSpec.two_point(0.2, 1.0, 0.5)
 EXP = DistributionSpec.exponential(1.0)
@@ -115,11 +116,46 @@ def test_underflow_rescale_recovers_cost_in_log_space(monkeypatch):
     # the weighted measure needs the plain weight, log space or not
     with pytest.raises(DegenerateWeightError):
         weighted_functionals(field, strip, (25, 0))
-    # the log-space solve is residual-checked like every other
+    # the log-space solve, run on the first read of a log value, is
+    # residual-checked like every other
     real = solver.solve_banded
     monkeypatch.setattr(solver, "solve_banded", lambda *a, **k: real(*a, **k) * (1 + 1e-6))
+    res = travel_weight(field, strip, (0, 0), (25, 0))
     with pytest.raises(SolverError):
-        travel_weight(field, strip, (0, 0), (25, 0))
+        res.cost_at((0, 0))
+
+
+def _hot_strip():
+    """omega = 60 on a strip, target (25, 0): e_V(0, x) underflows."""
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        hot = DistributionSpec.constant(60.0)
+    strip = BoxRegion((-1, -1), (26, 2))
+    return strip, sample_field(hot, strip, 0)
+
+
+def test_weighted_measure_skips_the_log_space_solve_it_cannot_use(monkeypatch):
+    strip, field = _hot_strip()
+    calls = []
+    real = solver._KilledWalk.log_kill_weight
+    monkeypatch.setattr(solver._KilledWalk, "log_kill_weight",
+                        lambda kw, g: calls.append(g) or real(kw, g))
+    x = (25, 0)
+    with pytest.raises(DegenerateWeightError):
+        weighted_functionals(field, strip, x)
+    with pytest.raises(DegenerateWeightError):
+        visit_probabilities(field, strip, x, [(3, 0)])
+    with pytest.raises(DegenerateWeightError):
+        raise_site(field, strip, x, (3, 0), 70.0)
+    assert calls == []
+    # a reader of the cost runs it, once
+    res = travel_weight(field, strip, (0, 0), x)
+    assert calls == []
+    res.cost_at((0, 0))
+    res.cost_at((1, 0))
+    assert len(calls) == 1
 
 
 def test_block_cost_subadditive_and_monotone_in_width():
@@ -330,7 +366,7 @@ def test_maximal_distance_ball_must_fit():
 def test_residual_guard_rejects_a_bad_solve(monkeypatch):
     real = solver.cho_solve_banded
     monkeypatch.setattr(solver, "cho_solve_banded",
-                        lambda factor, b: real(factor, b) + 1e-6)
+                        lambda *a, **k: real(*a, **k) + 1e-6)
     box = BoxRegion.centered(3, 2)
     field = sample_field(TP, box, 1)
     with pytest.raises(SolverError):
@@ -367,6 +403,20 @@ def test_residual_check_rejects_nan():
     with pytest.raises(SolverError):
         kw.check(np.full(len(kw.ss), np.nan), b)
     assert kw.residual == 0.0
+
+
+def test_solve_skips_the_finite_check_and_rejects_a_nan_solution(monkeypatch):
+    seen = []
+
+    def nan_solve(cb, b, **kwargs):
+        seen.append(kwargs)
+        return np.full_like(b, np.nan)
+
+    monkeypatch.setattr(solver, "cho_solve_banded", nan_solve)
+    box = BoxRegion.centered(3, 2)
+    with pytest.raises(SolverError, match="residual nan"):
+        travel_weight(sample_field(TP, box, 1), box, (0, 0), (2, 0))
+    assert seen == [{"check_finite": False}]
 
 
 def _dense_operator(kw):
@@ -449,6 +499,65 @@ def _huge_potential_field():
 def _assert_close(a, b, rel):
     a, b = np.asarray(a), np.asarray(b)
     assert np.all(np.abs(a - b) <= rel * np.abs(b)), np.abs(a - b).max()
+
+
+def _assert_blocked_diagonal_matches_the_scalar_recurrence(kw, pad=0):
+    """The blocked kernel against the one-index-at-a-time recurrence, on
+    the operator's factor and on the same factor stored with pad extra zero
+    band rows (a declared bandwidth up to beyond the order n)."""
+    factor = kw._factor()
+    ref = reference_green_diagonal(factor)
+    assert np.all(ref > 0)
+    wide = np.asfortranarray(np.vstack([factor, np.zeros((pad, factor.shape[1]))]))
+    for f in (factor, wide):
+        _assert_close(solver._takahashi_diagonal(f), ref, 1e-13)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3]), st.data())
+def test_blocked_green_diagonal_matches_the_scalar_recurrence(d, data):
+    # random site sets of d=2 and d=3 boxes (holes make thin bands, and
+    # sites with no neighbor bw = 0), random fields, an optional kill row,
+    # and n from below one block of bw + 1 rows to several with a short last
+    shape = tuple(data.draw(st.integers(1, 8 if d == 2 else 5)) for _ in range(d))
+    box = BoxRegion((0,) * d, shape)
+    grid = box.sites()
+    keep = data.draw(st.lists(st.booleans(), min_size=len(grid), max_size=len(grid)))
+    sites = grid[np.asarray(keep)] if any(keep) else grid[:1]
+    vals = data.draw(st.lists(st.floats(0.0, 40.0), min_size=len(grid), max_size=len(grid)))
+    field = PotentialField(box, np.reshape(vals, shape), EXP, 0)
+    kill = data.draw(st.none() | st.sampled_from([tuple(int(c) for c in z) for z in sites]))
+    kw = solver._KilledWalk(field, sites, kill=kill)
+    _assert_blocked_diagonal_matches_the_scalar_recurrence(kw, data.draw(st.integers(0, 12)))
+
+
+def test_blocked_green_diagonal_edge_cases_and_the_huge_field():
+    # bw = 0: sites two apart along one axis, no two neighbors
+    line = np.column_stack([np.arange(0, 14, 2), np.zeros(7, dtype=np.int64)])
+    kw = solver._KilledWalk(zero_field(2, line), line)
+    assert kw.bw == 0
+    _assert_blocked_diagonal_matches_the_scalar_recurrence(kw, pad=9)
+    assert np.allclose(kw.diagonal(), 1.0)
+    # one block (n = bw + 1), and n not a multiple of bw + 1, with a kill row
+    for box, kill in ((BoxRegion((0, 0), (2, 1)), None),
+                      (BoxRegion((0, 0), (7, 5)), (3, 2)),
+                      (BoxRegion((0, 0, 0), (5, 3, 4)), (1, 1, 1))):
+        kw = solver._KilledWalk(sample_field(TP, box, 2), box, kill=kill)
+        assert box.site_count == kw.bw + 1 or box.site_count % (kw.bw + 1) != 0
+        _assert_blocked_diagonal_matches_the_scalar_recurrence(kw)
+    # e^{-omega} underflows at 750 and 1e4, e^{omega} overflows at 1e300
+    box, field = _huge_potential_field()
+    for kill in (None, (3, 1)):
+        _assert_blocked_diagonal_matches_the_scalar_recurrence(
+            solver._KilledWalk(field, box, kill=kill))
+
+
+def test_blocked_green_diagonal_rejects_a_singular_block():
+    box = BoxRegion.centered(3, 2)
+    factor = solver._KilledWalk(sample_field(TP, box, 1), box)._factor().copy(order="F")
+    factor[0, 20] = 0.0
+    with pytest.raises(SolverError, match="singular"):
+        solver._takahashi_diagonal(factor)
 
 
 def test_band_solves_match_dense_solve_across_the_potential_domain():

@@ -5,7 +5,8 @@ checked by flood fill over explicit subsets, travel weights are
 accumulated path by path, and crossing traces are walked one episode and
 one step at a time (sharing only the counter-based randomness). The last
 two run the solver the slow way its batched paths replace: one operator
-per crossing shell, and one factorization per field for a raised site.
+per crossing shell, and one factorization per field for a raised site;
+the Green diagonal is also inverted the slow way, one index at a time.
 """
 
 import math
@@ -154,3 +155,33 @@ def two_solve_delta(field, region, x, y, sigma):
     cost, q = visit_probabilities(field, region, x, [y])
     raised = travel_weight(field.with_value(y, sigma), region, origin, x)
     return raised.cost_at(origin) - cost, q[tuple(y)]
+
+
+def reference_green_diagonal(factor):
+    """diag((L L^T)^{-1}) from L in lower band storage, factor[a, j] =
+    L[j + a, j], one index at a time (Takahashi, Fagan & Chen, 1973). With
+    Z = (L L^T)^{-1}:
+
+        Z[k, i] = -sum_{j > i} Z[k, j] L[j, i] / L[i, i]        (k > i)
+        Z[i, i] = (1 / L[i, i] - sum_{j > i} L[j, i] Z[j, i]) / L[i, i]
+
+    and every sum runs over the bw = len(factor) - 1 indices after i, so
+    going backwards only a (bw+1)^2 window of Z is kept: Z[j, j'] sits in
+    window[j % (bw+1), j' % (bw+1)]. The slot of index i holds the stale
+    index i + bw + 1 until it is overwritten, and meets a zero weight."""
+    m, n = factor.shape
+    window = np.zeros((m, m))
+    col = np.zeros(m)
+    ring = np.arange(m)
+    out = np.empty(n)
+    for i in range(n - 1, -1, -1):
+        p = i % m
+        col[(p + ring) % m] = factor[:, i]
+        col[p] = 0.0
+        lii = factor[0, i]
+        z = window @ col
+        z /= -lii
+        window[p] = z
+        window[:, p] = z
+        out[i] = window[p, p] = (1.0 / lii - col @ z) / lii
+    return out
