@@ -10,10 +10,10 @@ a grid band with a Dirichlet row (the region's sites in row-major order,
 assembled from the strides of their bounding-box grid, the kill site a
 decoupled unit row), factored once by banded Cholesky for every solve and
 for the Green diagonal G(y, y): Takahashi's selected inversion in blocked
-form, n/bw steps of bw x bw products, O(n bw^2) time and O(bw^2) working
-memory, every product on scipy's BLAS (numpy's @ would bring a second
-OpenBLAS thread pool into the loop). Band LU runs only inside the
-log-space fallback, _KilledWalk.log_kill_weight.
+form, n/(bw+1) steps of (bw+1)-square products, O(n bw^2) time and
+O(bw^2) working memory, every product on scipy's BLAS (numpy's @ would
+bring a second OpenBLAS thread pool into the loop). Band LU runs only
+inside the log-space fallback, _KilledWalk.log_kill_weight.
 """
 
 import functools
@@ -281,8 +281,9 @@ class _KilledWalk:
         """G(y, y) for the given rows (all of them by default; the
         Dirichlet row has 1). One id costs one checked column solve; more
         come from blocked selected inversion of the Cholesky factor of T,
-        which has the diagonal of A^{-1}: n/bw steps of bw x bw BLAS-3
-        products on scipy's BLAS, O(n bw^2) time and O(bw^2) working memory."""
+        which has the diagonal of A^{-1}: n/(bw+1) steps of (bw+1)-square
+        BLAS-3 products on scipy's BLAS, O(n bw^2) time and O(bw^2) working
+        memory."""
         ids = np.arange(len(self.omega)) if ids is None else np.asarray(ids)
         if len(ids) == 1:
             return self.solve(self._unit(ids[0]))[ids]
@@ -320,6 +321,7 @@ def _takahashi_diagonal(factor):
     # L[s + r, s + c] lies at s m + r + c (m - 1) of the column-major band
     flat = factor.ravel(order="F")
     at = np.arange(m) + (m - 1) * np.arange(m)[:, None]  # [c, r]
+    below = np.tri(m, m, -1)  # B_i[r, c] is in the band for r < c only
     out = np.empty(n)
     z = None
     for s in range((n - 1) // m * m, -1, -m):
@@ -330,7 +332,7 @@ def _takahashi_diagonal(factor):
             raise SolverError(f"Cholesky block at row {s} is singular (dtrtri info {info})")
         y = np.eye(k, order="F")
         if z is not None:
-            b = np.tril(flat[s * m + k + at[:k, :len(z)]], -1).T
+            b = (flat[s * m + k + at[:k, :len(z)]] * below[:k, :len(z)]).T
             y = dgemm(1.0, b, dgemm(1.0, z, b), beta=1.0, c=y, trans_a=1, overwrite_c=1)
         z = dtrmm(1.0, x, dtrmm(1.0, x, y, side=1, lower=1, overwrite_b=1),
                   lower=1, trans_a=1, overwrite_b=1)

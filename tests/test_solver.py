@@ -100,14 +100,19 @@ def test_taboo_reduces_weight():
         travel_weight(field, box, (0, 0), (2, 0), taboo=[(2, 0)])
 
 
-def test_underflow_rescale_recovers_cost_in_log_space(monkeypatch):
+def _hot_strip():
+    """omega = 60 on a strip, target (25, 0): e_V(0, x) underflows."""
     import warnings
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         hot = DistributionSpec.constant(60.0)
     strip = BoxRegion((-1, -1), (26, 2))
-    field = sample_field(hot, strip, 0)
+    return strip, sample_field(hot, strip, 0)
+
+
+def test_underflow_rescale_recovers_cost_in_log_space(monkeypatch):
+    strip, field = _hot_strip()
     res = travel_weight(field, strip, (0, 0), (25, 0))
     assert res.e_at((0, 0)) == 0.0  # double precision cannot hold it
     cost = res.cost_at((0, 0))
@@ -123,17 +128,6 @@ def test_underflow_rescale_recovers_cost_in_log_space(monkeypatch):
     res = travel_weight(field, strip, (0, 0), (25, 0))
     with pytest.raises(SolverError):
         res.cost_at((0, 0))
-
-
-def _hot_strip():
-    """omega = 60 on a strip, target (25, 0): e_V(0, x) underflows."""
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        hot = DistributionSpec.constant(60.0)
-    strip = BoxRegion((-1, -1), (26, 2))
-    return strip, sample_field(hot, strip, 0)
 
 
 def test_weighted_measure_skips_the_log_space_solve_it_cannot_use(monkeypatch):
