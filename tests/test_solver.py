@@ -511,8 +511,9 @@ def _assert_blocked_diagonal_matches_the_scalar_recurrence(kw, pad=0):
 @given(st.sampled_from([2, 3]), st.data())
 def test_blocked_green_diagonal_matches_the_scalar_recurrence(d, data):
     # random site sets of d=2 and d=3 boxes (holes make thin bands, and
-    # sites with no neighbor bw = 0), random fields, an optional kill row,
-    # and n from below one block of bw + 1 rows to several with a short last
+    # sites with no neighbor bw = 0), random fields and an optional kill
+    # row: n runs from one block of bw + 1 rows to several with a short
+    # last, and the padded copy declares a bandwidth beyond n
     shape = tuple(data.draw(st.integers(1, 8 if d == 2 else 5)) for _ in range(d))
     box = BoxRegion((0,) * d, shape)
     grid = box.sites()
