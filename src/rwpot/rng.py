@@ -15,6 +15,7 @@ _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
 _INV_2_53 = float(2.0**-53)
+_MASK = (1 << 64) - 1
 
 
 def _mix(h):
@@ -54,6 +55,20 @@ def counter_uniform(seed, counters):
     return ((h >> np.uint64(11)).astype(np.float64) + 0.5) * _INV_2_53
 
 
+def _mix_int(h):
+    """_mix on one word held in a Python int."""
+    h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9 & _MASK
+    h = (h ^ (h >> 27)) * 0x94D049BB133111EB & _MASK
+    return h ^ (h >> 31)
+
+
 def derive_seed(seed, *tags):
-    """A fresh 64-bit seed for a named substream (e.g. per sample index)."""
-    return int(counter_hash(seed, np.asarray(list(tags), dtype=np.int64)))
+    """A fresh 64-bit seed for a named substream (e.g. per sample index):
+    int(counter_hash(seed, tags)) for int64 tags, computed on Python ints,
+    which is several times faster than numpy arrays for one tuple."""
+    h = seed % (1 << 64) ^ 0x9E3779B97F4A7C15
+    for j, tag in enumerate(map(int, tags), start=1):
+        if not -(1 << 63) <= tag < 1 << 63:
+            raise OverflowError(f"tag {tag} does not fit in int64")
+        h = _mix_int(h + 0x9E3779B97F4A7C15 * j + tag & _MASK)
+    return _mix_int(h)

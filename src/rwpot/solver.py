@@ -7,16 +7,21 @@ the matrix I - P, where P[z, z'] = exp(-omega(z))/(2d) for lattice neighbors
 z, z' inside the active set; P is a substochastic M-matrix on any finite box,
 so the systems are nonsingular. Every system is one operator, _KilledWalk:
 a grid band with a Dirichlet row (the region's sites in row-major order,
-assembled from the strides of their bounding-box grid, the kill site a
-decoupled unit row), factored once by banded Cholesky for every solve and
-for the Green diagonal G(y, y): Takahashi's selected inversion in blocked
-form, n/(bw+1) steps of (bw+1)-square products, O(n bw^2) time and
-O(bw^2) working memory, every product on scipy's BLAS (numpy's @ would
-bring a second OpenBLAS thread pool into the loop). Band LU runs only
-inside the log-space fallback, _KilledWalk.log_kill_weight.
+neighbors at the strides of their bounding-box grid, the kill site a
+decoupled unit row). The lattice is bipartite, so the symmetrized operator
+has an identity block on each colour (the parity of the coordinate sum),
+and the exact Schur complement S on one colour has half the rows at the
+same bandwidth. S alone is factored, once, by banded Cholesky, for every
+solve and for the Green diagonal G(y, y) of both colours: Takahashi's
+selected inversion of S in blocked form, n/(bw+1) steps of (bw+1)-square
+products, O(n bw^2) time and O(bw^2) working memory, every product on
+scipy's BLAS (numpy's @ would bring a second OpenBLAS thread pool into the
+loop). Band LU of the full operator runs only inside the log-space
+fallback, _KilledWalk.log_kill_weight.
 """
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -32,7 +37,8 @@ from .potential import ZERO_LAW, PotentialField
 RESIDUAL_TOL = 1e-9
 # omega beyond this changes no entry of P in double precision: e^{-800} is 0
 OMEGA_CAP = 800.0
-# the band of one stacked system of exit_functionals' shells: 16 MB at most
+# T's band of one stacked system of exit_functionals' shells, 16 MB at most:
+# a bound on the size of one system, whose S band takes about a quarter
 STACK_BAND_ENTRIES = 2 ** 21
 
 
@@ -53,25 +59,65 @@ class SiteSet:
         self._flat[self.keys] = rank = np.arange(len(sites))
         if np.any(self._flat[self.keys] != rank):  # equal sites keep one point
             raise DomainError("duplicate sites in region")
-        self._layout = None
+        self._layout = self._colours = None
 
     def layout(self):
-        """(site, rows, bw, r, c, lo, up), built on first use, for the sites in
-        row-major order: site masks the grid, site i is row rows[i], r > c are
-        the rows of each neighbor pair, and lo, up the flat slots of M[r, c],
-        M[c, r] in a (2 bw + 1, n) band, bw the largest gap r - c."""
+        """(at, rows, bw, r, c, lo, up), built on first use with colours(),
+        for the sites in row-major order: row j is the grid point at[j],
+        site i is row rows[i], r > c are the rows of each neighbor pair, and
+        lo, up the flat slots of M[r, c], M[c, r] in a (2 bw + 1, n) band,
+        bw the largest gap r - c."""
         if self._layout is None:
-            site, pairs, g = self._flat >= 0, [], len(self._flat)
-            grid_row = np.cumsum(site) - 1
-            for k, m in enumerate(self.shape):  # grid points z, z + s_k that are sites
-                s = int(np.prod(self.shape[k + 1:]))
-                c = np.flatnonzero(site[:g - s] & site[s:] & (np.arange(g - s) // s % m < m - 1))
-                pairs.append((grid_row[c + s], grid_row[c]))
+            n, order = len(self), np.argsort(self.keys)
+            rows = np.empty(n, dtype=np.int64)
+            rows[order] = np.arange(n)
+            at, by_row, pairs = self.keys[order], self.sites[order] - self.lo, []
+            for k, m in enumerate(self.shape):  # rows z whose z + e_k is a site
+                c = np.flatnonzero(by_row[:, k] < m - 1)
+                i = self._flat[at[c] + math.prod(self.shape[k + 1:])]
+                pairs.append((rows[i[i >= 0]], c[i >= 0]))  # i = -1: no site
             r, c = (np.concatenate(v) for v in zip(*pairs))
-            bw, n = int((r - c).max(initial=0)), len(self)
-            self._layout = (site, grid_row[self.keys], bw, r, c,
-                            (bw + r - c) * n + c, (bw + c - r) * n + r)
+            axis = np.repeat(np.arange(self.d), [len(p[1]) for p in pairs])
+            bw = int((r - c).max(initial=0))
+            self._layout = (at, rows, bw, r, c, (bw + r - c) * n + c, (bw + c - r) * n + r)
+            self._colours = self._colouring(by_row, r, c, axis)
         return self._layout
+
+    def colours(self):
+        """(ev, od, pe, po, bw, e1, e2, slot), built on first use with
+        layout(). The lattice is bipartite: ev are the rows of row 0's
+        colour (the parity of the coordinate sum), od the others, both
+        ascending, and neighbor pair p of the layout joins ev[pe[p]] and
+        od[po[p]]. The two-step paths ev[a] - o - ev[b], a != b, through a
+        row o of od are the pairs e1 - e2, each listed once (a < b or
+        a > b), and slot is the flat slot of S[max(a, b), min(a, b)] in the
+        Fortran-ordered lower band (bw + 1, len(ev)) of a matrix S on ev."""
+        self.layout()
+        return self._colours
+
+    def _colouring(self, by_row, r, c, axis):
+        """colours() from the sites by row and the rows and axis of each
+        neighbor pair."""
+        n, d = by_row.shape
+        par = by_row.sum(axis=1) & 1
+        first = par == par[0]
+        seen = np.cumsum(first)
+        rank = np.where(first, seen - 1, np.arange(n) - seen)  # in its colour
+        up = first[r]  # the pair's first-colour end is r
+        pe, po = rank[np.where(up, r, c)], rank[np.where(up, c, r)]
+        # each od row's pairs, one column per direction (axis, side), and
+        # the paths through it: two of its columns, both holding a pair
+        table = np.full((n - int(seen[-1]), 2 * d), len(r))
+        table[po, 2 * axis + up] = np.arange(len(r))
+        i, j = np.array(list(itertools.combinations(range(2 * d), 2))).T
+        e1, e2 = table[:, i].ravel(), table[:, j].ravel()
+        keep = np.maximum(e1, e2) < len(r)
+        e1, e2 = e1[keep], e2[keep]
+        a, b = pe[e1], pe[e2]
+        gap = np.abs(a - b)
+        bw = int(gap.max(initial=0))
+        return (np.flatnonzero(first), np.flatnonzero(~first), pe, po, bw, e1, e2,
+                gap + np.minimum(a, b) * (bw + 1))
 
     def __len__(self):
         return len(self.sites)
@@ -107,7 +153,7 @@ def _site_set(region):
 
 def _frozen(ss):
     """ss with its layout built and every array read-only, to be shared."""
-    for a in (ss.sites, ss.lo, ss.keys, ss._flat, *ss.layout()):
+    for a in (ss.sites, ss.lo, ss.keys, ss._flat, *ss.layout(), *ss.colours()):
         if isinstance(a, np.ndarray):
             a.flags.writeable = False
     return ss
@@ -162,13 +208,21 @@ class _KilledWalk:
     diagonal and zero row and column: a right-hand side vanishing there gives
     a solution vanishing there. Vectors are indexed by row.
 
-    A is stored once, as the symmetric T = e^{h} A e^{-h} = W^{-1/2} A W^{1/2},
-    h = omega/2, W = diag(e^{-omega}/2d), in LAPACK general band storage: unit
-    diagonal and T[z, z'] = -e^{-(omega(z) + omega(z'))/2}/2d. T is factored
-    once, on first use, by banded Cholesky, and A x = b is solved as
-    s T^{-1}(b / s), s = e^{-h}. omega is capped at OMEGA_CAP in h and the
-    band, where e^{-omega}/2d is already 0. The log-space fallback,
-    log_kill_weight, conjugates A by a log-scale of its own instead.
+    A is held as the symmetric T = e^{h} A e^{-h} = W^{-1/2} A W^{1/2} = I - K,
+    h = omega/2, W = diag(e^{-omega}/2d), by its pair weights: coupling[p] =
+    K[r, c] = K[c, r] = e^{-(omega(r) + omega(c))/2}/2d for the neighbor pair
+    p = (r, c) of two active sites. A x = b is solved as s T^{-1}(b / s),
+    s = e^{-h}. omega is capped at OMEGA_CAP in h and K, where e^{-omega}/2d
+    is already 0.
+
+    Neighbors differ in colour (the parity of the coordinate sum), so on the
+    colours of SiteSet.colours, e that of row 0 and o the other,
+    T = [[I, -K_eo], [-K_oe, I]]. T u = f is solved through the Schur
+    complement S = I - K_eo K_oe on the rows of e, which keeps T's bandwidth
+    in half its rows: S u_e = f_e + K_eo f_o, then u_o = f_o + K_oe u_e. S is
+    assembled and factored once, on first use, by banded Cholesky. The
+    log-space fallback, log_kill_weight, conjugates A by a log-scale of its
+    own and solves the full band by LU instead.
     """
 
     def __init__(self, field, region, kill=None):
@@ -176,8 +230,9 @@ class _KilledWalk:
         at = ss.lo - np.asarray(field.region.lo)
         if np.any(at < 0) or np.any(at + ss.shape > field.region.shape):
             raise DomainError("some sites lie outside the field region")
-        site, self.keys, self.bw, r, c, lo, up = self.layout = ss.layout()
-        self.omega = field.values[tuple(slice(a, a + m) for a, m in zip(at, ss.shape))].ravel()[site]
+        grid, self.keys, self.bw, r, c, _, _ = self.layout = ss.layout()
+        self.colours = ss.colours()
+        self.omega = field.values[tuple(slice(a, a + m) for a, m in zip(at, ss.shape))].ravel()[grid]
         self.active = np.ones(len(ss), dtype=bool)
         if kill is not None:
             i = ss.index_one(as_point(kill))
@@ -186,27 +241,25 @@ class _KilledWalk:
             self._kill = int(self.keys[i])
             self.active[self._kill] = False
         w = np.minimum(self.omega, OMEGA_CAP)
-        self.scale, self.band = np.exp(-w / 2), self._band(w / 2, w)
+        self.scale = np.exp(-w / 2)
+        # only pairs of two active sites couple
+        self.coupling = ((self.active[r] & self.active[c]) * np.exp(-(w[r] + w[c]) / 2)
+                         / (2.0 * ss.d))
         self.residual = 0.0
         self._cholesky = None  # factored on first use, by _factor
 
-    def _band(self, h, w):
-        """e^{h} A e^{-h} with steps e^{-w}/2d: band[bw + r - c, c] holds
-        entry [r, c], and rows bw.. are Cholesky's lower storage."""
-        _, _, bw, r, c, lo, up = self.layout
-        band = np.zeros((2 * bw + 1, len(self.omega)))
-        band[bw] = 1.0
-        flat = band.reshape(-1)
-        # only pairs of two active sites couple
-        edge, dh = self.active[r] & self.active[c], h[r] - h[c]
-        flat[lo] = np.where(edge, -np.exp(dh - w[r]), 0.0) / (2.0 * self.ss.d)
-        flat[up] = np.where(edge, -np.exp(-dh - w[c]), 0.0) / (2.0 * self.ss.d)
-        return band
-
     def _factor(self):
+        """The banded Cholesky factor of S = I - K_eo K_oe, factored in place
+        in its Fortran-ordered lower band: S[a, a] = 1 - sum K_ao^2 over the
+        pairs at a, and S[a, b] = -sum K_ao K_ob over the paths a - o - b."""
         if self._cholesky is None:
-            self._cholesky = cholesky_banded(self.band[self.bw:], lower=True,
-                                             check_finite=False)
+            ev, _, pe, _, bw, e1, e2, slot = self.colours
+            k = self.coupling
+            # float even with no path, when bincount would give ints
+            flat = np.bincount(slot, -(k[e1] * k[e2]), len(ev) * (bw + 1)).astype(float, copy=False)
+            flat[::bw + 1] = 1.0 - np.bincount(pe, k * k, len(ev))
+            self._cholesky = cholesky_banded(flat.reshape(-1, bw + 1).T, lower=True,
+                                             overwrite_ab=True, check_finite=False)
         return self._cholesky
 
     def _frame(self, trans):
@@ -216,22 +269,29 @@ class _KilledWalk:
     def solve(self, b, trans="N"):
         """A^{-1} b, or A^{-T} b for trans="T", with its residual checked."""
         s = self._frame(trans)
+        f = b / s
+        ev, od, pe, po = self.colours[:4]
+        k, fo = self.coupling, f[od]
         # no finite check: the residual check rejects a NaN or inf solution
-        v = cho_solve_banded((self._factor(), True), b / s, check_finite=False)
+        ue = cho_solve_banded((self._factor(), True),
+                              f[ev] + np.bincount(pe, k * fo[po], len(ev)), check_finite=False)
+        v = np.empty_like(f)
+        v[ev] = ue
+        v[od] = fo + np.bincount(po, k * ue[pe], len(od))
         return self.check(s * v, b, trans)
 
     def check(self, x, b, trans="N"):
         """Return x after raising SolverError if the residual of A x = b
         (A^T x = b for trans="T") exceeds RESIDUAL_TOL; record the worst."""
-        return self._check(self.band, self._frame(trans), x, b)
+        return self._check(self._frame(trans), x, b, self.coupling, self.coupling)
 
-    def _check(self, band, s, x, b):
-        """check for the operator s M s^{-1}, M in band storage."""
+    def _check(self, s, x, b, lower, upper):
+        """check for the operator s (I - N) s^{-1}, N[r, c] = lower and
+        N[c, r] = upper at each neighbor pair (r, c) and 0 elsewhere."""
         v = x / s
-        _, _, bw, r, c, lo, up = self.layout
-        flat, n = band.reshape(-1), len(v)
-        Mv = (band[bw] * v + np.bincount(r, flat[lo] * v[c], minlength=n)
-              + np.bincount(c, flat[up] * v[r], minlength=n))
+        r, c = self.layout[3:5]
+        n = len(v)
+        Mv = v - np.bincount(r, lower * v[c], minlength=n) - np.bincount(c, upper * v[r], minlength=n)
         resid = float(np.abs(s * Mv - b).max(initial=0.0))
         if not resid <= RESIDUAL_TOL * max(1.0, float(np.abs(b).max(initial=0.0))):
             raise SolverError(f"residual {resid:.3e} exceeds tolerance {RESIDUAL_TOL:.0e}")
@@ -242,12 +302,20 @@ class _KilledWalk:
         """log e(., kill) by row, from B = e^{g} A e^{-g} (omega uncapped)
         solved for e^{g} e(., kill): a log-scale g per row that tracks the
         decay of e keeps that solution representable where e underflows. B
-        is not symmetric, so it is solved by band LU; the residual is checked."""
-        band = self._band(g, self.omega)
+        is not symmetric, so its full band is solved by band LU; the
+        residual is checked."""
+        bw, r, c, lo, up = self.layout[2:]
+        edge, dh, d2 = self.active[r] & self.active[c], g[r] - g[c], 2.0 * self.ss.d
+        lower = np.where(edge, np.exp(dh - self.omega[r]), 0.0) / d2
+        upper = np.where(edge, np.exp(-dh - self.omega[c]), 0.0) / d2
+        band = np.zeros((2 * bw + 1, len(self.omega)))
+        band[bw] = 1.0
+        flat = band.reshape(-1)  # band[bw + r - c, c] holds entry [r, c]
+        flat[lo], flat[up] = -lower, -upper
         with np.errstate(divide="ignore", invalid="ignore"):
             b = self.kill_vector(g)
-            v = solve_banded((self.bw, self.bw), band, b, check_finite=False)
-            return np.log(self._check(band, 1.0, v, b)) - g
+            v = solve_banded((bw, bw), band, b, check_finite=False)
+            return np.log(self._check(1.0, v, b, lower, upper)) - g
 
     def kill_vector(self, g=None):
         """P[z, kill] (times e^{g(z)} for a log-scale g): with it, solve
@@ -279,15 +347,24 @@ class _KilledWalk:
 
     def diagonal(self, ids=None):
         """G(y, y) for the given rows (all of them by default; the
-        Dirichlet row has 1). One id costs one checked column solve; more
-        come from blocked selected inversion of the Cholesky factor of T,
-        which has the diagonal of A^{-1}: n/(bw+1) steps of (bw+1)-square
-        BLAS-3 products on scipy's BLAS, O(n bw^2) time and O(bw^2) working
-        memory."""
+        Dirichlet row has 1). One id costs one checked column solve. More
+        come from Z = S^{-1} on the band of S's Cholesky factor, by one
+        selected inversion, since T^{-1} = [[Z, Z K_eo], [K_oe Z,
+        I + K_oe Z K_eo]]: G(a, a) = Z[a, a] on the rows of e, and on a row
+        o of the other colour G(o, o) = 1 + sum K_oa K_ob Z[a, b] over the
+        neighbors a, b of o, every Z[a, b] of which is in the band: a = b
+        once for each pair at o, and a != b twice for each path a - o - b."""
         ids = np.arange(len(self.omega)) if ids is None else np.asarray(ids)
         if len(ids) == 1:
             return self.solve(self._unit(ids[0]))[ids]
-        return _takahashi_diagonal(self._factor())[ids]
+        ev, od, pe, po, _, e1, e2, slot = self.colours
+        z, k = _selected_inverse(self._factor()), self.coupling
+        paths = k[e1] * k[e2] * z.ravel(order="F")[slot]
+        g = np.empty(len(self.omega))
+        g[ev] = z[0]
+        g[od] = (1.0 + np.bincount(po, k * k * z[0, pe], len(od))
+                 + 2.0 * np.bincount(po[e1], paths, len(od)))
+        return g[ids]
 
     def _idx(self, p):
         """The row of an active site p."""
@@ -297,20 +374,23 @@ class _KilledWalk:
         return int(self.keys[i])
 
 
-def _takahashi_diagonal(factor):
-    """diag((L L^T)^{-1}) from L in lower band storage, factor[a, j] =
-    L[j + a, j], by blocked selected inversion (Takahashi, Fagan & Chen,
-    1973; Erisman & Tinney, 1975). In blocks of m = bw + 1 rows (the last
-    may be short) L is block lower bidiagonal: lower triangular diagonal
-    blocks D_i and strictly upper triangular blocks B_i = L[i+1, i] below
-    them. Going backwards with X_i = D_i^{-1}, the diagonal blocks of
-    Z = (L L^T)^{-1} are
+def _selected_inverse(factor):
+    """Z = (L L^T)^{-1} on the band of L, in L's lower band storage
+    factor[a, j] = L[j + a, j], by blocked selected inversion (Takahashi,
+    Fagan & Chen, 1973; Erisman & Tinney, 1975). In blocks of m = bw + 1
+    rows (the last may be short) L is block lower bidiagonal: lower
+    triangular diagonal blocks D_i and strictly upper triangular blocks
+    B_i = L[i+1, i] below them. Going backwards with X_i = D_i^{-1}, the
+    blocks of Z that meet the band are
 
+        Z_{i+1,i} = -Z_{i+1,i+1} B_i X_i,
         Z_ii = X_i^T (I + B_i^T Z_{i+1,i+1} B_i) X_i,     Z_KK = X_K^T X_K,
 
-    so n/m steps of a few m x m products, O(n bw^2) time, and only Z_{i+1,i+1}
-    carried: O(bw^2) working memory. For an M-matrix X >= 0, B <= 0 and
-    Z >= 0, so every term adds: no cancellation.
+    so n/m steps of a few m x m products, O(n bw^2) time, and only
+    Z_{i+1,i+1} carried: O(bw^2) working memory besides the band. Of each
+    block only its entries in the band are written: the lower triangle of
+    Z_ii and the strict upper one of Z_{i+1,i}. For an M-matrix X >= 0,
+    B <= 0 and Z >= 0, so every term adds: no cancellation.
 
     Every product runs on scipy's BLAS, none on numpy's @: numpy and scipy
     each bundle their own OpenBLAS with its own thread pool, and the two
@@ -321,8 +401,12 @@ def _takahashi_diagonal(factor):
     # L[s + r, s + c] lies at s m + r + c (m - 1) of the column-major band
     flat = factor.ravel(order="F")
     at = np.arange(m) + (m - 1) * np.arange(m)[:, None]  # [c, r]
-    below = np.tri(m, m, -1)  # B_i[r, c] is in the band for r < c only
-    out = np.empty(n)
+    # the band's entries of a block by rows, so the first rows' come first,
+    # and their offsets: D_i's r >= c, B_i's r < c
+    dr, dc = np.tril_indices(m)
+    br, bc = np.triu_indices(m, 1)
+    d_at, b_at = at[dc, dr], at[bc, br]
+    out = np.zeros(m * n)
     z = None
     for s in range((n - 1) // m * m, -1, -m):
         k = min(m, n - s)
@@ -332,12 +416,20 @@ def _takahashi_diagonal(factor):
             raise SolverError(f"Cholesky block at row {s} is singular (dtrtri info {info})")
         y = np.eye(k, order="F")
         if z is not None:
-            b = (flat[s * m + k + at[:k, :len(z)]] * below[:k, :len(z)]).T
-            y = dgemm(1.0, b, dgemm(1.0, z, b), beta=1.0, c=y, trans_a=1, overwrite_c=1)
+            # B_i's entries in its len(z) rows, and where they lie in it
+            q = np.searchsorted(br, len(z))
+            zi = br[:q] + bc[:q] * len(z)
+            b = np.zeros((len(z), k), order="F")
+            b.ravel(order="F")[zi] = flat[s * m + k + b_at[:q]]
+            zb = dgemm(1.0, z, b)
+            y = dgemm(1.0, b, zb, beta=1.0, c=y, trans_a=1, overwrite_c=1)
+            zb = dtrmm(-1.0, x, zb, side=1, lower=1, overwrite_b=1)  # Z_{i+1,i}
+            out[s * m + k + b_at[:q]] = zb.ravel(order="F")[zi]
         z = dtrmm(1.0, x, dtrmm(1.0, x, y, side=1, lower=1, overwrite_b=1),
                   lower=1, trans_a=1, overwrite_b=1)
-        out[s:s + k] = z.diagonal()
-    return out
+        q = k * (k + 1) // 2
+        out[s * m + d_at[:q]] = z.ravel(order="F")[dr[:q] + dc[:q] * k]
+    return out.reshape(n, m).T
 
 
 @dataclass(eq=False)
@@ -411,7 +503,7 @@ def travel_weight(field, region, source, target, taboo=()):
         raise DomainError("source may not be taboo")
     if taboo:
         sites = region_sites(region)
-        region = sites[np.array([tuple(z) not in taboo for z in sites])]
+        region = sites[SiteSet(list(taboo)).index(sites) < 0]
     kw = _KilledWalk(field, region, kill=target)
     ss = kw.ss  # the one index: results, and the operator's rows
     itgt, isrc = ss.index_one(target), ss.index_one(source)

@@ -178,15 +178,14 @@ def test_oracle_check_passes_and_detects_corruption(tmp_path, monkeypatch):
     report, assertions, _, warn = oracle_check(cfg)
     assert assertions == {"all_sandwich_ok": True, "all_mc_ok": True}
     assert not warn
-    # corrupt the solver's band only, scaling its off-diagonal (the steps of
-    # P) by 1 - 1e-4: the path enumerator builds its own step matrix, so it
-    # still sums the true walk
+    # corrupt the solver's operator only, scaling its stored pair weights
+    # (the steps of P) by 1 - 1e-4: the path enumerator builds its own step
+    # matrix, so it still sums the true walk
     real = solver_mod._KilledWalk.__init__
 
     def corrupted(kw, *args, **kwargs):
         real(kw, *args, **kwargs)
-        kw.band[:kw.bw] *= 1.0 - 1e-4
-        kw.band[kw.bw + 1:] *= 1.0 - 1e-4
+        kw.coupling *= 1.0 - 1e-4
 
     monkeypatch.setattr(solver_mod._KilledWalk, "__init__", corrupted)
     _, bad, _, _ = oracle_check(cfg)

@@ -1,4 +1,6 @@
 import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from rwpot.rng import counter_hash, counter_uniform, derive_seed
 
@@ -39,3 +41,18 @@ def test_negative_counters_are_valid():
 def test_derive_seed_distinct_streams():
     seeds = {derive_seed(11, tag) for tag in range(100)}
     assert len(seeds) == 100
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-2 ** 70, 2 ** 70),
+       st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), min_size=1, max_size=3))
+def test_derive_seed_is_counter_hash_of_its_tags(seed, tags):
+    want = int(counter_hash(seed, np.asarray(tags, dtype=np.int64)))
+    assert derive_seed(seed, *tags) == want
+    assert derive_seed(seed, *map(np.int64, tags)) == want
+
+
+def test_derive_seed_rejects_tags_outside_int64():
+    for tag in (2 ** 63, -2 ** 63 - 1):
+        with pytest.raises(OverflowError):
+            derive_seed(1, 0, tag)

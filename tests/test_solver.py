@@ -187,12 +187,25 @@ def test_crossing_shell_must_fit():
 
 
 def _count_factorizations(monkeypatch):
-    """A list that gains one entry per cholesky_banded call of the solver."""
+    """A list that gains one entry per cholesky_banded call of the solver:
+    the number of rows it factors."""
     calls = []
     real = solver.cholesky_banded
     monkeypatch.setattr(solver, "cholesky_banded",
-                        lambda *a, **k: calls.append(1) or real(*a, **k))
+                        lambda *a, **k: calls.append(a[0].shape[1]) or real(*a, **k))
     return calls
+
+
+def test_travel_weight_factors_one_colour_of_a_box_once(monkeypatch):
+    calls = _count_factorizations(monkeypatch)
+    box = BoxRegion.centered(6, 2)
+    field = sample_field(TP, box, 1)
+    res = travel_weight(field, box, (0, 0), (3, 2))
+    res.cost_at((0, 0))
+    res.walk.solve(res.walk.exit_vector())
+    # the 85 sites of even coordinate sum of the 169, factored once
+    even = int((box.sites().sum(axis=1) % 2 == 0).sum())
+    assert calls == [even] == [85]
 
 
 @pytest.mark.parametrize("d, l", [(2, 8), (3, 4)])
@@ -472,8 +485,8 @@ def test_green_diagonal_above_5000_sites_matches_column_solves():
 
 
 def test_weighted_functionals_cross_checks_the_green_diagonal(monkeypatch):
-    real = solver._takahashi_diagonal
-    monkeypatch.setattr(solver, "_takahashi_diagonal", lambda f: real(f) * (1 + 1e-6))
+    real = solver._selected_inverse
+    monkeypatch.setattr(solver, "_selected_inverse", lambda f: real(f) * (1 + 1e-6))
     box = BoxRegion.centered(3, 2)
     with pytest.raises(SolverError, match="G\\(0, 0\\)"):
         weighted_functionals(sample_field(TP, box, 1), box, (2, 0))
@@ -504,7 +517,7 @@ def _assert_blocked_diagonal_matches_the_scalar_recurrence(kw, pad=0):
     assert np.all(ref > 0)
     wide = np.asfortranarray(np.vstack([factor, np.zeros((pad, factor.shape[1]))]))
     for f in (factor, wide):
-        _assert_close(solver._takahashi_diagonal(f), ref, 1e-13)
+        _assert_close(solver._selected_inverse(f)[0], ref, 1e-13)
 
 
 @settings(max_examples=60, deadline=None)
@@ -533,12 +546,14 @@ def test_blocked_green_diagonal_edge_cases_and_the_huge_field():
     assert kw.bw == 0
     _assert_blocked_diagonal_matches_the_scalar_recurrence(kw, pad=9)
     assert np.allclose(kw.diagonal(), 1.0)
-    # one block (n = bw + 1), and n not a multiple of bw + 1, with a kill row
+    # one block (n = bw + 1), and n not a multiple of bw + 1, with a kill
+    # row, n and bw those of the factored matrix S
     for box, kill in ((BoxRegion((0, 0), (2, 1)), None),
-                      (BoxRegion((0, 0), (7, 5)), (3, 2)),
+                      (BoxRegion((0, 0), (7, 4)), (3, 2)),
                       (BoxRegion((0, 0, 0), (5, 3, 4)), (1, 1, 1))):
         kw = solver._KilledWalk(sample_field(TP, box, 2), box, kill=kill)
-        assert box.site_count == kw.bw + 1 or box.site_count % (kw.bw + 1) != 0
+        m, n = kw._factor().shape
+        assert n == m or n % m != 0
         _assert_blocked_diagonal_matches_the_scalar_recurrence(kw)
     # e^{-omega} underflows at 750 and 1e4, e^{omega} overflows at 1e300
     box, field = _huge_potential_field()
@@ -547,12 +562,57 @@ def test_blocked_green_diagonal_edge_cases_and_the_huge_field():
             solver._KilledWalk(field, box, kill=kill))
 
 
+def _dense_lower(factor):
+    """L from its lower band storage factor[a, j] = L[j + a, j]."""
+    m, n = factor.shape
+    L = np.zeros((n, n))
+    for a in range(min(m, n)):
+        L[np.arange(a, n), np.arange(n - a)] = factor[a, :n - a]
+    return L
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.data())
+def test_selected_inverse_matches_the_dense_inverse_on_the_band(d, data):
+    # random site sets with holes, random fields, an optional kill row, and
+    # the factor also stored with extra zero band rows: every band entry of
+    # (L L^T)^{-1}, across block boundaries too, and nothing outside
+    shape = tuple(data.draw(st.integers(1, {1: 30, 2: 8, 3: 5}[d])) for _ in range(d))
+    box = BoxRegion((0,) * d, shape)
+    grid = box.sites()
+    keep = data.draw(st.lists(st.booleans(), min_size=len(grid), max_size=len(grid)))
+    sites = grid[np.asarray(keep)] if any(keep) else grid[:1]
+    vals = data.draw(st.lists(st.floats(0.0, 40.0), min_size=len(grid), max_size=len(grid)))
+    field = PotentialField(box, np.reshape(vals, shape), EXP, 0)
+    kill = data.draw(st.none() | st.sampled_from([tuple(int(c) for c in z) for z in sites]))
+    factor = solver._KilledWalk(field, sites, kill=kill)._factor()
+    pad = data.draw(st.integers(0, 12))
+    wide = np.asfortranarray(np.vstack([factor, np.zeros((pad, factor.shape[1]))]))
+    for f in (factor, wide):
+        m, n = f.shape
+        dense = np.linalg.inv(_dense_lower(f) @ _dense_lower(f).T)
+        z = solver._selected_inverse(f)
+        assert z.shape == f.shape
+        for a in range(m):
+            _assert_close(z[a, :max(n - a, 0)], np.diagonal(dense, -a), 1e-12)
+            assert not z[a, max(n - a, 0):].any()  # slots past the matrix
+
+
+def test_green_diagonal_on_both_colours_across_the_potential_domain():
+    box, field = _huge_potential_field()
+    for kill in (None, (3, 1), (2, 1)):  # no kill row, an even and an odd one
+        kw = solver._KilledWalk(field, box, kill=kill)
+        ev, od = kw.colours[:2]
+        assert len(ev) == 85 and len(od) == 84
+        _assert_diagonal_matches_dense_inverse(kw)
+
+
 def test_blocked_green_diagonal_rejects_a_singular_block():
     box = BoxRegion.centered(3, 2)
     factor = solver._KilledWalk(sample_field(TP, box, 1), box)._factor().copy(order="F")
     factor[0, 20] = 0.0
     with pytest.raises(SolverError, match="singular"):
-        solver._takahashi_diagonal(factor)
+        solver._selected_inverse(factor)
 
 
 def test_band_solves_match_dense_solve_across_the_potential_domain():
@@ -694,14 +754,19 @@ def test_thin_site_sets_band_only_their_own_sites():
     stair = np.column_stack([steps[1:], steps[:-1]])
     field = sample_field(TP, solver.bounding_box(stair), 1)
     kw = solver._KilledWalk(field, stair, kill=(L, L))
-    assert kw.band.shape == (2 * kw.bw + 1, len(stair)) and kw.bw <= 2
+    assert kw.bw <= 2
+    # S's band: one row of its colour's sites, every other step of the stair
+    ev, _, _, _, bw = kw.colours[:5]
+    assert kw._factor().shape == (bw + 1, len(ev)) == (2, (len(stair) + 1) // 2)
     e, _, keep = _dense_weights(_dense_step_matrix(field, stair), len(stair) - 1)
     res = travel_weight(field, stair, (0, 0), (L, L))
     _assert_close(res.e_values[keep], e, 1e-12)
     block = block_sites(np.array([1, 1, 1]), 0, 6, 3)
     kw = solver._KilledWalk(zero_field(3, block), block)
-    assert kw.band.shape[1] == len(block) < np.prod(kw.ss.shape) / 5
-    assert kw.bw < np.prod(kw.ss.shape[1:]) / 3
+    ev, _, _, _, bw = kw.colours[:5]
+    assert kw._factor().shape == (bw + 1, len(ev))
+    assert len(ev) < len(block) < np.prod(kw.ss.shape) / 5
+    assert kw.bw < np.prod(kw.ss.shape[1:]) / 3 and bw <= kw.bw
 
 
 def test_box_layouts_are_shared_read_only_and_thread_safe():
@@ -711,6 +776,11 @@ def test_box_layouts_are_shared_read_only_and_thread_safe():
     assert travel_weight(field, BoxRegion.centered(4, 2), (0, 0), (3, 0)).siteset is res.siteset
     with pytest.raises(ValueError):
         res.siteset.sites[0, 0] = 7
+    # the colour layout too: the rows of each colour and the paths of S
+    arrays = [a for a in res.siteset.colours() if isinstance(a, np.ndarray)]
+    assert len(arrays) == 7 and not any(a.flags.writeable for a in arrays)
+    with pytest.raises(ValueError):
+        res.walk.colours[5][0] = 0
     # callers' threads racing to build the first layout of a box still
     # solve alike
     seeds = list(range(16))
