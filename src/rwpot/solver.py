@@ -388,9 +388,10 @@ def _selected_inverse(factor):
 
     so n/m steps of a few m x m products, O(n bw^2) time, and only
     Z_{i+1,i+1} carried: O(bw^2) working memory besides the band. Of each
-    block only its entries in the band are written: the lower triangle of
-    Z_ii and the strict upper one of Z_{i+1,i}. For an M-matrix X >= 0,
-    B <= 0 and Z >= 0, so every term adds: no cancellation.
+    block only its entries in the band are read and written: the lower
+    triangle of D_i and Z_ii, the strict upper one of B_i and Z_{i+1,i}.
+    For an M-matrix X >= 0, B <= 0 and Z >= 0, so every term adds: no
+    cancellation.
 
     Every product runs on scipy's BLAS, none on numpy's @: numpy and scipy
     each bundle their own OpenBLAS with its own thread pool, and the two
@@ -398,37 +399,31 @@ def _selected_inverse(factor):
     this kernel took 17 ms on scipy's BLAS alone, and 164 to 472 ms with
     numpy's @ in place of dgemm and dtrmm."""
     m, n = factor.shape
-    # L[s + r, s + c] lies at s m + r + c (m - 1) of the column-major band
     flat = factor.ravel(order="F")
-    at = np.arange(m) + (m - 1) * np.arange(m)[:, None]  # [c, r]
-    # the band's entries of a block by rows, so the first rows' come first,
-    # and their offsets: D_i's r >= c, B_i's r < c
-    dr, dc = np.tril_indices(m)
-    br, bc = np.triu_indices(m, 1)
-    d_at, b_at = at[dc, dr], at[bc, br]
+    # columns s.. s + m - 1 of the column-major band are the entries on and
+    # below the diagonal of the stack [D_i; B_i] (2m x m, column-major),
+    # [c, a] at c (2m + 1) + a of it: a block's band entries, and only those
+    skew = np.arange(m) + (2 * m + 1) * np.arange(m)[:, None]
     out = np.zeros(m * n)
     z = None
     for s in range((n - 1) // m * m, -1, -m):
         k = min(m, n - s)
-        # D_i's strictly upper part holds other entries, which no call reads
-        x, info = dtrtri(flat[s * m + at[:k, :k]].T, lower=1, overwrite_c=1)
+        stack = np.zeros((2 * m, m), order="F")
+        stack.ravel(order="F")[skew[:k]] = flat[s * m:(s + k) * m].reshape(k, m)
+        x, info = dtrtri(stack[:k, :k], lower=1)
         if info != 0:
             raise SolverError(f"Cholesky block at row {s} is singular (dtrtri info {info})")
         y = np.eye(k, order="F")
+        zstack = np.zeros((2 * m, m), order="F")  # [Z_ii; Z_{i+1,i}], laid out alike
         if z is not None:
-            # B_i's entries in its len(z) rows, and where they lie in it
-            q = np.searchsorted(br, len(z))
-            zi = br[:q] + bc[:q] * len(z)
-            b = np.zeros((len(z), k), order="F")
-            b.ravel(order="F")[zi] = flat[s * m + k + b_at[:q]]
+            b = np.asfortranarray(stack[m:m + len(z)])
             zb = dgemm(1.0, z, b)
             y = dgemm(1.0, b, zb, beta=1.0, c=y, trans_a=1, overwrite_c=1)
-            zb = dtrmm(-1.0, x, zb, side=1, lower=1, overwrite_b=1)  # Z_{i+1,i}
-            out[s * m + k + b_at[:q]] = zb.ravel(order="F")[zi]
+            zstack[m:m + len(z)] = dtrmm(-1.0, x, zb, side=1, lower=1, overwrite_b=1)
         z = dtrmm(1.0, x, dtrmm(1.0, x, y, side=1, lower=1, overwrite_b=1),
                   lower=1, trans_a=1, overwrite_b=1)
-        q = k * (k + 1) // 2
-        out[s * m + d_at[:q]] = z.ravel(order="F")[dr[:q] + dc[:q] * k]
+        zstack[:k, :k] = z
+        out[s * m:(s + k) * m] = zstack.ravel(order="F")[skew[:k]].ravel()
     return out.reshape(n, m).T
 
 
@@ -503,6 +498,8 @@ def travel_weight(field, region, source, target, taboo=()):
         raise DomainError("source may not be taboo")
     if taboo:
         sites = region_sites(region)
+        if any(len(t) != sites.shape[1] for t in taboo):
+            raise DomainError("taboo sites must have the region's dimension")
         region = sites[SiteSet(list(taboo)).index(sites) < 0]
     kw = _KilledWalk(field, region, kill=target)
     ss = kw.ss  # the one index: results, and the operator's rows

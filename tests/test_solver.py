@@ -98,6 +98,12 @@ def test_taboo_reduces_weight():
     assert blocked.e_at((0, 0)) < free.e_at((0, 0))
     with pytest.raises(DomainError):
         travel_weight(field, box, (0, 0), (2, 0), taboo=[(2, 0)])
+    # a taboo site off the region changes nothing; one of another
+    # dimension is refused, not ignored
+    far = travel_weight(field, box, (0, 0), (2, 0), taboo=[(40, -9)])
+    assert np.array_equal(far.e_values, free.e_values)
+    with pytest.raises(DomainError, match="dimension"):
+        travel_weight(field, box, (0, 0), (2, 0), taboo=[(1, 0, 0)])
 
 
 def _hot_strip():
