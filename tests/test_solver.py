@@ -761,7 +761,8 @@ def test_thin_site_sets_band_only_their_own_sites():
     field = sample_field(TP, solver.bounding_box(stair), 1)
     kw = solver._KilledWalk(field, stair, kill=(L, L))
     assert kw.bw <= 2
-    # S's band: one row of its colour's sites, every other step of the stair
+    # S's band: a column per site of row 0's colour (every other step of
+    # the stair), at bandwidth 1
     ev, _, _, _, bw = kw.colours[:5]
     assert kw._factor().shape == (bw + 1, len(ev)) == (2, (len(stair) + 1) // 2)
     e, _, keep = _dense_weights(_dense_step_matrix(field, stair), len(stair) - 1)
