@@ -232,7 +232,8 @@ class _KilledWalk:
             raise DomainError("some sites lie outside the field region")
         grid, self.keys, self.bw, r, c, _, _ = self.layout = ss.layout()
         self.colours = ss.colours()
-        self.omega = field.values[tuple(slice(a, a + m) for a, m in zip(at, ss.shape))].ravel()[grid]
+        window = tuple(slice(a, a + m) for a, m in zip(at, ss.shape))
+        self.omega = field.values[window].ravel()[grid]
         self.active = np.ones(len(ss), dtype=bool)
         if kill is not None:
             i = ss.index_one(as_point(kill))
@@ -291,7 +292,8 @@ class _KilledWalk:
         v = x / s
         r, c = self.layout[3:5]
         n = len(v)
-        Mv = v - np.bincount(r, lower * v[c], minlength=n) - np.bincount(c, upper * v[r], minlength=n)
+        Mv = (v - np.bincount(r, lower * v[c], minlength=n)
+              - np.bincount(c, upper * v[r], minlength=n))
         resid = float(np.abs(s * Mv - b).max(initial=0.0))
         if not resid <= RESIDUAL_TOL * max(1.0, float(np.abs(b).max(initial=0.0))):
             raise SolverError(f"residual {resid:.3e} exceeds tolerance {RESIDUAL_TOL:.0e}")
