@@ -6,9 +6,10 @@ bypasses the moment hypothesis gates by name.
 """
 
 import argparse
+import json
 import sys
 
-from .errors import AssumptionError, RwpotError
+from .errors import AssumptionError, ParameterError, RwpotError
 from .harness import EXPERIMENTS, ExperimentConfig, run
 
 _DEFAULT_SPEC = {"kind": "TwoPoint",
@@ -23,6 +24,26 @@ def default_config(experiment):
         "sampling": {"seed": 1},
         "output": {"directory": "results"},
     })
+
+
+def _config(args):
+    """The run's config: the --config file, or the subcommand's default, with
+    the subcommand, --seed and --override-assumptions applied before it is
+    validated, so that a flag may supply a key the file leaves out."""
+    if args.config:
+        with open(args.config) as fh:
+            obj = json.load(fh)
+        if not isinstance(obj, dict):
+            raise ParameterError("config: must be a JSON object")
+    else:
+        obj = default_config(args.experiment).to_json()
+    obj = {**obj, "experiment": args.experiment}
+    sampling = obj.get("sampling", {})
+    if args.seed is not None and isinstance(sampling, dict):
+        obj["sampling"] = {**sampling, "seed": args.seed}
+    if args.override_assumptions:
+        obj["override_assumptions"] = True
+    return ExperimentConfig.from_json(obj)
 
 
 def _add_flags(parser, defaults):
@@ -51,17 +72,7 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        if args.config:
-            config = ExperimentConfig.from_file(args.config)
-            if config.experiment != args.experiment:
-                config.experiment = args.experiment
-        else:
-            config = default_config(args.experiment)
-        if args.seed is not None:
-            config.sampling["seed"] = args.seed
-        if args.override_assumptions:
-            config.override_assumptions = True
-        manifest = run(config, out_dir=args.out)
+        manifest = run(_config(args), out_dir=args.out)
     except AssumptionError as exc:
         print(f"refused: ({exc.name}) {exc}", file=sys.stderr)
         return 3

@@ -79,6 +79,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, obj):
+        if not isinstance(obj, dict):
+            raise ParameterError("config: must be a JSON object")
         for key in ("experiment", "spec"):
             if key not in obj:
                 raise ParameterError(f"{key}: missing from config")
@@ -87,6 +89,12 @@ class ExperimentConfig:
                                      "override_assumptions"})
         if unknown:
             raise ParameterError(f"{', '.join(unknown)}: not a config section")
+        wrong = [f"{part}: must be an object" for part in ("geometry", "sampling", "output")
+                 if not isinstance(obj.get(part, {}), dict)]
+        if not isinstance(obj.get("override_assumptions", False), bool):
+            wrong.append("override_assumptions: must be true or false")
+        if wrong:
+            raise ParameterError("; ".join(wrong))
         return cls(
             experiment=obj["experiment"],
             spec=DistributionSpec.from_json(obj["spec"]),
@@ -95,11 +103,6 @@ class ExperimentConfig:
             output=dict(obj.get("output", {})),
             override_assumptions=bool(obj.get("override_assumptions", False)),
         ).validate()
-
-    @classmethod
-    def from_file(cls, path):
-        with open(str(path)) as fh:
-            return cls.from_json(json.load(fh))
 
 
 @dataclass(eq=False)

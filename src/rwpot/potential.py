@@ -18,7 +18,10 @@ from .errors import DomainError, ParameterError
 from .lattice import BoxRegion, as_point, norms
 from .rng import counter_uniform, derive_seed
 
-_KINDS = ("Constant", "TwoPoint", "Exponential", "ShiftedExponential", "LogNormal")
+# the parameters of each kind of law, in the order its factory takes them
+_PARAMS = {"Constant": ("c",), "TwoPoint": ("v_lo", "v_hi", "p_hi"), "Exponential": ("rate",),
+           "ShiftedExponential": ("shift", "rate"), "LogNormal": ("mu", "sigma")}
+_KINDS = tuple(_PARAMS)
 
 
 @dataclass(frozen=True)
@@ -223,20 +226,42 @@ class DistributionSpec:
 
     @classmethod
     def from_json(cls, obj):
-        kind = obj["kind"]
-        params = obj["params"]
-        factory = {
-            "Constant": lambda: cls.constant(params["c"]),
-            "TwoPoint": lambda: cls.two_point(params["v_lo"], params["v_hi"], params["p_hi"]),
-            "Exponential": lambda: cls.exponential(params["rate"]),
-            "ShiftedExponential": lambda: cls.shifted_exponential(params["shift"], params["rate"]),
-            "LogNormal": lambda: cls.log_normal(params["mu"], params["sigma"]),
-        }
-        if kind not in factory:
-            raise ParameterError(f"unknown distribution kind {kind!r}")
-        if kind == "Constant" and params["c"] == 0:
+        """The law of a spec as to_json writes it, {"kind": ..., "params":
+        {name: number}}, in a config or beside a saved field. Any other
+        shape, a kind's parameter missing or foreign, or one that is not a
+        finite number (a bool is not one) raises ParameterError naming the
+        key, such as spec.params.c."""
+        if not isinstance(obj, dict) or not {"kind", "params"} <= set(obj):
+            raise ParameterError("spec: must be an object with kind and params")
+        kind, params = obj["kind"], obj["params"]
+        if not isinstance(kind, str) or kind not in _PARAMS:
+            raise ParameterError(f"spec.kind: unknown distribution kind {kind!r}")
+        if not isinstance(params, dict):
+            raise ParameterError("spec.params: must be an object")
+        names = _PARAMS[kind]
+        wrong = ([f"spec.{k}: not a spec key" for k in sorted(set(obj) - {"kind", "params"})]
+                 + [f"spec.params.{k}: missing from {kind}" for k in names if k not in params]
+                 + [f"spec.params.{k}: not a parameter of {kind}"
+                    for k in sorted(set(params) - set(names))]
+                 + [f"spec.params.{k}: must be a finite number" for k in names
+                    if k in params and not _finite_number(params[k])])
+        if wrong:
+            raise ParameterError("; ".join(wrong))
+        args = [params[k] for k in names]
+        if kind == "Constant" and args[0] == 0:
             return ZERO_LAW  # a stored zero law, such as a chi witness's: no warning
-        return factory[kind]()
+        factory = {"Constant": cls.constant, "TwoPoint": cls.two_point,
+                   "Exponential": cls.exponential, "ShiftedExponential": cls.shifted_exponential,
+                   "LogNormal": cls.log_normal}[kind]
+        return factory(*args)
+
+
+def _finite_number(v):
+    """Whether a JSON value is a finite number: an int or a float, not a bool."""
+    try:
+        return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    except OverflowError:  # an int beyond every float
+        return False
 
 
 @dataclass(frozen=True)

@@ -11,13 +11,12 @@ neighbors at the strides of their bounding-box grid, the kill site a
 decoupled unit row). The lattice is bipartite, so the symmetrized operator
 has an identity block on each colour (the parity of the coordinate sum),
 and the exact Schur complement S on one colour has half the rows at the
-same bandwidth. S alone is factored, once, by banded Cholesky, for every
+same bandwidth. S is factored, once, by banded Cholesky, for every plain
 solve and for the Green diagonal G(y, y) of both colours: Takahashi's
 selected inversion of S in blocked form, n/(bw+1) steps of (bw+1)-square
 products, O(n bw^2) time and O(bw^2) working memory, every product on
 scipy's BLAS (numpy's @ would bring a second OpenBLAS thread pool into the
-loop). Band LU of the full operator runs only inside the log-space
-fallback, _KilledWalk.log_kill_weight.
+loop). The log-space fallback solves its gauged complement by band LU.
 """
 
 import functools
@@ -37,8 +36,8 @@ from .potential import ZERO_LAW, PotentialField
 RESIDUAL_TOL = 1e-9
 # omega beyond this changes no entry of P in double precision: e^{-800} is 0
 OMEGA_CAP = 800.0
-# T's band of one stacked system of exit_functionals' shells, 16 MB at most:
-# a bound on the size of one system, whose S band takes about a quarter
+# the size of one stacked system of exit_functionals' shells, counted as
+# (2 bw + 1) rows for a shell's grid bandwidth bw: 2^21 (16 MB of doubles)
 STACK_BAND_ENTRIES = 2 ** 21
 
 
@@ -62,11 +61,10 @@ class SiteSet:
         self._layout = self._colours = None
 
     def layout(self):
-        """(at, rows, bw, r, c, lo, up), built on first use with colours(),
-        for the sites in row-major order: row j is the grid point at[j],
-        site i is row rows[i], r > c are the rows of each neighbor pair, and
-        lo, up the flat slots of M[r, c], M[c, r] in a (2 bw + 1, n) band,
-        bw the largest gap r - c."""
+        """(at, rows, a, o), built on first use with colours(), for the
+        sites in row-major order: row j is the grid point at[j], site i is
+        row rows[i], and a, o are the rows of each neighbor pair, a of row
+        0's colour (the parity of the coordinate sum) and o of the other."""
         if self._layout is None:
             n, order = len(self), np.argsort(self.keys)
             rows = np.empty(n, dtype=np.int64)
@@ -78,46 +76,40 @@ class SiteSet:
                 pairs.append((rows[i[i >= 0]], c[i >= 0]))  # i = -1: no site
             r, c = (np.concatenate(v) for v in zip(*pairs))
             axis = np.repeat(np.arange(self.d), [len(p[1]) for p in pairs])
-            bw = int((r - c).max(initial=0))
-            self._layout = (at, rows, bw, r, c, (bw + r - c) * n + c, (bw + c - r) * n + r)
-            self._colours = self._colouring(by_row, r, c, axis)
+            par = by_row.sum(axis=1) & 1
+            first = par == par[0]
+            seen = np.cumsum(first)
+            rank = np.where(first, seen - 1, np.arange(n) - seen)  # in its colour
+            up = first[r]  # the pair's first-colour end is r
+            a, o = np.where(up, r, c), np.where(up, c, r)
+            pe, po = rank[a], rank[o]
+            # each od row's pairs, one column per direction (axis, side), and
+            # the paths through it: two of its columns, both holding a pair
+            table = np.full((n - int(seen[-1]), 2 * self.d), len(r))
+            table[po, 2 * axis + up] = np.arange(len(r))
+            k1, k2 = np.array(list(itertools.combinations(range(2 * self.d), 2))).T
+            e1, e2 = table[:, k1].ravel(), table[:, k2].ravel()
+            keep = np.maximum(e1, e2) < len(r)
+            e1, e2 = e1[keep], e2[keep]
+            i, j = pe[e1], pe[e2]
+            gap = np.abs(i - j)
+            bw = int(gap.max(initial=0))
+            self._layout = (at, rows, a, o)
+            self._colours = (np.flatnonzero(first), np.flatnonzero(~first), pe, po, bw, e1, e2,
+                             gap + np.minimum(i, j) * (bw + 1))
         return self._layout
 
     def colours(self):
         """(ev, od, pe, po, bw, e1, e2, slot), built on first use with
         layout(). The lattice is bipartite: ev are the rows of row 0's
-        colour (the parity of the coordinate sum), od the others, both
-        ascending, and neighbor pair p of the layout joins ev[pe[p]] and
-        od[po[p]]. The two-step paths ev[a] - o - ev[b], a != b, through a
-        row o of od are the pairs e1 - e2, each listed once (a < b or
-        a > b), and slot is the flat slot of S[max(a, b), min(a, b)] in the
-        Fortran-ordered lower band (bw + 1, len(ev)) of a matrix S on ev."""
+        colour, od the others, both ascending, and neighbor pair p of the
+        layout joins a[p] = ev[pe[p]] and o[p] = od[po[p]]. The two-step
+        paths ev[i] - o - ev[j], i != j, through a row o of od are the pairs
+        e1 - e2, each listed once (i < j or i > j), and slot is the flat slot
+        of S[max(i, j), min(i, j)] in the Fortran-ordered lower band
+        (bw + 1, len(ev)) of a matrix S on ev: bw is the paths' widest gap."""
         self.layout()
         return self._colours
-
-    def _colouring(self, by_row, r, c, axis):
-        """colours() from the sites by row and the rows and axis of each
-        neighbor pair."""
-        n, d = by_row.shape
-        par = by_row.sum(axis=1) & 1
-        first = par == par[0]
-        seen = np.cumsum(first)
-        rank = np.where(first, seen - 1, np.arange(n) - seen)  # in its colour
-        up = first[r]  # the pair's first-colour end is r
-        pe, po = rank[np.where(up, r, c)], rank[np.where(up, c, r)]
-        # each od row's pairs, one column per direction (axis, side), and
-        # the paths through it: two of its columns, both holding a pair
-        table = np.full((n - int(seen[-1]), 2 * d), len(r))
-        table[po, 2 * axis + up] = np.arange(len(r))
-        i, j = np.array(list(itertools.combinations(range(2 * d), 2))).T
-        e1, e2 = table[:, i].ravel(), table[:, j].ravel()
-        keep = np.maximum(e1, e2) < len(r)
-        e1, e2 = e1[keep], e2[keep]
-        a, b = pe[e1], pe[e2]
-        gap = np.abs(a - b)
-        bw = int(gap.max(initial=0))
-        return (np.flatnonzero(first), np.flatnonzero(~first), pe, po, bw, e1, e2,
-                gap + np.minimum(a, b) * (bw + 1))
 
     def __len__(self):
         return len(self.sites)
@@ -210,8 +202,8 @@ class _KilledWalk:
 
     A is held as the symmetric T = e^{h} A e^{-h} = W^{-1/2} A W^{1/2} = I - K,
     h = omega/2, W = diag(e^{-omega}/2d), by its pair weights: coupling[p] =
-    K[r, c] = K[c, r] = e^{-(omega(r) + omega(c))/2}/2d for the neighbor pair
-    p = (r, c) of two active sites. A x = b is solved as s T^{-1}(b / s),
+    K[a, o] = K[o, a] = e^{-(omega(a) + omega(o))/2}/2d for the neighbor pair
+    p = (a, o) of two active sites. A x = b is solved as s T^{-1}(b / s),
     s = e^{-h}. omega is capped at OMEGA_CAP in h and K, where e^{-omega}/2d
     is already 0.
 
@@ -222,7 +214,7 @@ class _KilledWalk:
     in half its rows: S u_e = f_e + K_eo f_o, then u_o = f_o + K_oe u_e. S is
     assembled and factored once, on first use, by banded Cholesky. The
     log-space fallback, log_kill_weight, conjugates A by a log-scale of its
-    own and solves the full band by LU instead.
+    own, a nonsymmetric B, and solves B's Schur complement by LU instead.
     """
 
     def __init__(self, field, region, kill=None):
@@ -230,9 +222,9 @@ class _KilledWalk:
         at = ss.lo - np.asarray(field.region.lo)
         if np.any(at < 0) or np.any(at + ss.shape > field.region.shape):
             raise DomainError("some sites lie outside the field region")
-        grid, self.keys, self.bw, r, c, _, _ = self.layout = ss.layout()
+        grid, self.keys, a, o = self.layout = ss.layout()
         self.colours = ss.colours()
-        window = tuple(slice(a, a + m) for a, m in zip(at, ss.shape))
+        window = tuple(slice(i, i + m) for i, m in zip(at, ss.shape))
         self.omega = field.values[window].ravel()[grid]
         self.active = np.ones(len(ss), dtype=bool)
         if kill is not None:
@@ -244,7 +236,7 @@ class _KilledWalk:
         w = np.minimum(self.omega, OMEGA_CAP)
         self.scale = np.exp(-w / 2)
         # only pairs of two active sites couple
-        self.coupling = ((self.active[r] & self.active[c]) * np.exp(-(w[r] + w[c]) / 2)
+        self.coupling = ((self.active[a] & self.active[o]) * np.exp(-(w[a] + w[o]) / 2)
                          / (2.0 * ss.d))
         self.residual = 0.0
         self._cholesky = None  # factored on first use, by _factor
@@ -269,31 +261,33 @@ class _KilledWalk:
 
     def solve(self, b, trans="N"):
         """A^{-1} b, or A^{-T} b for trans="T", with its residual checked."""
-        s = self._frame(trans)
-        f = b / s
-        ev, od, pe, po = self.colours[:4]
-        k, fo = self.coupling, f[od]
-        # no finite check: the residual check rejects a NaN or inf solution
-        ue = cho_solve_banded((self._factor(), True),
-                              f[ev] + np.bincount(pe, k * fo[po], len(ev)), check_finite=False)
-        v = np.empty_like(f)
-        v[ev] = ue
-        v[od] = fo + np.bincount(po, k * ue[pe], len(od))
+        s, k = self._frame(trans), self.coupling
+        v = self._eliminate(b / s, k, k, cho_solve_banded, (self._factor(), True))
         return self.check(s * v, b, trans)
+
+    def _eliminate(self, f, eo, oe, solve, *args):
+        """u with (I - N) u = f, N[a, o] = eo and N[o, a] = oe at each pair
+        (a, o) and 0 elsewhere: solve(*args, f_e + N_eo f_o) gives u_e on the
+        Schur complement I - N_eo N_oe, and u_o = f_o + N_oe u_e."""
+        ev, od, pe, po = self.colours[:4]
+        u = f.copy()
+        # no finite check: the residual check rejects a NaN or inf solution
+        u[ev] = solve(*args, f[ev] + np.bincount(pe, eo * f[od][po], len(ev)), check_finite=False)
+        u[od] += np.bincount(po, oe * u[ev][pe], len(od))
+        return u
 
     def check(self, x, b, trans="N"):
         """Return x after raising SolverError if the residual of A x = b
         (A^T x = b for trans="T") exceeds RESIDUAL_TOL; record the worst."""
         return self._check(self._frame(trans), x, b, self.coupling, self.coupling)
 
-    def _check(self, s, x, b, lower, upper):
-        """check for the operator s (I - N) s^{-1}, N[r, c] = lower and
-        N[c, r] = upper at each neighbor pair (r, c) and 0 elsewhere."""
+    def _check(self, s, x, b, eo, oe):
+        """check for the operator s (I - N) s^{-1}, N as in _eliminate."""
         v = x / s
-        r, c = self.layout[3:5]
+        a, o = self.layout[2:]
         n = len(v)
-        Mv = (v - np.bincount(r, lower * v[c], minlength=n)
-              - np.bincount(c, upper * v[r], minlength=n))
+        Mv = (v - np.bincount(a, eo * v[o], minlength=n)
+              - np.bincount(o, oe * v[a], minlength=n))
         resid = float(np.abs(s * Mv - b).max(initial=0.0))
         if not resid <= RESIDUAL_TOL * max(1.0, float(np.abs(b).max(initial=0.0))):
             raise SolverError(f"residual {resid:.3e} exceeds tolerance {RESIDUAL_TOL:.0e}")
@@ -304,34 +298,40 @@ class _KilledWalk:
         """log e(., kill) by row, from B = e^{g} A e^{-g} (omega uncapped)
         solved for e^{g} e(., kill): a log-scale g per row that tracks the
         decay of e keeps that solution representable where e underflows. B
-        is not symmetric, so its full band is solved by band LU; the
-        residual is checked."""
-        bw, r, c, lo, up = self.layout[2:]
-        edge, dh, d2 = self.active[r] & self.active[c], g[r] - g[c], 2.0 * self.ss.d
-        lower = np.where(edge, np.exp(dh - self.omega[r]), 0.0) / d2
-        upper = np.where(edge, np.exp(-dh - self.omega[c]), 0.0) / d2
-        band = np.zeros((2 * bw + 1, len(self.omega)))
-        band[bw] = 1.0
-        flat = band.reshape(-1)  # band[bw + r - c, c] holds entry [r, c]
-        flat[lo], flat[up] = -lower, -upper
+        is not symmetric: its Schur complement is solved as a general band
+        by LU, then each row once more from its pairs, so that the absolute
+        residual check reads the rounding of its own sums on the large rows."""
+        ev, od, pe, po, bw, e1, e2, _ = self.colours
+        a, o = self.layout[2:]
+        edge, dh, d2 = self.active[a] & self.active[o], g[a] - g[o], 2.0 * self.ss.d
+        eo = np.where(edge, np.exp(dh - self.omega[a]), 0.0) / d2
+        oe = np.where(edge, np.exp(-dh - self.omega[o]), 0.0) / d2
+        # I - N_eo N_oe, its [i, j] at bw + i - j of row j of a (len(ev), 2 bw + 1) band
+        i, j, m, n = pe[e1], pe[e2], 2 * bw + 1, len(ev)
+        flat = np.bincount(np.r_[np.arange(n) * m, j * m + i - j, i * m + j - i] + bw,
+                           np.r_[1.0 - np.bincount(pe, eo * oe, n),
+                                 -eo[e1] * oe[e2], -eo[e2] * oe[e1]], n * m)
         with np.errstate(divide="ignore", invalid="ignore"):
             b = self.kill_vector(g)
-            v = solve_banded((bw, bw), band, b, check_finite=False)
-            return np.log(self._check(1.0, v, b, lower, upper)) - g
+            u = self._eliminate(b, eo, oe, solve_banded, (bw, bw), flat.reshape(n, m).T)
+            # one sweep of each colour, summed in the order _check sums them
+            u[ev] = b[ev] + np.bincount(pe, eo * u[od][po], n)
+            u[od] = b[od] + np.bincount(po, oe * u[ev][pe], len(od))
+            return np.log(self._check(1.0, u, b, eo, oe)) - g
 
     def kill_vector(self, g=None):
         """P[z, kill] (times e^{g(z)} for a log-scale g): with it, solve
         gives e(z, kill), the weight of hitting the kill site before exiting."""
-        r, c = self.layout[3:5]
-        j = np.r_[r[c == self._kill], c[r == self._kill]]
+        a, o = self.layout[2:]
+        j = np.r_[a[o == self._kill], o[a == self._kill]]
         log_w = -self.omega[j] if g is None else g[j] - self.omega[j]
         return np.bincount(j, np.exp(log_w) / (2.0 * self.ss.d), len(self.omega))
 
     def exit_vector(self):
         """The weight of stepping off the active sites: with it, solve gives
         the weight of exiting (the kill site counts as outside)."""
-        r, c = self.layout[3:5]
-        inside = np.bincount(np.r_[r, c], np.r_[self.active[c], self.active[r]], len(self.omega))
+        a, o = self.layout[2:]
+        inside = np.bincount(np.r_[a, o], np.r_[self.active[o], self.active[a]], len(self.omega))
         return np.exp(-self.omega) / (2.0 * self.ss.d) * (2 * self.ss.d - inside) * self.active
 
     def row(self, p):
@@ -537,8 +537,8 @@ def exit_functionals(field, region, starts, crossing=("exit",)):
     site of which the region must hold: the boxes are translates of one, so
     they go side by side along axis 0, an empty layer between neighbours,
     on a field holding each box's window of omega. Its operator is block
-    diagonal with one box's bandwidth, and is solved once per
-    STACK_BAND_ENTRIES of band."""
+    diagonal with one box's bandwidth, and is solved in stacks of at most
+    STACK_BAND_ENTRIES, their size counted as (2 bw + 1) rows."""
     d = field.dimension
     starts = np.asarray([as_point(s) for s in starts], dtype=np.int64).reshape(-1, d)
     if crossing[0] == "exit":

@@ -84,6 +84,63 @@ def test_config_values_of_the_wrong_type_are_rejected(tmp_path, capsys):
             _config(experiment, **{part: value})
 
 
+# a two-site solve: the cheapest run that reads a spec
+TWO_SITES = {"x": [1, 0], "sites": [[0, 0], [1, 0]]}
+
+
+def _write(tmp_path, config):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    return path
+
+
+@pytest.mark.parametrize("spec, key", [
+    ({"kind": "Constant", "params": {"value": 30}}, "spec.params.c: missing"),
+    ({"kind": "TwoPoint", "params": {"v_lo": 0.2, "v_hi": 1.0}}, "spec.params.p_hi: missing"),
+    ({"kind": "TwoPoint", "params": {"v_lo": 0.2, "v_hi": "1.0", "p_hi": 0.5}},
+     "spec.params.v_hi: must be"),
+    ("Exponential", "spec: must be an object"),
+    ({"kind": "Exponential"}, "spec: must be an object"),
+    ({"kind": "Exponential", "params": {"rate": True}}, "spec.params.rate: must be"),
+    ({"kind": "Exponential", "params": {"rate": 1.0, "extra": 1}},
+     "spec.params.extra: not a parameter"),
+    ({"kind": "Poisson", "params": {}}, "spec.kind: unknown"),
+])
+def test_cli_rejects_a_bad_spec_naming_the_key(tmp_path, capsys, spec, key):
+    code = cli.main(["solve", "--config", str(_write(tmp_path, {
+        "experiment": "solve", "spec": spec, "geometry": TWO_SITES,
+        "sampling": {"seed": 1}})), "--out", str(tmp_path / "r")])
+    assert code == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("config, key", [
+    ([{"experiment": "solve"}], "config: must be a JSON object"),
+    ({"experiment": "solve", "spec": TP_JSON, "geometry": TWO_SITES,
+      "sampling": [["seed", 1]]}, "sampling: must be an object"),
+    ({"experiment": "solve", "spec": TP_JSON, "geometry": TWO_SITES,
+      "sampling": {"seed": 1}, "override_assumptions": "yes"}, "override_assumptions: must be"),
+])
+def test_cli_rejects_a_config_of_the_wrong_shape(tmp_path, capsys, config, key):
+    code = cli.main(["solve", "--config", str(_write(tmp_path, config)),
+                     "--seed", "1", "--out", str(tmp_path / "r")])
+    assert code == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+def test_cli_flags_apply_before_the_config_is_validated(tmp_path, capsys):
+    # no sampling.seed in the file: mandatory without --seed, supplied by it
+    path = _write(tmp_path, {"experiment": "solve", "spec": TP_JSON, "geometry": TWO_SITES})
+    out = tmp_path / "r"
+    assert cli.main(["solve", "--config", str(path), "--out", str(out)]) == 2
+    assert "sampling.seed: mandatory" in capsys.readouterr().err
+    assert not out.exists()
+    assert cli.main(["solve", "--config", str(path), "--seed", "7", "--out", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["seed"] == 7
+
+
 def test_shipped_configs_read_every_key():
     from test_acceptance import _SMALL_RUNS
 
@@ -99,7 +156,7 @@ def test_config_round_trip(tmp_path):
                   sampling={"samples": 10, "seed": 9})
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg.to_json()))
-    loaded = ExperimentConfig.from_file(path)
+    loaded = ExperimentConfig.from_json(json.loads(path.read_text()))
     assert loaded.to_json() == cfg.to_json()
 
 

@@ -549,7 +549,7 @@ def test_blocked_green_diagonal_edge_cases_and_the_huge_field():
     # bw = 0: sites two apart along one axis, no two neighbors
     line = np.column_stack([np.arange(0, 14, 2), np.zeros(7, dtype=np.int64)])
     kw = solver._KilledWalk(zero_field(2, line), line)
-    assert kw.bw == 0
+    assert kw.colours[4] == 0  # S's bandwidth
     _assert_blocked_diagonal_matches_the_scalar_recurrence(kw, pad=9)
     assert np.allclose(kw.diagonal(), 1.0)
     # one block (n = bw + 1), and n not a multiple of bw + 1, with a kill
@@ -639,19 +639,50 @@ def test_band_solves_match_dense_solve_across_the_potential_domain():
     _assert_close(wf.q_visit, q, 1e-12)
 
 
-def test_gauged_band_lu_matches_cholesky_solve():
+def _distance_gauge(kw, x, c):
+    """The log-scale c |z - x|_1 by row of the operator."""
+    gauge = np.empty(len(kw.ss))
+    gauge[kw.keys] = c * np.abs(kw.ss.sites - np.asarray(x)).sum(axis=1)
+    return gauge
+
+
+def test_gauged_band_lu_matches_cholesky_solve(monkeypatch):
     box = BoxRegion.centered(5, 2)
     field = sample_field(EXP, box, 7)
     x = (4, 0)
     plain = solver._KilledWalk(field, box, kill=x)
     e = plain.solve(plain.kill_vector())
     c = 0.8
-    gauge = np.empty(len(plain.ss))
-    gauge[plain.keys] = c * np.abs(plain.ss.sites - np.asarray(x)).sum(axis=1)
+    gauge = _distance_gauge(plain, x, c)
     _assert_close(np.exp(plain.log_kill_weight(gauge)), e, 1e-10)
     # the same operator still solves, transposed too, on its own factor
     assert np.array_equal(plain.solve(plain.kill_vector()), e)
     plain.row((0, 0))
+    # against a dense solve of B = e^{g} A e^{-g} on the active rows
+    A, ids = _dense_operator(plain)
+    scale = np.exp(gauge[ids])
+    y = np.linalg.solve(scale[:, None] * A / scale, plain.kill_vector(gauge)[ids])
+    _assert_close(np.exp(plain.log_kill_weight(gauge) + gauge)[ids], y, 1e-12)
+    # a d=3 box, a kill row of each colour on the field spanning the whole
+    # potential domain (750, 1e4 and 1e300), and a site set with taboo holes
+    box3 = BoxRegion.centered(3, 3)
+    huge_box, huge = _huge_potential_field()
+    cases = [(solver._KilledWalk(sample_field(TP, box3, 4), box3, kill=(2, 1, 0)), (2, 1, 0))]
+    cases += [(solver._KilledWalk(huge, huge_box, kill=k), k) for k in ((3, 1), (2, 1))]
+    holes = travel_weight(field, box, (0, 0), x, taboo=[(1, 0), (2, 2), (-3, 1), (4, 3)])
+    assert len(holes.siteset) == len(box.sites()) - 4
+    cases.append((holes.walk, x))
+    for kw, kill in cases:
+        e = kw.solve(kw.kill_vector())
+        _assert_close(np.exp(kw.log_kill_weight(_distance_gauge(kw, kill, c))), e, 1e-10)
+    # the gauged complement is solved as one general band at S's bandwidth
+    bands, real = [], solver.solve_banded
+    monkeypatch.setattr(solver, "solve_banded",
+                        lambda lu, ab, *a, **k: bands.append((lu, ab.shape)) or real(lu, ab, *a, **k))
+    for kw, kill in cases[:2]:
+        kw.log_kill_weight(_distance_gauge(kw, kill, c))
+        ev, _, _, _, bw = kw.colours[:5]
+        assert bands.pop() == ((bw, bw), (2 * bw + 1, len(ev))) and bw > 0
 
 
 def test_weighted_functionals_and_maximal_distance_factor_once(monkeypatch):
@@ -760,10 +791,10 @@ def test_thin_site_sets_band_only_their_own_sites():
     stair = np.column_stack([steps[1:], steps[:-1]])
     field = sample_field(TP, solver.bounding_box(stair), 1)
     kw = solver._KilledWalk(field, stair, kill=(L, L))
-    assert kw.bw <= 2
     # S's band: a column per site of row 0's colour (every other step of
     # the stair), at bandwidth 1
     ev, _, _, _, bw = kw.colours[:5]
+    assert bw <= 2
     assert kw._factor().shape == (bw + 1, len(ev)) == (2, (len(stair) + 1) // 2)
     e, _, keep = _dense_weights(_dense_step_matrix(field, stair), len(stair) - 1)
     res = travel_weight(field, stair, (0, 0), (L, L))
@@ -773,7 +804,7 @@ def test_thin_site_sets_band_only_their_own_sites():
     ev, _, _, _, bw = kw.colours[:5]
     assert kw._factor().shape == (bw + 1, len(ev))
     assert len(ev) < len(block) < np.prod(kw.ss.shape) / 5
-    assert kw.bw < np.prod(kw.ss.shape[1:]) / 3 and bw <= kw.bw
+    assert bw < np.prod(kw.ss.shape[1:]) / 3
 
 
 def test_box_layouts_are_shared_read_only_and_thread_safe():
