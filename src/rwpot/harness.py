@@ -32,7 +32,7 @@ from .lyapunov import estimate_alpha, write_alpha_report
 from .oracle import enumerate_paths, sample_walk_weight
 from .potential import DistributionSpec, sample_field
 from .rng import derive_seed
-from .solver import bounding_box, travel_weight
+from .solver import blas_threads, bounding_box, travel_weight
 
 EXPERIMENTS = ("solve", "lyapunov", "tails", "compare", "truncate", "perturb",
                "entropy", "psi", "animals", "chi", "oracle-check")
@@ -116,6 +116,9 @@ class RunManifest:
     files: list  # [{"name":..., "sha256":...}]
     format_version: int = FORMAT_VERSION
     warnings: tuple = ()
+    # scipy's OpenBLAS thread count (None under another BLAS): like the
+    # runtime, kept out of the config hash and the CSVs
+    blas_threads: int | None = None
 
     def all_passed(self):
         return all(self.assertions.values())
@@ -452,6 +455,7 @@ def run(config: ExperimentConfig, out_dir=None) -> RunManifest:
         files=[{"name": os.path.basename(f), "sha256": sha256_of_file(f)}
                for f in files],
         warnings=tuple(warn),
+        blas_threads=blas_threads(),
     )
     write_json(os.path.join(out, "manifest.json"), manifest.to_json())
     return manifest

@@ -13,19 +13,30 @@ has an identity block on each colour (the parity of the coordinate sum),
 and the exact Schur complement S on one colour has half the rows at the
 same bandwidth. S is factored, once, by banded Cholesky, for every plain
 solve and for the Green diagonal G(y, y) of both colours: Takahashi's
-selected inversion of S in blocked form, n/(bw+1) steps of (bw+1)-square
-products, O(n bw^2) time and O(bw^2) working memory, every product on
-scipy's BLAS (numpy's @ would bring a second OpenBLAS thread pool into the
-loop). The log-space fallback solves its gauged complement by band LU.
+selected inversion of S in blocked form, n/(bw+1) steps of one (bw+1)-square
+triangular inverse and four products, O(n bw^2) time and O(bw^2) working
+memory, every product on scipy's BLAS (numpy's @ would bring a second
+OpenBLAS thread pool into the loop). The log-space fallback solves its
+gauged complement by band LU.
+
+Importing the module sets scipy's bundled OpenBLAS to one thread, unless
+OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS is set (then
+OpenBLAS keeps the count it read) or scipy runs on another BLAS. On one
+thread the band factorizations run no slower and the kernel's 50 x 50
+products about twice as fast, and no second thread waits for a CPU that
+another process holds. numpy's own OpenBLAS, which no solve calls, is left
+alone.
 """
 
+import ctypes
 import functools
 import itertools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded, solve_banded
+from scipy.linalg import _fblas, cho_solve_banded, cholesky_banded, solve_banded
 from scipy.linalg.blas import dgemm, dtrmm
 from scipy.linalg.lapack import dtrtri
 
@@ -39,6 +50,28 @@ OMEGA_CAP = 800.0
 # the size of one stacked system of exit_functionals' shells, counted as
 # (2 bw + 1) rows for a shell's grid bandwidth bw: 2^21 (16 MB of doubles)
 STACK_BAND_ENTRIES = 2 ** 21
+
+
+def _scipy_openblas():
+    """(set, get) of the thread count of scipy's bundled OpenBLAS, looked up
+    through scipy's BLAS extension (the loader searches the libraries it
+    links, whatever was imported first), or None under another BLAS."""
+    try:
+        lib = ctypes.CDLL(_fblas.__file__)
+        return lib.scipy_openblas_set_num_threads, lib.scipy_openblas_get_num_threads
+    except (OSError, AttributeError):
+        return None
+
+
+_OPENBLAS = _scipy_openblas()
+if _OPENBLAS is not None and not any(
+        os.environ.get(v) for v in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
+    _OPENBLAS[0](1)
+
+
+def blas_threads():
+    """The thread count scipy's OpenBLAS reports, or None under another BLAS."""
+    return None if _OPENBLAS is None else int(_OPENBLAS[1]())
 
 
 class SiteSet:
@@ -382,50 +415,56 @@ def _selected_inverse(factor):
     Fagan & Chen, 1973; Erisman & Tinney, 1975). In blocks of m = bw + 1
     rows (the last may be short) L is block lower bidiagonal: lower
     triangular diagonal blocks D_i and strictly upper triangular blocks
-    B_i = L[i+1, i] below them. Going backwards with X_i = D_i^{-1}, the
-    blocks of Z that meet the band are
+    B_i = L[i+1, i] below them. Going backwards with X_i = D_i^{-1} and
+    W_i = Z_{i+1,i+1} B_i X_i, the blocks of Z that meet the band are
 
-        Z_{i+1,i} = -Z_{i+1,i+1} B_i X_i,
-        Z_ii = X_i^T (I + B_i^T Z_{i+1,i+1} B_i) X_i,     Z_KK = X_K^T X_K,
+        Z_{i+1,i} = -W_i,
+        Z_ii = X_i^T (X_i + B_i^T W_i),     Z_KK = X_K^T X_K,
 
-    so n/m steps of a few m x m products, O(n bw^2) time, and only
-    Z_{i+1,i+1} carried: O(bw^2) working memory besides the band. Of each
-    block only its entries in the band are read and written: the lower
-    triangle of D_i and Z_ii, the strict upper one of B_i and Z_{i+1,i}.
-    For an M-matrix X >= 0, B <= 0 and Z >= 0, so every term adds: no
-    cancellation.
+    that is X_i^T (I + B_i^T Z_{i+1,i+1} B_i) X_i. A block costs five BLAS
+    calls: dtrtri for X_i, a dgemm and a dtrmm for W_i, and a dgemm (onto
+    X_i) and a dtrmm for Z_ii. So O(n bw^2) time, and only Z_{i+1,i+1}
+    carried: O(bw^2) working memory besides the band.
+    Of each block only its entries in the band are read and written: the
+    lower triangle of D_i and Z_ii, the strict upper one of B_i and
+    Z_{i+1,i}. For an M-matrix X >= 0, B <= 0 and Z >= 0, so W <= 0 and
+    every term of X + B^T W adds: no cancellation.
 
     Every product runs on scipy's BLAS, none on numpy's @: numpy and scipy
     each bundle their own OpenBLAS with its own thread pool, and the two
     pools fight when calls alternate. On 2 vCPUs at bw = 169 (2197 sites)
     this kernel took 17 ms on scipy's BLAS alone, and 164 to 472 ms with
-    numpy's @ in place of dgemm and dtrmm."""
+    numpy's @ in place of dgemm and dtrmm. That BLAS runs on one thread
+    (see the module docstring): at bw = 49 a 50 x 50 dtrmm took 8 us on one
+    thread and 15 us on two."""
     m, n = factor.shape
     flat = factor.ravel(order="F")
     # columns s.. s + m - 1 of the column-major band are the entries on and
-    # below the diagonal of the stack [D_i; B_i] (2m x m, column-major),
-    # [c, a] at c (2m + 1) + a of it: a block's band entries, and only those
-    skew = np.arange(m) + (2 * m + 1) * np.arange(m)[:, None]
+    # below the diagonal of the stack [D_i; B_i], [c, a] its row c + a of
+    # column c: a block's band entries, and only those. The stack is held
+    # as two column-major m x m halves, so BLAS reads each without a copy:
+    # row c + a of column c is at c (m + 1) + a, or m^2 - m further on in B
+    col, a = np.arange(m)[:, None], np.arange(m)
+    skew = col * (m + 1) + a + (col + a >= m) * (m * m - m)
+    stack, zstack = np.zeros((2, m, m)), np.zeros((2, m, m))  # [D_i; B_i], [Z_ii; Z_{i+1,i}]
+    d, b = stack[0].T, stack[1].T
     out = np.zeros(m * n)
     z = None
     for s in range((n - 1) // m * m, -1, -m):
         k = min(m, n - s)
-        stack = np.zeros((2 * m, m), order="F")
-        stack.ravel(order="F")[skew[:k]] = flat[s * m:(s + k) * m].reshape(k, m)
-        x, info = dtrtri(stack[:k, :k], lower=1)
+        stack.ravel()[skew[:k]] = flat[s * m:(s + k) * m].reshape(k, m)
+        x, info = dtrtri(d[:k, :k], lower=1)
         if info != 0:
             raise SolverError(f"Cholesky block at row {s} is singular (dtrtri info {info})")
-        y = np.eye(k, order="F")
-        zstack = np.zeros((2 * m, m), order="F")  # [Z_ii; Z_{i+1,i}], laid out alike
+        c = x
         if z is not None:
-            b = np.asfortranarray(stack[m:m + len(z)])
-            zb = dgemm(1.0, z, b)
-            y = dgemm(1.0, b, zb, beta=1.0, c=y, trans_a=1, overwrite_c=1)
-            zstack[m:m + len(z)] = dtrmm(-1.0, x, zb, side=1, lower=1, overwrite_b=1)
-        z = dtrmm(1.0, x, dtrmm(1.0, x, y, side=1, lower=1, overwrite_b=1),
-                  lower=1, trans_a=1, overwrite_b=1)
-        zstack[:k, :k] = z
-        out[s * m:(s + k) * m] = zstack.ravel(order="F")[skew[:k]].ravel()
+            bz = b[:len(z)]
+            w = dtrmm(-1.0, x, dgemm(1.0, z, bz), side=1, lower=1, overwrite_b=1)  # -W_i
+            zstack[1].T[:len(z)] = w
+            c = dgemm(-1.0, bz, w, beta=1.0, c=x, trans_a=1)
+        z = dtrmm(1.0, x, c, lower=1, trans_a=1)
+        zstack[0].T[:k, :k] = z
+        out[s * m:(s + k) * m] = zstack.ravel()[skew[:k]].ravel()
     return out.reshape(n, m).T
 
 
@@ -591,9 +630,15 @@ class WeightedFunctionals:
 
     x: tuple
     cost: float  # a_V(0, x)
-    siteset: SiteSet  # active sites (x excluded)
-    q_visit: np.ndarray
+    q_visit: np.ndarray  # by active site (x excluded), in the solved order
     expected_range: float
+    solved: SiteSet  # the solved region's sites, x included
+    active: np.ndarray  # by site of solved: not x
+
+    @functools.cached_property
+    def siteset(self):
+        """The active sites, in q_visit's order, built on first read."""
+        return SiteSet(self.solved.sites[self.active])
 
     def q_at(self, y):
         y = as_point(y)
@@ -634,8 +679,8 @@ def weighted_functionals(field, region, x):
     q[i0] = 1.0
     active = kw.active[kw.keys]  # the region's sites but x, in its order
     q = _clip_unit(q[active])
-    return WeightedFunctionals(x, res.cost_at((0,) * len(x)),
-                               SiteSet(res.siteset.sites[active]), q, float(q.sum()))
+    return WeightedFunctionals(x, res.cost_at((0,) * len(x)), q, float(q.sum()),
+                               res.siteset, active)
 
 
 def visit_probabilities(field, region, x, ys):

@@ -207,9 +207,10 @@ def test_manifest_schema_and_reproducibility(tmp_path):
     obj = json.loads((tmp_path / "a" / "manifest.json").read_text())
     assert set(obj) == {"config_hash", "code_version", "experiment", "seed",
                         "runtime_seconds", "assertions", "files",
-                        "format_version", "warnings"}
+                        "format_version", "warnings", "blas_threads"}
     assert m1.config_hash == m2.config_hash
     assert obj["seed"] == 5 and obj["experiment"] == "tails"
+    assert obj["blas_threads"] is None or obj["blas_threads"] >= 1
     for f in obj["files"]:
         assert len(f["sha256"]) == 64
 

@@ -1,6 +1,9 @@
 import math
+import os
+import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -611,6 +614,43 @@ def test_green_diagonal_on_both_colours_across_the_potential_domain():
         ev, od = kw.colours[:2]
         assert len(ev) == 85 and len(od) == 84
         _assert_diagonal_matches_dense_inverse(kw)
+
+
+_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _blas_threads_around_import(**env):
+    """(count, count) of scipy's OpenBLAS threads before and after `import
+    rwpot` in a fresh process with env and none of the thread variables
+    otherwise, or None where scipy's BLAS is not OpenBLAS."""
+    code = """if True:
+        import ctypes, sys
+        import scipy.linalg
+        lib = ctypes.CDLL(scipy.linalg._fblas.__file__)
+        if not hasattr(lib, "scipy_openblas_get_num_threads"):
+            print("none")
+            sys.exit()
+        before = lib.scipy_openblas_get_num_threads()
+        sys.path.insert(0, sys.argv[1])
+        import rwpot
+        print(before, lib.scipy_openblas_get_num_threads(), rwpot.solver.blas_threads())
+        """
+    clean = {k: v for k, v in os.environ.items() if k not in _THREAD_VARIABLES}
+    out = subprocess.run([sys.executable, "-c", code, str(Path(solver.__file__).parents[1])],
+                         env=clean | env, capture_output=True, text=True, check=True,
+                         timeout=120).stdout.split()
+    if out == ["none"]:
+        pytest.skip("scipy's BLAS is not its bundled OpenBLAS: no thread count to set")
+    before, after, reported = map(int, out)
+    assert reported == after
+    return before, after
+
+
+def test_import_sets_scipy_blas_to_one_thread_unless_the_environment_does():
+    assert _blas_threads_around_import()[1] == 1
+    # an explicit count is OpenBLAS's to keep (capped at the CPU count)
+    before, after = _blas_threads_around_import(OPENBLAS_NUM_THREADS="2")
+    assert after == before and before <= 2
 
 
 def test_blocked_green_diagonal_rejects_a_singular_block():
