@@ -22,10 +22,11 @@ gauged complement by band LU.
 Importing the module sets scipy's bundled OpenBLAS to one thread, unless
 OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS is set (then
 OpenBLAS keeps the count it read) or scipy runs on another BLAS. On one
-thread the band factorizations run no slower and the kernel's 50 x 50
-products about twice as fast, and no second thread waits for a CPU that
-another process holds. numpy's own OpenBLAS, which no solve calls, is left
-alone.
+thread the band factorizations run no slower and the Green-diagonal
+kernel's 50 x 50 dtrmm about twice as fast, and no second thread waits for
+a CPU that another process holds; only the kernel at d=3 widths (bw 169)
+runs about a quarter slower on an idle machine. numpy's own OpenBLAS, which
+no solve calls, is left alone.
 """
 
 import ctypes
@@ -435,8 +436,8 @@ def _selected_inverse(factor):
     pools fight when calls alternate. On 2 vCPUs at bw = 169 (2197 sites)
     this kernel took 17 ms on scipy's BLAS alone, and 164 to 472 ms with
     numpy's @ in place of dgemm and dtrmm. That BLAS runs on one thread
-    (see the module docstring): at bw = 49 a 50 x 50 dtrmm took 8 us on one
-    thread and 15 us on two."""
+    (see the module docstring): a 50 x 50 dtrmm took 6 to 9 us on one
+    thread and 14 to 16 us on two."""
     m, n = factor.shape
     flat = factor.ravel(order="F")
     # columns s.. s + m - 1 of the column-major band are the entries on and
