@@ -54,25 +54,25 @@ STACK_BAND_ENTRIES = 2 ** 21
 
 
 def _scipy_openblas():
-    """(set, get) of the thread count of scipy's bundled OpenBLAS, looked up
-    through scipy's BLAS extension (the loader searches the libraries it
-    links, whatever was imported first), or None under another BLAS."""
+    """scipy's bundled OpenBLAS, loaded through scipy's BLAS extension (the
+    loader searches the libraries it links, whatever was imported first),
+    or None under another BLAS."""
     try:
         lib = ctypes.CDLL(_fblas.__file__)
-        return lib.scipy_openblas_set_num_threads, lib.scipy_openblas_get_num_threads
-    except (OSError, AttributeError):
+    except OSError:
         return None
+    return lib if hasattr(lib, "scipy_openblas_set_num_threads") else None
 
 
 _OPENBLAS = _scipy_openblas()
 if _OPENBLAS is not None and not any(
         os.environ.get(v) for v in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
-    _OPENBLAS[0](1)
+    _OPENBLAS.scipy_openblas_set_num_threads(1)
 
 
 def blas_threads():
     """The thread count scipy's OpenBLAS reports, or None under another BLAS."""
-    return None if _OPENBLAS is None else int(_OPENBLAS[1]())
+    return None if _OPENBLAS is None else _OPENBLAS.scipy_openblas_get_num_threads()
 
 
 class SiteSet:
@@ -425,11 +425,11 @@ def _selected_inverse(factor):
     that is X_i^T (I + B_i^T Z_{i+1,i+1} B_i) X_i. A block costs five BLAS
     calls: dtrtri for X_i, a dgemm and a dtrmm for W_i, and a dgemm (onto
     X_i) and a dtrmm for Z_ii. So O(n bw^2) time, and only Z_{i+1,i+1}
-    carried: O(bw^2) working memory besides the band.
-    Of each block only its entries in the band are read and written: the
-    lower triangle of D_i and Z_ii, the strict upper one of B_i and
-    Z_{i+1,i}. For an M-matrix X >= 0, B <= 0 and Z >= 0, so W <= 0 and
-    every term of X + B^T W adds: no cancellation.
+    carried: O(bw^2) working memory besides the band. Of each block only
+    its entries in the band are read and written: the lower triangle of D_i
+    and Z_ii, the strict upper one of B_i and Z_{i+1,i}. For an M-matrix
+    X >= 0, B <= 0 and Z >= 0, so W <= 0 and every term of X + B^T W adds:
+    no cancellation.
 
     Every product runs on scipy's BLAS, none on numpy's @: numpy and scipy
     each bundle their own OpenBLAS with its own thread pool, and the two

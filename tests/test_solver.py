@@ -620,9 +620,9 @@ _THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREAD
 
 
 def _blas_threads_around_import(**env):
-    """(count, count) of scipy's OpenBLAS threads before and after `import
-    rwpot` in a fresh process with env and none of the thread variables
-    otherwise, or None where scipy's BLAS is not OpenBLAS."""
+    """scipy's OpenBLAS thread count before and after `import rwpot`, in a
+    fresh process with env and none of the thread variables otherwise; the
+    test is skipped where scipy's BLAS is not its bundled OpenBLAS."""
     code = """if True:
         import ctypes, sys
         import scipy.linalg
