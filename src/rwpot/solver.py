@@ -11,13 +11,17 @@ neighbors at the strides of their bounding-box grid, the kill site a
 decoupled unit row). The lattice is bipartite, so the symmetrized operator
 has an identity block on each colour (the parity of the coordinate sum),
 and the exact Schur complement S on one colour has half the rows at the
-same bandwidth. S is factored, once, by banded Cholesky, for every plain
-solve and for the Green diagonal G(y, y) of both colours: Takahashi's
+same bandwidth. S is factored, on first use, by banded Cholesky, for every
+plain solve and for the Green diagonal G(y, y) of both colours: Takahashi's
 selected inversion of S in blocked form, n/(bw+1) steps of one (bw+1)-square
-triangular inverse and four products, O(n bw^2) time and O(bw^2) working
-memory, every product on scipy's BLAS (numpy's @ would bring a second
-OpenBLAS thread pool into the loop). The log-space fallback solves its
-gauged complement by band LU.
+triangular inverse and four products, O(n bw^2) time, every product on
+scipy's BLAS (numpy's @ would bring a second OpenBLAS thread pool into the
+loop). Z = S^{-1} on the band is written over the Cholesky factor, as
+LAPACK's dpotri overwrites its own: the kernel needs O(bw^2) memory besides
+the factor's band, and a solve after it factors S again. So a field's
+weighted functionals hold one band-sized array, not two whose freeing
+hands them back to the OS to be faulted in again by the next field. The
+log-space fallback solves its gauged complement by band LU.
 
 Importing the module sets scipy's bundled OpenBLAS to one thread, unless
 OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS is set (then
@@ -191,7 +195,9 @@ def _box_site_set(box):
     return _frozen(SiteSet(box))
 
 
-@functools.lru_cache(maxsize=4)
+# one exit_functionals call stacks at most two counts, full chunks and the
+# rest; one stack at the STACK_BAND_ENTRIES bound holds about 38 MB
+@functools.lru_cache(maxsize=2)
 def _shell_stack(d, k, count):
     """count copies of the box [0, 2k]^d side by side along axis 0, one
     empty layer between neighbours, as one SiteSet (read-only, shared):
@@ -389,12 +395,15 @@ class _KilledWalk:
         I + K_oe Z K_eo]]: G(a, a) = Z[a, a] on the rows of e, and on a row
         o of the other colour G(o, o) = 1 + sum K_oa K_ob Z[a, b] over the
         neighbors a, b of o, every Z[a, b] of which is in the band: a = b
-        once for each pair at o, and a != b twice for each path a - o - b."""
+        once for each pair at o, and a != b twice for each path a - o - b.
+        Z is written over the factor, so a call of more than one id uses it
+        up: a later solve on this operator factors S again."""
         ids = np.arange(len(self.omega)) if ids is None else np.asarray(ids)
         if len(ids) == 1:
             return self.solve(self._unit(ids[0]))[ids]
         ev, od, pe, po, _, e1, e2, slot = self.colours
-        z, k = _selected_inverse(self._factor()), self.coupling
+        factor, self._cholesky = self._factor(), None
+        z, k = _selected_inverse(factor), self.coupling
         paths = k[e1] * k[e2] * z.ravel(order="F")[slot]
         g = np.empty(len(self.omega))
         g[ev] = z[0]
@@ -413,7 +422,9 @@ class _KilledWalk:
 def _selected_inverse(factor):
     """Z = (L L^T)^{-1} on the band of L, in L's lower band storage
     factor[a, j] = L[j + a, j], by blocked selected inversion (Takahashi,
-    Fagan & Chen, 1973; Erisman & Tinney, 1975). In blocks of m = bw + 1
+    Fagan & Chen, 1973; Erisman & Tinney, 1975), written over a
+    Fortran-ordered factor as LAPACK's dpotri overwrites its Cholesky
+    factor (any other factor is copied first). In blocks of m = bw + 1
     rows (the last may be short) L is block lower bidiagonal: lower
     triangular diagonal blocks D_i and strictly upper triangular blocks
     B_i = L[i+1, i] below them. Going backwards with X_i = D_i^{-1} and
@@ -425,9 +436,12 @@ def _selected_inverse(factor):
     that is X_i^T (I + B_i^T Z_{i+1,i+1} B_i) X_i. A block costs five BLAS
     calls: dtrtri for X_i, a dgemm and a dtrmm for W_i, and a dgemm (onto
     X_i) and a dtrmm for Z_ii. So O(n bw^2) time, and only Z_{i+1,i+1}
-    carried: O(bw^2) working memory besides the band. Of each block only
-    its entries in the band are read and written: the lower triangle of D_i
-    and Z_ii, the strict upper one of B_i and Z_{i+1,i}. For an M-matrix
+    carried: O(bw^2) working memory besides the factor's own band. Of each
+    block only its entries in the band are read and written: the lower
+    triangle of D_i and Z_ii, the strict upper one of B_i and Z_{i+1,i}.
+    Block i reads its band columns [D_i; B_i] before it writes [Z_ii;
+    Z_{i+1,i}] to the same slots, and no later block reads them, so Z can
+    take the factor's place. For an M-matrix
     X >= 0, B <= 0 and Z >= 0, so W <= 0 and every term of X + B^T W adds:
     no cancellation.
 
@@ -439,7 +453,7 @@ def _selected_inverse(factor):
     (see the module docstring): a 50 x 50 dtrmm took 6 to 9 us on one
     thread and 14 to 16 us on two."""
     m, n = factor.shape
-    flat = factor.ravel(order="F")
+    flat = factor.ravel(order="F")  # a view: Z is written over the factor
     # columns s.. s + m - 1 of the column-major band are the entries on and
     # below the diagonal of the stack [D_i; B_i], [c, a] its row c + a of
     # column c: a block's band entries, and only those. The stack is held
@@ -449,7 +463,6 @@ def _selected_inverse(factor):
     skew = col * (m + 1) + a + (col + a >= m) * (m * m - m)
     stack, zstack = np.zeros((2, m, m)), np.zeros((2, m, m))  # [D_i; B_i], [Z_ii; Z_{i+1,i}]
     d, b = stack[0].T, stack[1].T
-    out = np.zeros(m * n)
     z = None
     for s in range((n - 1) // m * m, -1, -m):
         k = min(m, n - s)
@@ -465,8 +478,8 @@ def _selected_inverse(factor):
             c = dgemm(-1.0, bz, w, beta=1.0, c=x, trans_a=1)
         z = dtrmm(1.0, x, c, lower=1, trans_a=1)
         zstack[0].T[:k, :k] = z
-        out[s * m:(s + k) * m] = zstack.ravel()[skew[:k]].ravel()
-    return out.reshape(n, m).T
+        flat[s * m:(s + k) * m] = zstack.ravel()[skew[:k]].ravel()
+    return flat.reshape(n, m).T
 
 
 @dataclass(eq=False)
@@ -672,16 +685,22 @@ def weighted_functionals(field, region, x):
     res, i0, g = _tilted_walk(field, region, x)
     kw, u = res.walk, res.e_values
     diag = kw.diagonal()[kw.keys]
-    # g[i0] = G(0, 0) from the residual-checked row solve vets the diagonal
-    if not abs(diag[i0] - g[i0]) <= RESIDUAL_TOL * g[i0]:
-        raise SolverError(f"Green diagonal G(0, 0) = {diag[i0]:.17g} disagrees "
-                          f"with the row solve {g[i0]:.17g}")
+    _vet_diagonal(diag[i0], g[i0], "0")
     q = (g / diag) * u / u[i0]
     q[i0] = 1.0
     active = kw.active[kw.keys]  # the region's sites but x, in its order
     q = _clip_unit(q[active])
     return WeightedFunctionals(x, res.cost_at((0,) * len(x)), q, float(q.sum()),
                                res.siteset, active)
+
+
+def _vet_diagonal(diag, solved, y):
+    """Raise SolverError unless G(y, y) from the selected inversion, diag,
+    agrees with solved, G(y, y) from a residual-checked solve (y names the
+    site in the message)."""
+    if not abs(diag - solved) <= RESIDUAL_TOL * solved:
+        raise SolverError(f"Green diagonal G({y}, {y}) = {diag:.17g} disagrees "
+                          f"with the row solve {solved:.17g}")
 
 
 def visit_probabilities(field, region, x, ys):
@@ -741,6 +760,8 @@ def maximal_distance(field, region, x, eta):
     col_x = kw.column(x)  # G(., x)
     diag = kw.diagonal(ball)
     ys = ball != ix
+    if len(ball) > 1:  # one id is already a checked column solve
+        _vet_diagonal(diag[~ys][0], row_x[ix], "x")
     e = np.concatenate([row_x[ball[ys]] / diag[ys], col_x[ball[ys]] / row_x[ix]])
     if np.any(e <= 0):
         raise DegenerateWeightError("weight underflow inside maximal-distance ball")

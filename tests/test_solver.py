@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from rwpot.potential import DistributionSpec, PotentialField, sample_field
 from rwpot import solver
 from rwpot.coarse import chi_region
 from rwpot.concentration import (box_return_probability, entropy_global_probe,
-                                 pinned_return_probability, rank_one_verify)
+                                 pinned_return_probability, prop_box, rank_one_verify)
 from rwpot.oracle import transition_matrix
 from rwpot.rng import derive_seed
 from rwpot.solver import (SiteSet, block_cost, exit_functional,
@@ -499,6 +500,9 @@ def test_weighted_functionals_cross_checks_the_green_diagonal(monkeypatch):
     box = BoxRegion.centered(3, 2)
     with pytest.raises(SolverError, match="G\\(0, 0\\)"):
         weighted_functionals(sample_field(TP, box, 1), box, (2, 0))
+    # maximal_distance checks G(x, x) of its ball's diagonal the same way
+    with pytest.raises(SolverError, match="G\\(x, x\\)"):
+        maximal_distance(sample_field(TP, box, 1), box, (2, 0), 1.0)
 
 
 def _huge_potential_field():
@@ -525,7 +529,7 @@ def _assert_blocked_diagonal_matches_the_scalar_recurrence(kw, pad=0):
     ref = reference_green_diagonal(factor)
     assert np.all(ref > 0)
     wide = np.asfortranarray(np.vstack([factor, np.zeros((pad, factor.shape[1]))]))
-    for f in (factor, wide):
+    for f in (factor.copy(order="F"), wide):
         _assert_close(solver._selected_inverse(f)[0], ref, 1e-13)
 
 
@@ -651,6 +655,41 @@ def test_import_sets_scipy_blas_to_one_thread_unless_the_environment_does():
     # an explicit count is OpenBLAS's to keep (capped at the CPU count)
     before, after = _blas_threads_around_import(OPENBLAS_NUM_THREADS="2")
     assert after == before and before <= 2
+
+
+@pytest.mark.parametrize("box, shape", [(prop_box((12, 0), 2), (50, 1201)),
+                                        (BoxRegion.centered(6, 3), (170, 1099))])
+def test_green_diagonal_kernel_works_in_place_of_the_factor(box, shape):
+    # 2401 sites at bw + 1 = 50 and 2197 at 170: Z takes the factor's
+    # place, and what the kernel allocates besides is O(bw^2), not a band
+    factor = solver._KilledWalk(sample_field(TP, box, 1), box)._factor()
+    assert factor.shape == shape
+    m = shape[0]
+    tracemalloc.start()
+    try:
+        z = solver._selected_inverse(factor)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * m * m * 8
+    assert np.shares_memory(z, factor)
+
+
+def test_green_diagonal_uses_up_the_factor_and_later_solves_refactor(monkeypatch):
+    box = BoxRegion.centered(6, 2)
+    field = sample_field(TP, box, 3)
+    fresh = solver._KilledWalk(field, box, kill=(2, 0))
+    b, i = fresh.kill_vector(), fresh._idx((-1, 3))
+    want = [fresh.solve(b), fresh.row((0, 0)), fresh.diagonal([i])]
+    calls = _count_factorizations(monkeypatch)
+    kw = solver._KilledWalk(field, box, kill=(2, 0))
+    diag = kw.diagonal()
+    assert len(calls) == 1
+    _assert_close(diag[i], want[2], 1e-13)
+    # the full diagonal left no factor behind: the next solve factors again
+    for got, ref in zip([kw.solve(b), kw.row((0, 0)), kw.diagonal([i])], want):
+        _assert_close(got, ref, 1e-13)
+    assert len(calls) == 2
 
 
 def test_blocked_green_diagonal_rejects_a_singular_block():
