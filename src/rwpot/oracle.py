@@ -13,7 +13,6 @@ runs the episodes of both Monte Carlo samplers.
 """
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 
@@ -22,7 +21,7 @@ import scipy.sparse as sp
 
 from .errors import CapacityError, DomainError, FeasibilityError, ParameterError
 from .lattice import as_point, coarse_index
-from .rng import counter_uniform
+from .rng import last_word_uniform, prefix_state
 from .solver import SiteSet, region_sites
 
 ENUM_MAX_SITES = 49
@@ -114,39 +113,6 @@ def enumerate_paths(field, region, x, taboo=(), L=ENUM_MAX_STEPS):
     return PathEnumResult(total, remainder, L, kappa_min, per_step)
 
 
-def enumerate_paths_dfs(field, region, x, taboo=(), L=12):
-    """Literal recursive path enumeration. Exponential in L; only usable on
-    tiny instances, where it cross-validates enumerate_paths path by path."""
-    x = as_point(x)
-    taboo = frozenset(as_point(t) for t in taboo)
-    sites = region_sites(region)
-    allowed = {tuple(int(c) for c in z) for z in sites} - taboo
-    if x not in allowed:
-        raise DomainError("x must lie in the region off the taboo set")
-    d = len(x)
-    if len(allowed) * (2 * d) ** L > 5 * 10 ** 8:
-        raise CapacityError("DFS budget exceeded; use enumerate_paths")
-    inv2d = 1.0 / (2 * d)
-    total = 0.0
-    origin = (0,) * d
-
-    def walk(z, weight, steps_left):
-        nonlocal total
-        if steps_left == 0:
-            return
-        step_w = weight * math.exp(-field.value_at(z)) * inv2d
-        for axis in range(d):
-            for sign in (1, -1):
-                nb = z[:axis] + (z[axis] + sign,) + z[axis + 1:]
-                if nb == x:
-                    total += step_w
-                elif nb in allowed:
-                    walk(nb, step_w, steps_left - 1)
-
-    walk(origin, 1.0, L)
-    return total
-
-
 # ---------------------------------------------------------------------------
 # Monte Carlo episodes
 
@@ -173,23 +139,36 @@ def _walk(field, ss, x, seed, episodes, record=False):
     Returns the per-episode hit flags and log weights (meaningful on hits)
     and, with record, each episode's rows of ss in step order: from the
     origin up to x on a hit, the exit point left out.
+
+    A live episode is a flat key into ss's bounding-box grid padded by one
+    layer on every side, so a step is one add and never leaves the grid:
+    row_of[key] is the episode's row of ss, -1 on the pad and on holes. The
+    (seed, k) words of every episode's counters are hashed once.
     """
     d, first, n = ss.d, int(episodes[0]), len(episodes)
-    xv = np.asarray(x, dtype=np.int64)
+    shape = tuple(m + 2 for m in ss.shape)
+    row_of = np.full(math.prod(shape), -1, dtype=np.int64)
+    row_of[np.ravel_multi_index((ss.sites - ss.lo + 1).T, shape)] = np.arange(len(ss))
+    step = np.kron([math.prod(shape[k + 1:]) for k in range(d)], [1, -1])  # +e1, -e1, ...
+    key0, key_x = np.ravel_multi_index((np.array([(0,) * d, x]) - ss.lo + 1).T, shape)
+    omega = field.values_at(ss.sites)
     hit_all, logw_all = np.zeros(n, dtype=bool), np.zeros(n)
-    pos = np.zeros((n, d), dtype=np.int64)
+    key = np.full(n, key0)
+    rows = row_of[key]
     logw = np.zeros(n)
-    trail = [(episodes, np.full(n, ss.index_one((0,) * d)))] if record else None
+    state = prefix_state(seed, episodes[:, None])
+    out, tmp = np.empty(n, dtype=np.uint64), np.empty(n, dtype=np.uint64)
+    trail = [(episodes, rows)] if record else None
     t = 0
     while len(episodes):
-        logw -= field.values_at(pos)  # pay at the departure site
-        u = counter_uniform(seed, np.stack(
-            [episodes, np.full_like(episodes, t)], axis=-1))
+        m = len(episodes)
+        logw -= omega[rows]  # pay at the departure site
+        u = last_word_uniform(state, 1, t, out[:m], tmp[:m])
         dirs = np.minimum((u * 2 * d).astype(np.int64), 2 * d - 1)
-        pos[np.arange(len(episodes)), dirs // 2] += 1 - 2 * (dirs % 2)
+        key += step[dirs]
         t += 1
-        hit = np.all(pos == xv, axis=1)
-        rows = ss.index(pos)
+        hit = key == key_x
+        rows = row_of[key]
         if hit.any():
             hit_all[episodes[hit] - first] = True
             logw_all[episodes[hit] - first] = logw[hit]
@@ -197,7 +176,8 @@ def _walk(field, ss, x, seed, episodes, record=False):
             inside = rows >= 0
             trail.append((episodes[inside], rows[inside]))
         alive = (rows >= 0) & ~hit
-        episodes, pos, logw = episodes[alive], pos[alive], logw[alive]
+        episodes, key, rows, logw, state = (
+            a[alive] for a in (episodes, key, rows, logw, state))
     if not record:
         return hit_all, logw_all
     ids, rows = (np.concatenate(a) for a in zip(*trail))
@@ -304,17 +284,3 @@ def sample_crossings(field, region, x, l, n_samples, seed,
                     return traces
             elif include_rejected:
                 traces.append(CrossingTrace(False, 0.0, (), (), len(set(rows.tolist())), l))
-
-
-def dump_traces(traces, path):
-    """One JSON object per episode, one line each."""
-    with open(str(path), "w") as fh:
-        for tr in traces:
-            fh.write(json.dumps({
-                "accepted": tr.accepted,
-                "weight": tr.weight,
-                "range_size": tr.range_size,
-                "animal_size": tr.animal_size,
-                "tau_count": len(tr.tau_times),
-            }, sort_keys=True))
-            fh.write("\n")

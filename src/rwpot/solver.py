@@ -389,9 +389,10 @@ class _KilledWalk:
 
     def diagonal(self, ids=None):
         """G(y, y) for the given rows (all of them by default; the
-        Dirichlet row has 1). One id costs one checked column solve. More
-        come from Z = S^{-1} on the band of S's Cholesky factor, by one
-        selected inversion, since T^{-1} = [[Z, Z K_eo], [K_oe Z,
+        Dirichlet row has 1). No ids cost nothing and leave the factor
+        alone; one id costs one checked column solve. More come from
+        Z = S^{-1} on the band of S's Cholesky factor, by one selected
+        inversion, since T^{-1} = [[Z, Z K_eo], [K_oe Z,
         I + K_oe Z K_eo]]: G(a, a) = Z[a, a] on the rows of e, and on a row
         o of the other colour G(o, o) = 1 + sum K_oa K_ob Z[a, b] over the
         neighbors a, b of o, every Z[a, b] of which is in the band: a = b
@@ -399,6 +400,8 @@ class _KilledWalk:
         Z is written over the factor, so a call of more than one id uses it
         up: a later solve on this operator factors S again."""
         ids = np.arange(len(self.omega)) if ids is None else np.asarray(ids)
+        if len(ids) == 0:
+            return np.empty(0)
         if len(ids) == 1:
             return self.solve(self._unit(ids[0]))[ids]
         ev, od, pe, po, _, e1, e2, slot = self.colours

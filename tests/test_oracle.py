@@ -7,12 +7,12 @@ import pytest
 from rwpot import oracle
 from rwpot.errors import CapacityError, FeasibilityError, ParameterError
 from rwpot.lattice import BoxRegion
-from rwpot.oracle import (dump_traces, enumerate_paths, enumerate_paths_dfs,
-                          sample_crossings, sample_walk_weight)
+from rwpot.oracle import enumerate_paths, sample_crossings, sample_walk_weight
 from rwpot.potential import DistributionSpec, sample_field
-from rwpot.solver import travel_weight, weighted_functionals, zero_field
+from rwpot.solver import SiteSet, travel_weight, weighted_functionals, zero_field
 from rwpot.stats import weighted_mean_se
-from util_oracles import reference_crossings
+from util_oracles import (dump_traces, enumerate_paths_dfs, reference_crossings,
+                          reference_walk)
 
 TP = DistributionSpec.two_point(0.2, 1.0, 0.5)
 EXP = DistributionSpec.exponential(1.0)
@@ -120,6 +120,30 @@ def test_walk_weight_independent_of_episode_order():
     b = sample_walk_weight(field, box, (1, 0), 500, 77)
     assert a.weights[:500].tobytes() == b.weights.tobytes()
     assert a.n_hit > b.n_hit > 0
+
+
+def _holey_square():
+    sites = BoxRegion.centered(3, 2).sites()
+    return sites[np.any(sites != (1, 0), axis=1)]  # x's neighbour (1, 0) is a hole
+
+
+@pytest.mark.parametrize("region, x, first", [
+    (BoxRegion.centered(3, 2), (2, 1), 0),
+    (_holey_square(), (2, 0), 0),
+    (BoxRegion((-1, -1), (9, 2)), (6, 0), 0),  # a strip three sites wide
+    (BoxRegion.centered(2, 3), (1, 1, 0), 1024),  # a later crossing batch
+])
+def test_walk_matches_one_episode_reference(region, x, first):
+    sites = region.sites() if isinstance(region, BoxRegion) else region
+    field = sample_field(TP, BoxRegion.centered(8, len(x)), 4)
+    episodes = np.arange(first, first + 400, dtype=np.int64)
+    hit, logw = oracle._walk(field, SiteSet(sites), x, 99, episodes)
+    allowed = {tuple(z) for z in sites.tolist()}
+    want = [reference_walk(field, allowed, x, 99, k)[:2] for k in episodes.tolist()]
+    # log weights, not weights: np.exp and math.exp may differ in the last ulp
+    assert hit.tolist() == [h for h, _ in want]
+    assert logw.tobytes() == np.array([w for _, w in want]).tobytes()
+    assert 0 < hit.sum() < len(episodes)
 
 
 def test_crossing_trace_single_step():

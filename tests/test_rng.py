@@ -2,13 +2,35 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rwpot.rng import counter_hash, counter_uniform, derive_seed
+from rwpot.rng import (counter_hash, counter_uniform, derive_seed, last_word_uniform,
+                       prefix_state)
 
 
 def test_hash_is_deterministic():
     a = counter_hash(42, [[1, 2, 3], [4, 5, 6]])
     b = counter_hash(42, [[1, 2, 3], [4, 5, 6]])
     assert np.array_equal(a, b)
+
+
+def test_hash_values_are_pinned():
+    got = counter_hash(5, np.arange(12).reshape(6, 2))
+    assert got.tolist() == [3357374377993410446, 3970369683978675750,
+                            3582751960001653500, 17073511229052544911,
+                            9596969892231297137, 5109803368731897963]
+
+
+@pytest.mark.parametrize("seed", [0, -1, 2 ** 63 + 5, 2 ** 64 - 1])
+def test_absorbed_prefix_extends_to_counter_uniform(seed):
+    episodes = np.array([0, 1, 1024, 2 ** 40 + 3, 2 ** 62, 2 ** 63 - 1],
+                        dtype=np.int64)
+    state = prefix_state(seed, episodes[:, None])
+    before = state.copy()
+    out, tmp = np.empty_like(state), np.empty_like(state)
+    for t in (0, 1, 2, 77, 2 ** 31):
+        got = last_word_uniform(state, 1, t, out, tmp)
+        want = counter_uniform(seed, np.stack([episodes, np.full_like(episodes, t)], axis=-1))
+        assert got.tobytes() == want.tobytes()
+    assert state.tobytes() == before.tobytes()
 
 
 def test_hash_depends_on_seed_and_counters():

@@ -692,6 +692,25 @@ def test_green_diagonal_uses_up_the_factor_and_later_solves_refactor(monkeypatch
     assert len(calls) == 2
 
 
+def test_green_diagonal_of_no_ids_leaves_the_factor_alone(monkeypatch):
+    inversions = []
+    real = solver._selected_inverse
+    monkeypatch.setattr(solver, "_selected_inverse",
+                        lambda f: inversions.append(f.shape) or real(f))
+    box = BoxRegion.centered(4, 2)
+    field = sample_field(TP, box, 1)
+    kw = solver._KilledWalk(field, box)
+    factor = kw._factor()
+    before = factor.copy()
+    for ids in ([], np.array([], dtype=np.int64)):
+        diag = kw.diagonal(ids)
+        assert diag.shape == (0,) and diag.dtype == np.float64
+    assert kw._cholesky is factor and np.array_equal(factor, before)
+    # the empty ball of eta = 0 reaches the diagonal with no ids
+    assert maximal_distance(field, box, (2, 0), 0.0) == 0.0
+    assert inversions == []
+
+
 def test_blocked_green_diagonal_rejects_a_singular_block():
     box = BoxRegion.centered(3, 2)
     factor = solver._KilledWalk(sample_field(TP, box, 1), box)._factor().copy(order="F")

@@ -2,22 +2,25 @@
 
 Most deliberately avoid the library's own algorithms: connectivity is
 checked by flood fill over explicit subsets, travel weights are
-accumulated path by path, and crossing traces are walked one episode and
-one step at a time (sharing only the counter-based randomness). The last
-two run the solver the slow way its batched paths replace: one operator
-per crossing shell, and one factorization per field for a raised site;
-the Green diagonal is also inverted the slow way, one index at a time.
+accumulated path by path (by recursion, or by walking one episode and one
+step at a time, which shares only the counter-based randomness with the
+library's lockstep walk), and so are crossing traces, which dump_traces
+writes one JSON line each. Two run the solver the slow way its batched
+paths replace: one operator per crossing shell, and one factorization per
+field for a raised site; the Green diagonal is also inverted the slow
+way, one index at a time.
 """
 
+import json
 import math
 from itertools import combinations
 
 import numpy as np
 
-from rwpot.errors import FeasibilityError
-from rwpot.lattice import BoxRegion
+from rwpot.errors import CapacityError, DomainError, FeasibilityError
+from rwpot.lattice import BoxRegion, as_point
 from rwpot.rng import counter_uniform
-from rwpot.solver import _KilledWalk, travel_weight, visit_probabilities
+from rwpot.solver import _KilledWalk, region_sites, travel_weight, visit_probabilities
 
 
 def _l1_neighbors(cell):
@@ -71,6 +74,39 @@ def brute_force_fixed_animal_count(d, size):
         if flood_fill_connected(cells):
             count += 1
     return count
+
+
+def enumerate_paths_dfs(field, region, x, taboo=(), L=12):
+    """Literal recursive path enumeration. Exponential in L; only usable on
+    tiny instances, where it cross-validates enumerate_paths path by path."""
+    x = as_point(x)
+    taboo = frozenset(as_point(t) for t in taboo)
+    sites = region_sites(region)
+    allowed = {tuple(int(c) for c in z) for z in sites} - taboo
+    if x not in allowed:
+        raise DomainError("x must lie in the region off the taboo set")
+    d = len(x)
+    if len(allowed) * (2 * d) ** L > 5 * 10 ** 8:
+        raise CapacityError("DFS budget exceeded; use enumerate_paths")
+    inv2d = 1.0 / (2 * d)
+    total = 0.0
+    origin = (0,) * d
+
+    def walk(z, weight, steps_left):
+        nonlocal total
+        if steps_left == 0:
+            return
+        step_w = weight * math.exp(-field.value_at(z)) * inv2d
+        for axis in range(d):
+            for sign in (1, -1):
+                nb = z[:axis] + (z[axis] + sign,) + z[axis + 1:]
+                if nb == x:
+                    total += step_w
+                elif nb in allowed:
+                    walk(nb, step_w, steps_left - 1)
+
+    walk(origin, 1.0, L)
+    return total
 
 
 def reference_walk(field, allowed, x, seed, episode):
@@ -131,6 +167,20 @@ def reference_crossings(field, sites, x, l, n_samples, seed,
         elif include_rejected:
             out.append((False, 0.0, (), (), len(set(path)), l))
     return out
+
+
+def dump_traces(traces, path):
+    """One JSON object per episode, one line each."""
+    with open(str(path), "w") as fh:
+        for tr in traces:
+            fh.write(json.dumps({
+                "accepted": tr.accepted,
+                "weight": tr.weight,
+                "range_size": tr.range_size,
+                "animal_size": tr.animal_size,
+                "tau_count": len(tr.tau_times),
+            }, sort_keys=True))
+            fh.write("\n")
 
 
 def reference_exit_functionals(field, region, starts, crossing):
