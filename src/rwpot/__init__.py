@@ -12,15 +12,14 @@ __version__ = "1.0.0"
 from .errors import (AssumptionError, CapacityError, DegenerateWeightError,
                      DomainError, FeasibilityError, ParameterError,
                      RwpotError, SolverError)
-from .lattice import (AnimalSpec, BoxRegion, block_sites, canonical_form,
-                      coarse_index, enumerate_animals, neighbors, norms)
+from .lattice import (AnimalSpec, BoxRegion, canonical_form, coarse_index,
+                      enumerate_animals, norms)
 from .potential import (AssumptionReport, DistributionSpec, PotentialField,
                         assumption_report, load_field, sample_field,
                         save_field)
-from .solver import (SolveResult, WeightedFunctionals, block_cost,
-                     exit_functional, exit_functionals, maximal_distance,
-                     raise_site, return_probability, travel_weight,
-                     visit_probabilities, weighted_functionals)
+from .solver import (SolveResult, WeightedFunctionals, exit_functional,
+                     exit_functionals, raise_site, travel_weight,
+                     weighted_functionals)
 from .oracle import (CrossingTrace, PathEnumResult, enumerate_paths,
                      sample_crossings, sample_walk_weight)
 from .lyapunov import AlphaEstimate, check_norm_properties, estimate_alpha

@@ -243,8 +243,7 @@ def supermartingale_step_check(spec, l, kappa, chi_value, n_trials, seed,
         return {"occupied": occ, "value": value, "limit": limit,
                 "ok": value <= limit + STRICTNESS_TOL}
 
-    rows = sample_fields(row, spec, region,
-                         [derive_seed(seed, trial) for trial in range(n_trials)])
+    rows = sample_fields(row, spec, region, (seed,), n_trials)
     return {"l": l, "kappa": kappa, "chi_value": chi_value,
             "n_trials": n_trials,
             "occupied_trials": sum(int(r["occupied"]) for r in rows),

@@ -63,9 +63,13 @@ def pinned_return_probability(d):
     extrapolation of exact finite-box values before any experiment uses it.
 
     For d = 2 the walk is recurrent and the value is exactly 1 (this is why
-    the d = 2 experiments need a strictly positive potential floor)."""
+    the d = 2 experiments need a strictly positive potential floor). Above
+    d = 5 it raises ParameterError: the eigen-sums hold 33^d doubles, 313 MB
+    at d = 5 and 10.3 GB at d = 6."""
     if d < 2:
         raise ParameterError("d must be >= 2")
+    if d > 5:
+        raise ParameterError(f"d = {d}: the return probability is pinned for d <= 5 only")
     if d == 2:
         return 1.0
     small = box_return_probability(d, 16)
@@ -101,14 +105,12 @@ def require_assumptions(spec, needed, d, override=False):
     return report
 
 
-def cost_samples(spec, x, samples, seed, box_factor=DEFAULT_BOX_FACTOR,
-                 region=None):
-    """a_V(0, x) on fresh seeded fields over the default box."""
+def cost_samples(spec, x, samples, key, box_factor=DEFAULT_BOX_FACTOR):
+    """a_V(0, x) on the default box, on sample_fields' fields of the key."""
     x = as_point(x)
-    region = prop_box(x, box_factor) if region is None else region
-    seeds = [derive_seed(seed, i) for i in range(samples)]
+    region = prop_box(x, box_factor)
     return np.asarray(sample_fields(lambda fld: origin_cost(fld, region, x),
-                                    spec, region, seeds))
+                                    spec, region, key, samples))
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +149,7 @@ def tail_experiment(spec, x, side, samples, t_grid, seed,
     require_assumptions(spec, needed, d, override)
     if side == "UpperLD" and alpha_ref is None:
         raise ParameterError("UpperLD needs alpha_ref (an alpha_hat estimate)")
-    a = cost_samples(spec, x, samples, seed, box_factor)
+    a = cost_samples(spec, x, samples, (seed,), box_factor)
     mean, se, _ = mean_ci(a)
     l1 = norms(x)[0]
     scale = math.sqrt(l1)
@@ -208,7 +210,7 @@ def variance_scaling(spec, samples, seed, n_small=8, n_large=16, d=2,
     out = {}
     for tag, n in (("small", n_small), ("large", n_large)):
         x = tuple(n * v for v in e1)
-        a = cost_samples(spec, x, samples, derive_seed(seed, n), box_factor)
+        a = cost_samples(spec, x, samples, (derive_seed(seed, n),), box_factor)
         out[tag] = {"n": n, "mean": float(a.mean()), "var": float(a.var(ddof=1))}
     out["ratio"] = out["large"]["var"] / out["small"]["var"]
     return out
@@ -227,13 +229,12 @@ def compare_restricted(spec, x, box_factor_grid, samples, seed, threads=1):
     perfbench/workloads.py still passes threads=."""
     x = as_point(x)
     factors = [float(f) for f in box_factor_grid]
-    if factors != sorted(factors) or factors[0] < 1:
-        raise ParameterError("box_factor_grid must be increasing with min >= 1")
+    if len(factors) < 2 or factors != sorted(factors) or factors[0] < 1:
+        raise ParameterError("box_factor_grid must hold at least two increasing factors >= 1")
     regions = [prop_box(x, f) for f in factors]
-    seeds = [derive_seed(seed, i) for i in range(samples)]
     costs = np.asarray(sample_fields(
         lambda fld: [origin_cost(fld, reg, x) for reg in regions],
-        spec, regions[-1], seeds))
+        spec, regions[-1], (seed,), samples))
     gaps = costs[:, :-1] - costs[:, -1:]  # a_small - a_large per column pair
     log2_event = int(np.sum(costs[:, -1] < costs[:, 0] - math.log(2.0)))
     return {
@@ -264,8 +265,7 @@ def truncation_gap(spec, x, gamma, samples, seed, override=False):
             return 0.0  # cap inactive: identical system, gap exactly zero
         return origin_cost(fld, region, x) - origin_cost(capped, region, x)
 
-    seeds = [derive_seed(seed, i) for i in range(samples)]
-    gaps = np.asarray(sample_fields(gap, spec, region, seeds))
+    gaps = np.asarray(sample_fields(gap, spec, region, (seed,), samples))
     positive = gaps[gaps > 0]
     fitted = None
     if len(positive) >= 10:
@@ -422,13 +422,12 @@ def entropy_global_probe(spec, x, lambda_grid, samples, seed,
     perfbench/workloads.py still passes threads=."""
     x = as_point(x)
     region = prop_box(x, box_factor)
-    seeds = [derive_seed(seed, i) for i in range(samples)]
 
     def cost_and_range(fld):
         wf = weighted_functionals(fld, region, x)
         return wf.cost, wf.expected_range
 
-    pairs = np.asarray(sample_fields(cost_and_range, spec, region, seeds))
+    pairs = np.asarray(sample_fields(cost_and_range, spec, region, (seed,), samples))
     a, rng = pairs[:, 0], pairs[:, 1]
     w = np.full(samples, 1.0 / samples)
     out = []
@@ -459,7 +458,7 @@ def psi_herbst(spec, x_grid, lambda_grid, samples, seed,
     for k, x in enumerate(x_grid):
         x = as_point(x)
         l1 = norms(x)[0]
-        a = cost_samples(spec, x, samples, derive_seed(seed, k), box_factor)
+        a = cost_samples(spec, x, samples, (derive_seed(seed, k),), box_factor)
         for lam in lambda_grid:
             lam = float(lam)
             psi = float(np.log(np.mean(np.exp(lam * a))) - lam * a.mean())
@@ -509,8 +508,7 @@ def martingale_diagnostics(spec, x, nested_samples, seed, gamma=1.0,
     sites = region.sites()  # row-major = lexicographic
     M = len(sites)
     actual = sample_field(spec, region, derive_seed(seed, 0xAC7))
-    fresh = [sample_field(spec, region, derive_seed(seed, 0xF4E, k))
-             for k in range(nested_samples)]
+    fresh = sample_fields(lambda fld: fld, spec, region, (seed, 0xF4E), nested_samples)
 
     def cost_of(values):
         fld = PotentialField(region, values.reshape(region.shape), spec, 0)

@@ -68,6 +68,12 @@ class ExperimentConfig:
                  for k in sorted(given) if not _fits(given[k], _TYPES[k])]
         if wrong:
             raise ParameterError("; ".join(wrong))
+        vacuous = ([f"{part}.{k}: must be >= 1" for part, given, _ in parts
+                    for k in sorted(given) if k in _COUNTS and given[k] < 1]
+                   + [f"{part}.{k}: must have length >= {_GRIDS[k]}" for part, given, _ in parts
+                      for k in sorted(given) if k in _GRIDS and len(given[k]) < _GRIDS[k]])
+        if vacuous:
+            raise ParameterError("; ".join(vacuous))
         return self
 
     @property
@@ -402,6 +408,12 @@ _TYPES = {
     "t_grid": [float], "lambda_grid": [float], "side": str, "directory": str,
     "battery": [{"seed": int, "x": [int], "radius": int, "L": int, "episodes": int}],
 }
+
+# Counts that must be at least 1, and grids with their least length: a run
+# over no samples or no grid point has nothing to report, and compare
+# compares at least two boxes.
+_COUNTS = {"samples", "trials"}
+_GRIDS = {"n_grid": 1, "t_grid": 1, "lambda_grid": 1, "box_factor_grid": 2, "x_grid": 1}
 
 # The geometry and sampling keys that each experiment's runner reads, beside
 # sampling.seed (read by all); validate() rejects any other key.

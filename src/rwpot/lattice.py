@@ -1,5 +1,5 @@
-"""Geometry of Z^d: norms, boxes, neighbor iteration, coarse-graining
-indices, rotated-block rasterization and lattice-animal enumeration."""
+"""Geometry of Z^d: norms, boxes, coarse-graining indices and
+lattice-animal enumeration."""
 
 from dataclasses import dataclass
 
@@ -15,18 +15,6 @@ DEFAULT_ANIMAL_CAPS = {2: 8, 3: 5}
 def as_point(p):
     """Coerce to a tuple of Python ints."""
     return tuple(int(c) for c in p)
-
-
-def neighbors(p):
-    """The 2d lattice neighbors of p, in axis order (+x1, -x1, +x2, -x2, ...)."""
-    p = as_point(p)
-    out = []
-    for axis in range(len(p)):
-        for sign in (1, -1):
-            q = list(p)
-            q[axis] += sign
-            out.append(tuple(q))
-    return out
 
 
 def norms(p):
@@ -164,58 +152,3 @@ def enumerate_animals(spec: AnimalSpec, cap=None):
             )))
     anchored = sorted(anchored)
     return anchored, len(anchored)
-
-
-# ---------------------------------------------------------------------------
-# Rotated blocks
-
-
-def rotation_to_direction(xi):
-    """An orthogonal matrix R with R @ e1 = xi/|xi|_2.
-
-    Built by Gram-Schmidt from xi and the standard basis; the remaining
-    columns are an arbitrary (but deterministic) completion.
-    """
-    xi = np.asarray(xi, dtype=float)
-    d = xi.shape[0]
-    n = np.linalg.norm(xi)
-    if n == 0:
-        raise ParameterError("direction must be nonzero")
-    cols = [xi / n]
-    for i in range(d):
-        v = np.zeros(d)
-        v[i] = 1.0
-        for c in cols:
-            v = v - (v @ c) * c
-        nv = np.linalg.norm(v)
-        if nv > 1e-12:
-            cols.append(v / nv)
-        if len(cols) == d:
-            break
-    return np.column_stack(cols)
-
-
-def block_sites(xi, m, n, N, edge_tol=1e-9):
-    """Rasterize the rotated block around the segment [m*xi, n*xi].
-
-    A site z belongs to the block iff R^-1 z lies in
-    [m|xi|_2 - N, n|xi|_2 + N] x [-N, N]^(d-1), with a small inclusive
-    tolerance at the faces. Returns an (n_sites, d) int64 array.
-    """
-    xi = np.asarray(xi, dtype=np.int64)
-    d = xi.shape[0]
-    if n <= m or m < 0:
-        raise ParameterError("block requires n > m >= 0")
-    R = rotation_to_direction(xi)
-    xi2 = float(np.linalg.norm(xi))
-    lo_r = np.array([m * xi2 - N] + [-N] * (d - 1), dtype=float)
-    hi_r = np.array([n * xi2 + N] + [N] * (d - 1), dtype=float)
-    # Bounding box in lattice coordinates from the rotated corner images.
-    corners = np.stack(np.meshgrid(*zip(lo_r, hi_r), indexing="ij"), axis=-1).reshape(-1, d)
-    images = corners @ R.T
-    lo = np.floor(images.min(axis=0) - edge_tol).astype(np.int64)
-    hi = np.ceil(images.max(axis=0) + edge_tol).astype(np.int64) + 1
-    cand = BoxRegion(tuple(lo), tuple(hi)).sites()
-    back = cand.astype(float) @ R
-    inside = np.all((back >= lo_r - edge_tol) & (back <= hi_r + edge_tol), axis=1)
-    return cand[inside]

@@ -15,10 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .concentration import DEFAULT_BOX_FACTOR, origin_cost, prop_box
+from .concentration import DEFAULT_BOX_FACTOR, cost_samples
 from .io import write_csv, write_json
 from .lattice import norms
-from .potential import sample_fields
 from .rng import derive_seed
 from .stats import Z95, intervals_overlap, mean_ci
 
@@ -42,9 +41,6 @@ class AlphaEstimate:
         "both the restriction and the finite grid bias the estimate upward"
     )
 
-    def samples_total(self):
-        return sum(c for _, _, c in self.per_n)
-
 
 def estimate_alpha(spec, direction, n_grid, samples_per_n, seed,
                    box_factor=DEFAULT_BOX_FACTOR):
@@ -53,8 +49,8 @@ def estimate_alpha(spec, direction, n_grid, samples_per_n, seed,
     if l1 == 0:
         raise ValueError("direction must be nonzero")
     n_grid = tuple(int(n) for n in n_grid)
-    if list(n_grid) != sorted(set(n_grid)) or n_grid[0] < 1:
-        raise ValueError("n_grid must be strictly increasing positive integers")
+    if not n_grid or list(n_grid) != sorted(set(n_grid)) or n_grid[0] < 1:
+        raise ValueError("n_grid must be nonempty strictly increasing positive integers")
     if box_factor < 1:
         raise ValueError("box_factor must be >= 1")
     if spec.is_almost_surely_zero():
@@ -63,11 +59,7 @@ def estimate_alpha(spec, direction, n_grid, samples_per_n, seed,
     per_n = []
     for n in n_grid:
         target = tuple(n * v for v in direction)
-        region = prop_box(target, box_factor)
-        seeds = [derive_seed(seed, n, i) for i in range(samples_per_n)]
-        a = np.asarray(sample_fields(
-            lambda fld: origin_cost(fld, region, target), spec, region,
-            seeds)) / n
+        a = cost_samples(spec, target, samples_per_n, (seed, n), box_factor) / n
         m, se, _ = mean_ci(a)
         per_n.append((m, se, len(a)))
     means = [m for m, _, _ in per_n]

@@ -393,13 +393,14 @@ def sample_field(spec, region, seed):
     return PotentialField(region, values, spec, int(seed))
 
 
-def sample_fields(fn, spec, region, seeds):
-    """[fn(field) for one field sampled per seed], in seed order.
+def sample_fields(fn, spec, region, key, samples):
+    """[fn(field_i) for i in range(samples)], field_i seeded by
+    derive_seed(*key, i), the key convention of sample_field_where.
 
     The sampling kernel of the Monte Carlo experiments: each result depends
-    on its seed alone.
+    on its key and index alone.
     """
-    return [fn(sample_field(spec, region, s)) for s in seeds]
+    return [fn(sample_field(spec, region, derive_seed(*key, i))) for i in range(samples)]
 
 
 def sample_field_where(accept, spec, region, key, limit):

@@ -46,8 +46,8 @@ from scipy.linalg.blas import dgemm, dtrmm
 from scipy.linalg.lapack import dtrtri
 
 from .errors import DegenerateWeightError, DomainError, SolverError
-from .lattice import BoxRegion, as_point, block_sites, norms
-from .potential import ZERO_LAW, PotentialField
+from .lattice import BoxRegion, as_point
+from .potential import PotentialField
 
 RESIDUAL_TOL = 1e-9
 # omega beyond this changes no entry of P in double precision: e^{-800} is 0
@@ -378,10 +378,6 @@ class _KilledWalk:
         """G(p, .) for all active sites."""
         return self.solve(self._unit(self._idx(p)), trans="T")
 
-    def column(self, p):
-        """G(., p) for all active sites."""
-        return self.solve(self._unit(self._idx(p)))
-
     def _unit(self, i):
         e = np.zeros(len(self.omega))
         e[i] = 1.0
@@ -569,15 +565,6 @@ def travel_weight(field, region, source, target, taboo=()):
     return SolveResult(target, taboo, ss, e_values, kw, isrc)
 
 
-def block_cost(field, xi, m, n, N):
-    """Restricted cost between m*xi and n*xi inside the rotated block of
-    half-width N around the segment. Subadditive in (m, n) on a common field;
-    DomainError when an endpoint falls outside the rasterized block."""
-    xi = np.asarray(xi, dtype=np.int64)
-    src = tuple(int(v) for v in m * xi)
-    return travel_weight(field, block_sites(xi, m, n, N), src, n * xi).cost_at(src)
-
-
 def exit_functional(field, region, start, crossing=("exit",)):
     """E^start[exp(-sum_{k<tau} omega(S_k))] with tau the exit time of the
     region ("exit") or the first l-infinity crossing at radius r
@@ -624,16 +611,6 @@ def exit_functionals(field, region, starts, crossing=("exit",)):
         mid = np.arange(len(chunk)) * len(box) + len(box) // 2
         out.append(kw.solve(kw.exit_vector())[mid])
     return _clip_unit(np.concatenate(out))
-
-
-def return_probability(d, region):
-    """Probability the zero-potential walk returns to 0 before exiting the
-    region. Monotone increasing in the region; the d >= 3 limit is the
-    classical transient return probability."""
-    kw = _KilledWalk(zero_field(d, region), region, kill=(0,) * d)
-    b = kw.kill_vector()
-    # P is symmetric here, so b also holds the steps P[0, z] out of the origin
-    return float(b @ kw.solve(b))
 
 
 # ---------------------------------------------------------------------------
@@ -706,16 +683,6 @@ def _vet_diagonal(diag, solved, y):
                           f"with the row solve {solved:.17g}")
 
 
-def visit_probabilities(field, region, x, ys):
-    """(a_V(0, x), {y: q(y)}) from one factorization: the cost and the visit
-    probabilities q(y) = Q(H(y) < H(x)) of selected sites y only (cheaper
-    than the full diagonal when just a few sites matter)."""
-    x = as_point(x)
-    res, i0, g = _tilted_walk(field, region, x)
-    return res.cost_at((0,) * len(x)), {
-        y: _visit(res, i0, g, y)[0] for y in map(as_point, ys)}
-
-
 def raise_site(field, region, x, y, sigma):
     """(a_V(0, x), q(y), the change of a_V(0, x) when omega(y) is raised to
     sigma), from one factorization. Only departures from y change, each by
@@ -723,65 +690,19 @@ def raise_site(field, region, x, y, sigma):
     (Sherman-Morrison) identity on the operator killed at x, with
     G = G(y, y) and em = 1 - t, the change is
     -log(1 - q(y) G em / (1 + (G - 1) em)). em is formed by expm1, which
-    stays exact for a small raise and is 1 for a huge one."""
+    stays exact for a small raise and is 1 for a huge one. G comes from one
+    checked column solve, and q(y) = G(0, y) / G(y, y) * e_V(y, x) / e_V(0, x)."""
     x, y = as_point(x), as_point(y)
     omega = field.value_at(y)
     if not sigma >= omega:
         raise DomainError(f"sigma {sigma!r} lies below omega(y) = {omega!r}")
     res, i0, g = _tilted_walk(field, region, x)
-    q, G = _visit(res, i0, g, y)
+    if y == x:
+        q, G = 0.0, 1.0
+    else:
+        iy, kw, u = res._index(y), res.walk, res.e_values
+        G = float(kw.diagonal([kw.keys[iy]])[0])
+        q = 1.0 if iy == i0 else float(_clip_unit(g[iy] / G * u[iy] / u[i0]))
     em = -math.expm1(-(sigma - omega))
     lost = q * G * em / (1.0 + (G - 1.0) * em)  # the share of e_V(0, x) lost
     return res.cost_at((0,) * len(x)), q, math.inf if lost >= 1.0 else -math.log1p(-lost)
-
-
-def _visit(res, i0, g, y):
-    """(q(y), G(y, y)) on the factored operator of _tilted_walk's result
-    res (i0 the origin's index, g = G(0, .)): G by one checked column
-    solve, and q(y) = G(0, y) / G(y, y) * e_V(y, x) / e_V(0, x)."""
-    if y == res.target:
-        return 0.0, 1.0
-    iy, kw, u = res._index(y), res.walk, res.e_values
-    G = float(kw.diagonal([kw.keys[iy]])[0])
-    return 1.0 if iy == i0 else float(_clip_unit(g[iy] / G * u[iy] / u[i0])), G
-
-
-def maximal_distance(field, region, x, eta):
-    """sup over the l1-ball {y : |x-y|_1 < eta*|x|_1} of
-    max(a_V(x, y), a_V(y, x)), from one factorization: the row and column
-    of G at x and the Green diagonal over the ball."""
-    x = as_point(x)
-    kw = _KilledWalk(field, region)
-    ix = kw._idx(x)
-    radius = eta * norms(x)[0]
-    off = np.abs(kw.ss.sites - np.asarray(x, dtype=np.int64)).sum(axis=1)
-    ball = kw.keys[off < radius]
-    # the whole lattice ball must be present in the region
-    if len(ball) != _l1_ball_count(kw.ss.d, radius):
-        raise DomainError("l1 ball around x exits the region")
-    row_x = kw.row(x)  # G(x, .)
-    col_x = kw.column(x)  # G(., x)
-    diag = kw.diagonal(ball)
-    ys = ball != ix
-    if len(ball) > 1:  # one id is already a checked column solve
-        _vet_diagonal(diag[~ys][0], row_x[ix], "x")
-    e = np.concatenate([row_x[ball[ys]] / diag[ys], col_x[ball[ys]] / row_x[ix]])
-    if np.any(e <= 0):
-        raise DegenerateWeightError("weight underflow inside maximal-distance ball")
-    return max(0.0, -math.log(e.min(initial=1.0)))
-
-
-def _l1_ball_count(d, radius):
-    """Number of lattice points with |v|_1 < radius (radius real): with
-    n = ceil(radius) - 1, those with k nonzero coordinates number
-    C(d, k) C(n, k) 2^k."""
-    n = math.ceil(radius) - 1
-    if n < 0:
-        return 0
-    return sum(math.comb(d, k) * math.comb(n, k) * 2 ** k for k in range(d + 1))
-
-
-def zero_field(d, region):
-    """Convenience: omega = 0 on the bounding box of the region."""
-    box = bounding_box(region)
-    return PotentialField(box, np.zeros(box.shape), ZERO_LAW, 0)

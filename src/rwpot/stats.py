@@ -29,19 +29,6 @@ def mean_ci(samples):
     return m, se, (m - Z95 * se, m + Z95 * se)
 
 
-def weighted_mean_se(weights, values):
-    """Self-normalized importance-sampling mean and its linearized SE."""
-    w = np.asarray(weights, dtype=float)
-    v = np.asarray(values, dtype=float)
-    total = w.sum()
-    if total <= 0:
-        raise ValueError("weights must have positive sum")
-    wn = w / total
-    m = float(wn @ v)
-    se = float(math.sqrt(np.sum(wn ** 2 * (v - m) ** 2)))
-    return m, se
-
-
 def log_tail_slope(thresholds, tail_probs):
     """Least-squares slope of log tail probability against the threshold.
 

@@ -20,9 +20,8 @@ from rwpot.lyapunov import estimate_alpha
 from rwpot.oracle import enumerate_paths, sample_walk_weight
 from rwpot.potential import DistributionSpec, sample_field
 from rwpot.rng import derive_seed
-from rwpot.solver import (block_cost, travel_weight, weighted_functionals,
-                          zero_field)
-from util_oracles import brute_force_fixed_animal_count
+from rwpot.solver import travel_weight, weighted_functionals
+from util_oracles import block_cost, brute_force_fixed_animal_count, zero_field
 
 TP = DistributionSpec.two_point(0.2, 1.0, 0.5)
 TP_WIDE = DistributionSpec.two_point(0.1, 1.0, 0.5)

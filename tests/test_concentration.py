@@ -33,6 +33,10 @@ def test_pinned_return_probability():
     p3 = pinned_return_probability(3)
     assert abs(p3 - 0.3405) < 0.002  # extrapolated transient value
     assert pinned_return_probability(3) is p3 or pinned_return_probability(3) == p3
+    # its eigen-sums would hold 33^6 doubles (10.3 GB) at d = 6
+    for d in (6, 7):
+        with pytest.raises(ParameterError, match="d <= 5"):
+            pinned_return_probability(d)
 
 
 def test_assumption_gates():
@@ -96,8 +100,9 @@ def test_compare_restricted_monotone_and_degenerate():
     assert rep["mean_costs"][0] >= rep["mean_costs"][1]
     same = compare_restricted(TP, (4, 0), [2.0, 2.0], 50, 9)
     assert same["mean_gap_small_vs_large"] == 0.0
-    with pytest.raises(ParameterError):
-        compare_restricted(TP, (4, 0), [3.0, 1.5], 10, 1)
+    for grid in ([3.0, 1.5], [], [2.0]):
+        with pytest.raises(ParameterError):
+            compare_restricted(TP, (4, 0), grid, 10, 1)
 
 
 def test_truncation_gap_nonnegative_and_gate():
@@ -217,11 +222,12 @@ def test_martingale_capacity():
                                region=BoxRegion.centered(4, 2))
 
 
-def test_cost_samples_deterministic_and_region_override():
-    a = cost_samples(TP, (3, 0), 5, 77)
-    b = cost_samples(TP, (3, 0), 5, 77)
+def test_cost_samples_deterministic_and_monotone_in_the_box():
+    a = cost_samples(TP, (3, 0), 5, (77,))
+    b = cost_samples(TP, (3, 0), 5, (77,))
     assert np.array_equal(a, b)
-    small = cost_samples(TP, (3, 0), 5, 77, region=BoxRegion.centered(4, 2))
+    # the box [-4, 4]^2 inside the default [-6, 6]^2, on the same fields
+    small = cost_samples(TP, (3, 0), 5, (77,), box_factor=1.25)
     assert np.all(small >= a - 1e-10)  # smaller box never cheaper
 
 

@@ -130,6 +130,43 @@ def test_cli_rejects_a_config_of_the_wrong_shape(tmp_path, capsys, config, key):
     assert not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize("experiment, part, value, key", [
+    ("lyapunov", "sampling", {"n_grid": []}, "sampling.n_grid: must have length >= 1"),
+    ("lyapunov", "sampling", {"samples": 0}, "sampling.samples: must be >= 1"),
+    ("tails", "sampling", {"t_grid": []}, "sampling.t_grid: must have length >= 1"),
+    ("compare", "geometry", {"box_factor_grid": []},
+     "geometry.box_factor_grid: must have length >= 2"),
+    ("compare", "geometry", {"box_factor_grid": [2.0]},
+     "geometry.box_factor_grid: must have length >= 2"),
+    ("compare", "sampling", {"samples": 0}, "sampling.samples: must be >= 1"),
+    ("perturb", "sampling", {"samples": 0}, "sampling.samples: must be >= 1"),
+    ("entropy", "sampling", {"samples": 0}, "sampling.samples: must be >= 1"),
+    ("entropy", "sampling", {"lambda_grid": []}, "sampling.lambda_grid: must have length >= 1"),
+    ("psi", "sampling", {"samples": 0}, "sampling.samples: must be >= 1"),
+    ("psi", "geometry", {"x_grid": []}, "geometry.x_grid: must have length >= 1"),
+    ("chi", "sampling", {"trials": -1}, "sampling.trials: must be >= 1"),
+])
+def test_cli_rejects_no_samples_and_empty_grids(tmp_path, capsys, experiment, part,
+                                                value, key):
+    config = {"experiment": experiment, "spec": TP_JSON, "geometry": {}, "sampling": {"seed": 1}}
+    config[part] = {**config[part], **value}
+    code = cli.main([experiment, "--config", str(_write(tmp_path, config)),
+                     "--out", str(tmp_path / "r")])
+    assert code == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+def test_cli_perturb_in_six_dimensions_exits_2(tmp_path, capsys):
+    # the pinned return probability refuses d = 6 before any solve
+    config = {"experiment": "perturb", "spec": TP_JSON,
+              "geometry": {"x": [1, 0, 0, 0, 0, 0]}, "sampling": {"seed": 1, "samples": 1}}
+    code = cli.main(["perturb", "--config", str(_write(tmp_path, config)),
+                     "--out", str(tmp_path / "r")])
+    assert code == 2
+    assert "d <= 5" in capsys.readouterr().err
+
+
 def test_cli_flags_apply_before_the_config_is_validated(tmp_path, capsys):
     # no sampling.seed in the file: mandatory without --seed, supplied by it
     path = _write(tmp_path, {"experiment": "solve", "spec": TP_JSON, "geometry": TWO_SITES})

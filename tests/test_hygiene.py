@@ -107,6 +107,29 @@ def test_no_dead_public_names(path):
     assert not dead, ", ".join(dead)
 
 
+# Public names that no module or demo uses, kept on purpose, with the reason.
+TEST_ONLY_ALLOWED = {
+    "variance_scaling": "acceptance test 14 runs it",
+    "sample_crossings": "the Monte Carlo ground truth for E_Q[#A]",
+    "load_field": "it reads the witness files that chi writes",
+}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_public_name_is_used_only_by_tests(path):
+    """A public function, method or class that no module of the package and
+    no demo uses belongs in tests/util_oracles.py, not in src: the package
+    holds what an experiment runs."""
+    users = {**TREES, **{p: t for p, t in SCRIPT_TREES.items() if p.parent.name == "demos"}}
+    test_only = []
+    for name, node in _public_definitions(TREES[path]):
+        used = any(name in _references(tree, node if other == path else None)
+                   for other, tree in users.items())
+        if not used and name not in TEST_ONLY_ALLOWED:
+            test_only.append(f"{path.name}:{node.lineno} {name}")
+    assert not test_only, ", ".join(test_only)
+
+
 def test_oracle_takes_only_index_helpers_from_solver():
     """The oracles check the solver, so they must not run through it:
     oracle.py may import SiteSet and region_sites from solver.py, and

@@ -3,24 +3,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rwpot.errors import CapacityError, ParameterError
-from rwpot.lattice import (AnimalSpec, BoxRegion, block_sites, canonical_form,
-                           coarse_index, enumerate_animals, neighbors, norms,
-                           rotation_to_direction)
-from util_oracles import brute_force_fixed_animal_count, flood_fill_connected
-
-
-def test_neighbors_d2():
-    assert neighbors((0, 0)) == [(1, 0), (-1, 0), (0, 1), (0, -1)]
-
-
-@given(st.lists(st.integers(-50, 50), min_size=2, max_size=4))
-def test_neighbors_are_at_l1_distance_one(p):
-    p = tuple(p)
-    nbs = neighbors(p)
-    assert len(nbs) == 2 * len(p)
-    assert len(set(nbs)) == len(nbs)
-    for q in nbs:
-        assert sum(abs(a - b) for a, b in zip(p, q)) == 1
+from rwpot.lattice import (AnimalSpec, BoxRegion, canonical_form, coarse_index,
+                           enumerate_animals, norms)
+from util_oracles import (block_sites, brute_force_fixed_animal_count, flood_fill_connected,
+                          rotation_to_direction)
 
 
 def test_norms():

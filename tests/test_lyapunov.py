@@ -33,7 +33,7 @@ def test_two_point_band_and_monotone_grid():
     assert est.band_ok
     assert est.alpha_hat == min(m for m, _, _ in est.per_n)
     assert est.ci[0] <= est.alpha_hat <= est.ci[1]
-    assert est.samples_total() == 60
+    assert sum(c for _, _, c in est.per_n) == 60
 
 
 def test_bad_arguments_rejected():
@@ -41,6 +41,8 @@ def test_bad_arguments_rejected():
         estimate_alpha(TP, (0, 0), (2, 4), 5, 1)
     with pytest.raises(ValueError):
         estimate_alpha(TP, (1, 0), (4, 2), 5, 1)
+    with pytest.raises(ValueError, match="nonempty"):
+        estimate_alpha(TP, (1, 0), (), 5, 1)
     with pytest.raises(ValueError):
         estimate_alpha(TP, (1, 0), (2, 4), 5, 1, box_factor=0.5)
 

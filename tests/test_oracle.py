@@ -9,10 +9,9 @@ from rwpot.errors import CapacityError, FeasibilityError, ParameterError
 from rwpot.lattice import BoxRegion
 from rwpot.oracle import enumerate_paths, sample_crossings, sample_walk_weight
 from rwpot.potential import DistributionSpec, sample_field
-from rwpot.solver import SiteSet, travel_weight, weighted_functionals, zero_field
-from rwpot.stats import weighted_mean_se
+from rwpot.solver import SiteSet, travel_weight, weighted_functionals
 from util_oracles import (dump_traces, enumerate_paths_dfs, reference_crossings,
-                          reference_walk)
+                          reference_walk, weighted_mean_se, zero_field)
 
 TP = DistributionSpec.two_point(0.2, 1.0, 0.5)
 EXP = DistributionSpec.exponential(1.0)

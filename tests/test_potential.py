@@ -194,7 +194,8 @@ def test_sample_fields_is_one_field_per_seed_in_seed_order():
     def total(f):
         return float(f.values.sum())
 
-    assert sample_fields(total, EXP, BOX, seeds) == expected
+    # sample i is the field seeded derive_seed(*key, i)
+    assert sample_fields(total, EXP, BOX, (5,), 6) == expected
 
 
 def test_sample_field_where_returns_first_admissible_attempt():

@@ -9,6 +9,12 @@ writes one JSON line each. Two run the solver the slow way its batched
 paths replace: one operator per crossing shell, and one factorization per
 field for a raised site; the Green diagonal is also inverted the slow
 way, one index at a time.
+
+The rest are library functionals that no experiment runs, kept as
+references for the tests: the zero-potential return probability (the
+reference of concentration.box_return_probability), the cost across a
+rotated block with the block's rasterization, the maximal distance around x, the zero field, and the
+self-normalized importance-sampling mean.
 """
 
 import json
@@ -17,10 +23,13 @@ from itertools import combinations
 
 import numpy as np
 
-from rwpot.errors import CapacityError, DomainError, FeasibilityError
-from rwpot.lattice import BoxRegion, as_point
+from rwpot.errors import (CapacityError, DegenerateWeightError, DomainError, FeasibilityError,
+                          ParameterError)
+from rwpot.lattice import BoxRegion, as_point, norms
+from rwpot.potential import ZERO_LAW, PotentialField
 from rwpot.rng import counter_uniform
-from rwpot.solver import _KilledWalk, region_sites, travel_weight, visit_probabilities
+from rwpot.solver import (_KilledWalk, _vet_diagonal, bounding_box, region_sites,
+                          travel_weight, weighted_functionals)
 
 
 def _l1_neighbors(cell):
@@ -200,11 +209,13 @@ def reference_exit_functionals(field, region, starts, crossing):
 
 def two_solve_delta(field, region, x, y, sigma):
     """(a(0, x) after raising omega(y) to sigma, minus a(0, x); q(y)): the
-    cost change from two factorizations, the field's and the raised one's."""
+    cost change from two factorizations, the field's and the raised one's,
+    and q(y) read from the field's full Green diagonal (weighted_functionals)
+    rather than from the one column solve that raise_site makes."""
     origin = (0,) * len(x)
-    cost, q = visit_probabilities(field, region, x, [y])
+    wf = weighted_functionals(field, region, x)
     raised = travel_weight(field.with_value(y, sigma), region, origin, x)
-    return raised.cost_at(origin) - cost, q[tuple(y)]
+    return raised.cost_at(origin) - wf.cost, wf.q_at(y)
 
 
 def reference_green_diagonal(factor):
@@ -235,3 +246,127 @@ def reference_green_diagonal(factor):
         window[:, p] = z
         out[i] = window[p, p] = (1.0 / lii - col @ z) / lii
     return out
+
+
+def zero_field(d, region):
+    """omega = 0 on the bounding box of the region."""
+    box = bounding_box(region)
+    return PotentialField(box, np.zeros(box.shape), ZERO_LAW, 0)
+
+
+def return_probability(d, region):
+    """Probability the zero-potential walk returns to 0 before exiting the
+    region. Monotone increasing in the region; the d >= 3 limit is the
+    classical transient return probability."""
+    kw = _KilledWalk(zero_field(d, region), region, kill=(0,) * d)
+    b = kw.kill_vector()
+    # P is symmetric here, so b also holds the steps P[0, z] out of the origin
+    return float(b @ kw.solve(b))
+
+
+def rotation_to_direction(xi):
+    """An orthogonal matrix R with R @ e1 = xi/|xi|_2.
+
+    Built by Gram-Schmidt from xi and the standard basis; the remaining
+    columns are an arbitrary (but deterministic) completion.
+    """
+    xi = np.asarray(xi, dtype=float)
+    d = xi.shape[0]
+    n = np.linalg.norm(xi)
+    if n == 0:
+        raise ParameterError("direction must be nonzero")
+    cols = [xi / n]
+    for i in range(d):
+        v = np.zeros(d)
+        v[i] = 1.0
+        for c in cols:
+            v = v - (v @ c) * c
+        nv = np.linalg.norm(v)
+        if nv > 1e-12:
+            cols.append(v / nv)
+        if len(cols) == d:
+            break
+    return np.column_stack(cols)
+
+
+def block_sites(xi, m, n, N, edge_tol=1e-9):
+    """Rasterize the rotated block around the segment [m*xi, n*xi].
+
+    A site z belongs to the block iff R^-1 z lies in
+    [m|xi|_2 - N, n|xi|_2 + N] x [-N, N]^(d-1), with a small inclusive
+    tolerance at the faces. Returns an (n_sites, d) int64 array.
+    """
+    xi = np.asarray(xi, dtype=np.int64)
+    d = xi.shape[0]
+    if n <= m or m < 0:
+        raise ParameterError("block requires n > m >= 0")
+    R = rotation_to_direction(xi)
+    xi2 = float(np.linalg.norm(xi))
+    lo_r = np.array([m * xi2 - N] + [-N] * (d - 1), dtype=float)
+    hi_r = np.array([n * xi2 + N] + [N] * (d - 1), dtype=float)
+    # Bounding box in lattice coordinates from the rotated corner images.
+    corners = np.stack(np.meshgrid(*zip(lo_r, hi_r), indexing="ij"), axis=-1).reshape(-1, d)
+    images = corners @ R.T
+    lo = np.floor(images.min(axis=0) - edge_tol).astype(np.int64)
+    hi = np.ceil(images.max(axis=0) + edge_tol).astype(np.int64) + 1
+    cand = BoxRegion(tuple(lo), tuple(hi)).sites()
+    back = cand.astype(float) @ R
+    inside = np.all((back >= lo_r - edge_tol) & (back <= hi_r + edge_tol), axis=1)
+    return cand[inside]
+
+
+def block_cost(field, xi, m, n, N):
+    """Restricted cost between m*xi and n*xi inside the rotated block of
+    half-width N around the segment. Subadditive in (m, n) on a common field;
+    DomainError when an endpoint falls outside the rasterized block."""
+    xi = np.asarray(xi, dtype=np.int64)
+    src = tuple(int(v) for v in m * xi)
+    return travel_weight(field, block_sites(xi, m, n, N), src, n * xi).cost_at(src)
+
+
+def maximal_distance(field, region, x, eta):
+    """sup over the l1-ball {y : |x-y|_1 < eta*|x|_1} of
+    max(a_V(x, y), a_V(y, x)), from one factorization: the row and column
+    of G at x and the Green diagonal over the ball."""
+    x = as_point(x)
+    kw = _KilledWalk(field, region)
+    ix = kw._idx(x)
+    radius = eta * norms(x)[0]
+    off = np.abs(kw.ss.sites - np.asarray(x, dtype=np.int64)).sum(axis=1)
+    ball = kw.keys[off < radius]
+    # the whole lattice ball must be present in the region
+    if len(ball) != _l1_ball_count(kw.ss.d, radius):
+        raise DomainError("l1 ball around x exits the region")
+    row_x = kw.row(x)  # G(x, .)
+    col_x = kw.solve(kw._unit(ix))  # G(., x)
+    diag = kw.diagonal(ball)
+    ys = ball != ix
+    if len(ball) > 1:  # one id is already a checked column solve
+        _vet_diagonal(diag[~ys][0], row_x[ix], "x")
+    e = np.concatenate([row_x[ball[ys]] / diag[ys], col_x[ball[ys]] / row_x[ix]])
+    if np.any(e <= 0):
+        raise DegenerateWeightError("weight underflow inside maximal-distance ball")
+    return max(0.0, -math.log(e.min(initial=1.0)))
+
+
+def _l1_ball_count(d, radius):
+    """Number of lattice points with |v|_1 < radius (radius real): with
+    n = ceil(radius) - 1, those with k nonzero coordinates number
+    C(d, k) C(n, k) 2^k."""
+    n = math.ceil(radius) - 1
+    if n < 0:
+        return 0
+    return sum(math.comb(d, k) * math.comb(n, k) * 2 ** k for k in range(d + 1))
+
+
+def weighted_mean_se(weights, values):
+    """Self-normalized importance-sampling mean and its linearized SE."""
+    w = np.asarray(weights, dtype=float)
+    v = np.asarray(values, dtype=float)
+    total = w.sum()
+    if total <= 0:
+        raise ValueError("weights must have positive sum")
+    wn = w / total
+    m = float(wn @ v)
+    se = float(math.sqrt(np.sum(wn ** 2 * (v - m) ** 2)))
+    return m, se
