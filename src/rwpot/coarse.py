@@ -17,8 +17,8 @@ from .errors import DomainError, ParameterError
 from .io import write_csv, write_json
 from .lattice import AnimalSpec, BoxRegion, enumerate_animals
 from .potential import (ZERO_LAW, PotentialField, sample_field_where,
-                        sample_fields, save_field)
-from .rng import counter_uniform, derive_seed
+                        sample_fields, save_field, seed_stacks)
+from .rng import counter_uniform, counter_uniforms, derive_seed
 from .solver import exit_functional, exit_functionals
 from .stats import wilson_interval
 
@@ -53,13 +53,14 @@ def animal_occupancy_check(spec, M, kappa, l_cap, samples, seed, d=2):
         idx = np.asarray([[cell_index[c] for c in animal] for animal in animals])
         animal_cells[l] = (idx, count)
     # occupancy matrix: one coarse field per sample, counter-keyed per cell
-    occupied = np.empty((samples, len(cells)), dtype=bool)
-    for i in range(samples):
-        u = counter_uniform(derive_seed(seed, i), cells)
-        occupied[i] = u < p
+    occupied = np.concatenate([counter_uniforms(seeds, cells) < p
+                               for seeds in seed_stacks((seed,), samples, len(cells))])
     for l in range(1, l_cap + 1):
         idx, count = animal_cells[l]
-        occ_counts = occupied[:, idx.ravel()].reshape(samples, count, l).sum(axis=2)
+        # counted in the least unsigned dtype that holds l: an int64 count
+        # of every animal of every sample would set the run's peak memory
+        occ_counts = occupied[:, idx.ravel()].reshape(samples, count, l).sum(
+            axis=2, dtype=np.min_scalar_type(l))
         bad = occ_counts < l / 2.0  # occupied fraction below one half
         fails = bad.any(axis=1)
         k = int(fails.sum())

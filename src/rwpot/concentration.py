@@ -22,7 +22,7 @@ from .lattice import BoxRegion, as_point, norms
 from .potential import (PotentialField, assumption_report, fresh_site_value,
                         sample_field, sample_fields)
 from .rng import counter_uniform, derive_seed
-from .solver import raise_site, travel_weight, weighted_functionals
+from .solver import raise_site, travel_costs, travel_weight, weighted_functionals
 from .stats import log_tail_slope, mean_ci, wilson_interval
 
 EXACT_TOL = 1e-8
@@ -106,11 +106,12 @@ def require_assumptions(spec, needed, d, override=False):
 
 
 def cost_samples(spec, x, samples, key, box_factor=DEFAULT_BOX_FACTOR):
-    """a_V(0, x) on the default box, on sample_fields' fields of the key."""
+    """a_V(0, x) on the default box, on sample_fields' fields of the key,
+    solved in stacks by travel_costs."""
     x = as_point(x)
     region = prop_box(x, box_factor)
-    return np.asarray(sample_fields(lambda fld: origin_cost(fld, region, x),
-                                    spec, region, key, samples))
+    return travel_costs(sample_fields(lambda fld: fld, spec, region, key, samples),
+                        region, (0,) * len(x), x)
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +227,10 @@ def compare_restricted(spec, x, box_factor_grid, samples, seed, threads=1):
     (exponentially) rare and is counted.
 
     threads is accepted and ignored: samples are drawn serially, and
-    perfbench/workloads.py still passes threads=."""
+    perfbench/workloads.py still passes threads=. Each field is solved on
+    its own by travel_weight, not stacked by travel_costs: the benchmark
+    records every sample's costs by wrapping travel_weight, keyed on the
+    field's seed."""
     x = as_point(x)
     factors = [float(f) for f in box_factor_grid]
     if len(factors) < 2 or factors != sorted(factors) or factors[0] < 1:
@@ -259,13 +263,18 @@ def truncation_gap(spec, x, gamma, samples, seed, override=False):
                   f"E[exp(gamma*omega)] diverges")
     region = prop_box(x)
 
-    def gap(fld):
+    def biting(fld):
         capped = fld.truncated(x, gamma)
-        if np.array_equal(fld.values, capped.values):
-            return 0.0  # cap inactive: identical system, gap exactly zero
-        return origin_cost(fld, region, x) - origin_cost(capped, region, x)
+        # cap inactive: identical system, gap exactly zero, nothing to solve
+        return None if np.array_equal(fld.values, capped.values) else (fld, capped)
 
-    gaps = np.asarray(sample_fields(gap, spec, region, (seed,), samples))
+    pairs = sample_fields(biting, spec, region, (seed,), samples)
+    bites = [i for i, pair in enumerate(pairs) if pair is not None]
+    gaps = np.zeros(samples)
+    if bites:
+        costs = travel_costs([pairs[i][k] for k in (0, 1) for i in bites],
+                             region, (0,) * len(x), x)
+        gaps[bites] = costs[:len(bites)] - costs[len(bites):]
     positive = gaps[gaps > 0]
     fitted = None
     if len(positive) >= 10:
@@ -419,7 +428,11 @@ def entropy_global_probe(spec, x, lambda_grid, samples, seed,
     implied C per lambda (expected bounded across the grid).
 
     threads is accepted and ignored: samples are drawn serially, and
-    perfbench/workloads.py still passes threads=."""
+    perfbench/workloads.py still passes threads=. Each field is solved on
+    its own by weighted_functionals: the benchmark records every sample's
+    cost and range by wrapping travel_weight and weighted_functionals,
+    keyed on the field's seed, and the Green diagonal of a field is not a
+    stacked solve."""
     x = as_point(x)
     region = prop_box(x, box_factor)
 

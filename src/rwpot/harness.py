@@ -449,13 +449,25 @@ def run(config: ExperimentConfig, out_dir=None) -> RunManifest:
     config.validate()
     out = str(out_dir if out_dir is not None
               else config.output.get("directory", "results"))
+    made, head = [], os.path.abspath(out)  # the directories this run makes, deepest first
+    while not os.path.isdir(head):
+        made.append(head)
+        head = os.path.dirname(head)
     os.makedirs(out, exist_ok=True)
     start = time.perf_counter()
     warn = ()
-    if config.experiment == "oracle-check":
-        _, assertions, files, warn = oracle_check(config, out)
-    else:
-        assertions, files = _DISPATCH[config.experiment](config, out)
+    try:
+        if config.experiment == "oracle-check":
+            _, assertions, files, warn = oracle_check(config, out)
+        else:
+            assertions, files = _DISPATCH[config.experiment](config, out)
+    except BaseException:
+        # a refused or failed run leaves no empty directory of its own behind
+        for path in made:
+            if os.listdir(path):
+                break
+            os.rmdir(path)
+        raise
     runtime = time.perf_counter() - start
     manifest = RunManifest(
         config_hash=sha256_of_json(config.to_json()),

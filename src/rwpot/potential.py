@@ -2,7 +2,9 @@
 
 Fields are immutable after creation; mutating operations return copies.
 Each site's value is a pure function of (seed, site coordinates), so the
-same site has the same value regardless of traversal order.
+same site has the same value regardless of traversal order. Many fields are
+drawn in one hashing pass over their seeds, in stacks of at most
+STACK_SITES sites.
 """
 
 import json
@@ -16,12 +18,15 @@ from scipy.special import ndtr, ndtri
 
 from .errors import DomainError, ParameterError
 from .lattice import BoxRegion, as_point, norms
-from .rng import counter_uniform, derive_seed
+from .rng import counter_uniform, counter_uniforms, derive_seed
 
 # the parameters of each kind of law, in the order its factory takes them
 _PARAMS = {"Constant": ("c",), "TwoPoint": ("v_lo", "v_hi", "p_hi"), "Exponential": ("rate",),
            "ShiftedExponential": ("shift", "rate"), "LogNormal": ("mu", "sigma")}
 _KINDS = tuple(_PARAMS)
+# the sites of one stack of fields drawn in one hashing pass: 2^13, or 64 KB
+# per array of its scratch (28 fields of 289 sites, 3 of 2401)
+STACK_SITES = 2 ** 13
 
 
 @dataclass(frozen=True)
@@ -385,12 +390,26 @@ class PotentialField:
         return bool(np.any(self.values[sl] >= kappa))
 
 
+def _fields(spec, region, seeds):
+    """The i.i.d. fields of the seeds on the region, from one hashing pass:
+    counter-based, order independent."""
+    u = counter_uniforms(seeds, region.sites())
+    values = spec.sample(u).reshape((len(seeds),) + region.shape)
+    return [PotentialField(region, v, spec, int(s)) for s, v in zip(seeds, values)]
+
+
 def sample_field(spec, region, seed):
-    """Draw an i.i.d. field on the region; counter-based, order independent."""
-    coords = region.sites()
-    u = counter_uniform(seed, coords)
-    values = spec.sample(u).reshape(region.shape)
-    return PotentialField(region, values, spec, int(seed))
+    """Draw an i.i.d. field on the region: the one-seed stack of _fields."""
+    return _fields(spec, region, [seed])[0]
+
+
+def seed_stacks(key, samples, sites):
+    """derive_seed(*key, i) for i < samples, in lists of at most
+    STACK_SITES // sites seeds (one at least): the seeds of one hashing pass
+    over that many sites each."""
+    per = max(1, STACK_SITES // sites)
+    for j in range(0, samples, per):
+        yield [derive_seed(*key, i) for i in range(j, min(samples, j + per))]
 
 
 def sample_fields(fn, spec, region, key, samples):
@@ -398,9 +417,11 @@ def sample_fields(fn, spec, region, key, samples):
     derive_seed(*key, i), the key convention of sample_field_where.
 
     The sampling kernel of the Monte Carlo experiments: each result depends
-    on its key and index alone.
+    on its key and index alone. The fields are drawn by seed_stacks, a stack
+    in one pass, and fn runs on each field of a stack in turn.
     """
-    return [fn(sample_field(spec, region, derive_seed(*key, i))) for i in range(samples)]
+    return [fn(fld) for seeds in seed_stacks(key, samples, region.site_count)
+            for fld in _fields(spec, region, seeds)]
 
 
 def sample_field_where(accept, spec, region, key, limit):

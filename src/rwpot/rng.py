@@ -9,7 +9,9 @@ value.
 The mixer is the splitmix64 finalizer applied per counter word, in place.
 Counters that share their leading words (one walk episode's steps) can
 absorb them once with prefix_state and draw each last word with
-last_word_uniform, bit for bit as counter_uniform would.
+last_word_uniform, bit for bit as counter_uniform would. counter_uniforms
+hashes the same counters under many seeds in one pass, the seeds on a
+leading axis.
 """
 
 import numpy as np
@@ -39,18 +41,26 @@ def _absorb(h, j, word, tmp):
     _mix(h, tmp)
 
 
-def prefix_state(seed, prefixes):
-    """The hash state of (seed, prefix) for each prefix tuple (the trailing
-    axis of `prefixes`), to be extended by last_word_uniform: the words a
-    batch of counters shares are absorbed once."""
-    c = np.ascontiguousarray(np.asarray(prefixes, dtype=np.int64)).view(np.uint64)
+def _state(seeds, counters):
+    """The hash state of (seed, counter tuple) for every seed of the uint64
+    array seeds (its axes lead) and every tuple of counters (the trailing
+    axis), before the finalizer."""
+    c = np.ascontiguousarray(np.asarray(counters, dtype=np.int64)).view(np.uint64)
     if c.ndim == 0:
         raise ValueError("counters must have at least one axis")
-    h = np.full(c.shape[:-1], np.uint64(seed % (1 << 64)) ^ _GAMMA, dtype=np.uint64)
+    h = np.empty(seeds.shape + c.shape[:-1], dtype=np.uint64)
+    h[...] = np.reshape(seeds ^ _GAMMA, seeds.shape + (1,) * (c.ndim - 1))
     tmp = np.empty_like(h)
     for j in range(c.shape[-1]):
         _absorb(h, j, c[..., j], tmp)
     return h
+
+
+def prefix_state(seed, prefixes):
+    """The hash state of (seed, prefix) for each prefix tuple (the trailing
+    axis of `prefixes`), to be extended by last_word_uniform: the words a
+    batch of counters shares are absorbed once."""
+    return _state(np.uint64(seed % (1 << 64)), prefixes)
 
 
 def counter_hash(seed, counters):
@@ -81,6 +91,14 @@ def _unit(h):
 def counter_uniform(seed, counters):
     """Uniform float64 in the open interval (0, 1), one per counter tuple."""
     return _unit(counter_hash(seed, counters))
+
+
+def counter_uniforms(seeds, counters):
+    """counter_uniform(seed, counters) for each of the int seeds, bit for
+    bit, stacked on a leading axis: one hashing pass for all of them."""
+    h = _state(np.asarray([int(s) % (1 << 64) for s in seeds], dtype=np.uint64), counters)
+    _mix(h, np.empty_like(h))
+    return _unit(h)
 
 
 def last_word_uniform(state, k, word, out, tmp):

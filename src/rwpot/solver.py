@@ -23,6 +23,13 @@ weighted functionals hold one band-sized array, not two whose freeing
 hands them back to the OS to be faulted in again by the next field. The
 log-space fallback solves its gauged complement by band LU.
 
+Many small systems of one shape are solved as one block-diagonal band:
+travel_costs (the costs of many fields on one box) and exit_functionals
+(the crossing shells of many starts) put the boxes side by side along axis
+0, an empty layer between neighbours, in stacks of at most
+STACK_BAND_ENTRIES, so that a stack costs one assembly, one factorization,
+one solve and one residual check.
+
 Importing the module sets scipy's bundled OpenBLAS to one thread, unless
 OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS is set (then
 OpenBLAS keeps the count it read) or scipy runs on another BLAS. On one
@@ -52,9 +59,10 @@ from .potential import PotentialField
 RESIDUAL_TOL = 1e-9
 # omega beyond this changes no entry of P in double precision: e^{-800} is 0
 OMEGA_CAP = 800.0
-# the size of one stacked system of exit_functionals' shells, counted as
-# (2 bw + 1) rows for a shell's grid bandwidth bw: 2^21 (16 MB of doubles)
-STACK_BAND_ENTRIES = 2 ** 21
+# the size of one stacked system, of exit_functionals' shells or of
+# travel_costs' boxes, counted as (2 bw + 1) rows for a box's grid
+# bandwidth bw: 2^18 (2 MB of doubles)
+STACK_BAND_ENTRIES = 2 ** 18
 
 
 def _scipy_openblas():
@@ -195,18 +203,41 @@ def _box_site_set(box):
     return _frozen(SiteSet(box))
 
 
-# one exit_functionals call stacks at most two counts, full chunks and the
-# rest; one stack at the STACK_BAND_ENTRIES bound holds about 38 MB
-@functools.lru_cache(maxsize=2)
-def _shell_stack(d, k, count):
-    """count copies of the box [0, 2k]^d side by side along axis 0, one
-    empty layer between neighbours, as one SiteSet (read-only, shared):
-    its operator is block diagonal, one block per box, with a box's bw."""
-    m = 2 * k + 1
-    box = BoxRegion((0,) * d, (m,) * d).sites()
+def _box_stack(shape, count):
+    """count copies of the box [0, shape) side by side along axis 0, one
+    empty layer between neighbours, as one SiteSet (read-only): its operator
+    is block diagonal, one block per box, with a box's bw. Box j's sites are
+    rows j |box| .. (j + 1) |box| - 1, in the box's row-major order."""
+    d = len(shape)
+    box = BoxRegion((0,) * d, shape).sites()
     shift = np.zeros((count, 1, d), dtype=np.int64)
-    shift[:, 0, 0] = np.arange(count) * (m + 1)
+    shift[:, 0, 0] = np.arange(count) * (shape[0] + 1)
     return _frozen(SiteSet((box + shift).reshape(-1, d)))
+
+
+# exit_functionals' stacks, shared across calls: one call stacks at most two
+# counts, full chunks and the rest; one stack at the STACK_BAND_ENTRIES
+# bound holds about 5 MB
+_shell_stack = functools.lru_cache(maxsize=2)(_box_stack)
+
+
+def _per_stack(shape):
+    """How many boxes of the shape one stack holds: STACK_BAND_ENTRIES over
+    (2 bw + 1) band entries per site, bw the box's grid bandwidth, and one
+    at least."""
+    return max(1, STACK_BAND_ENTRIES // ((2 * math.prod(shape[1:]) + 1) * math.prod(shape)))
+
+
+def _stacked_field(blocks, ss, field):
+    """The blocks of omega, (count, *shape), on the stack ss of
+    _box_stack(shape, count), zero on its empty layers, as one field with
+    field's law and seed."""
+    count, m = blocks.shape[:2]
+    values = np.zeros((count, m + 1) + blocks.shape[2:])
+    values[:, :m] = blocks
+    return PotentialField(BoxRegion((0,) * len(ss.shape), ss.shape),
+                          values.reshape((-1,) + blocks.shape[2:])[:ss.shape[0]],
+                          field.spec, field.seed)
 
 
 def bounding_box(region):
@@ -225,6 +256,14 @@ def _clip_unit(v):
         raise SolverError(f"value {v[~inside][0]:.3e} lies outside [0, 1] "
                           f"beyond tolerance {RESIDUAL_TOL:.0e}")
     return np.clip(v, 0.0, 1.0)
+
+
+def _window(field, lo, shape):
+    """The field's values on the box lo + [0, shape), a view."""
+    at = np.subtract(lo, field.region.lo)
+    if np.any(at < 0) or np.any(at + shape > np.asarray(field.region.shape)):
+        raise DomainError("some sites lie outside the field region")
+    return field.values[tuple(slice(i, i + m) for i, m in zip(at, shape))]
 
 
 class _KilledWalk:
@@ -259,20 +298,16 @@ class _KilledWalk:
 
     def __init__(self, field, region, kill=None):
         self.ss = ss = _site_set(region)
-        at = ss.lo - np.asarray(field.region.lo)
-        if np.any(at < 0) or np.any(at + ss.shape > field.region.shape):
-            raise DomainError("some sites lie outside the field region")
         grid, self.keys, a, o = self.layout = ss.layout()
         self.colours = ss.colours()
-        window = tuple(slice(i, i + m) for i, m in zip(at, ss.shape))
-        self.omega = field.values[window].ravel()[grid]
+        self.omega = _window(field, ss.lo, ss.shape).ravel()[grid]
         self.active = np.ones(len(ss), dtype=bool)
-        if kill is not None:
-            i = ss.index_one(as_point(kill))
-            if i < 0:
-                raise DomainError(f"target {tuple(kill)} not in region")
-            self._kill = int(self.keys[i])
-            self.active[self._kill] = False
+        if kill is not None:  # one site, or an (n, d) array of them
+            kill = np.atleast_2d(np.asarray(kill, dtype=np.int64))
+            i = ss.index(kill)
+            if np.any(i < 0):
+                raise DomainError(f"target {as_point(kill[i < 0][0])} not in region")
+            self.active[self.keys[i]] = False
         w = np.minimum(self.omega, OMEGA_CAP)
         self.scale = np.exp(-w / 2)
         # only pairs of two active sites couple
@@ -360,10 +395,11 @@ class _KilledWalk:
             return np.log(self._check(1.0, u, b, eo, oe)) - g
 
     def kill_vector(self, g=None):
-        """P[z, kill] (times e^{g(z)} for a log-scale g): with it, solve
-        gives e(z, kill), the weight of hitting the kill site before exiting."""
+        """P[z, kill] (times e^{g(z)} for a log-scale g), summed over the
+        kill sites: with it, solve gives e(z, kill), the weight of hitting a
+        kill site before exiting."""
         a, o = self.layout[2:]
-        j = np.r_[a[o == self._kill], o[a == self._kill]]
+        j = np.r_[a[~self.active[o]], o[~self.active[a]]]
         log_w = -self.omega[j] if g is None else g[j] - self.omega[j]
         return np.bincount(j, np.exp(log_w) / (2.0 * self.ss.d), len(self.omega))
 
@@ -565,6 +601,40 @@ def travel_weight(field, region, source, target, taboo=()):
     return SolveResult(target, taboo, ss, e_values, kw, isrc)
 
 
+def travel_costs(fields, box, source, target):
+    """travel_weight(field, box, source, target).cost_at(source) for each
+    field, in field order: the cost a_V(source, target) on the box V, which
+    every field holds. The boxes go side by side along axis 0, an empty
+    layer between neighbours, as exit_functionals' shells do, each killed at
+    its own target, and are solved in stacks of at most STACK_BAND_ENTRIES:
+    one assembly, factorization, solve and residual check per stack. A box
+    whose source weight underflows takes its cost from travel_weight, whose
+    log-space gauge reads that field's own mean omega."""
+    source, target = as_point(source), as_point(target)
+    for p, name in ((source, "source"), (target, "target")):
+        if not box.contains(p):
+            raise DomainError(f"{name} {p} not in region")
+    n = box.site_count
+    isrc = int(np.ravel_multi_index(np.subtract(source, box.lo), box.shape))
+    per, ss, out = _per_stack(box.shape), None, np.empty(len(fields))
+    for j in range(0, len(fields), per):
+        chunk = fields[j:j + per]
+        if ss is None or len(ss) != len(chunk) * n:  # a full stack is built once
+            ss = _box_stack(box.shape, len(chunk))
+        blocks = np.stack([_window(f, box.lo, box.shape) for f in chunk])
+        kill = np.tile(np.subtract(target, box.lo), (len(chunk), 1))
+        kill[:, 0] += np.arange(len(chunk)) * (box.shape[0] + 1)  # box i's target
+        kw = _KilledWalk(_stacked_field(blocks, ss, chunk[0]), ss, kill=kill)
+        e = _clip_unit(kw.solve(kw.kill_vector())[kw.keys])
+        e[~kw.active[kw.keys]] = 1.0  # each target's own weight
+        e = e[np.arange(len(chunk)) * n + isrc]
+        with np.errstate(divide="ignore"):
+            out[j:j + len(chunk)] = -np.log(e)
+        for i in np.flatnonzero(e <= 0.0):
+            out[j + i] = travel_weight(chunk[i], box, source, target).cost_at(source)
+    return out
+
+
 def exit_functional(field, region, start, crossing=("exit",)):
     """E^start[exp(-sum_{k<tau} omega(S_k))] with tau the exit time of the
     region ("exit") or the first l-infinity crossing at radius r
@@ -591,22 +661,18 @@ def exit_functionals(field, region, starts, crossing=("exit",)):
     if crossing[0] != "linf":
         raise DomainError(f"unknown crossing {crossing!r}")
     k = int(math.ceil(float(crossing[1]))) - 1
-    m = 2 * k + 1
+    shape = (2 * k + 1,) * d
     box = BoxRegion((-k,) * d, (k + 1,) * d).sites()
-    per = max(1, STACK_BAND_ENTRIES // ((2 * m ** (d - 1) + 1) * len(box)))
+    per = _per_stack(shape)
     inside, out = _site_set(region), []
     for j in range(0, len(starts), per):
         chunk = starts[j:j + per]
         sites = (chunk[:, None] + box).reshape(-1, d)
         if np.any(inside.index(sites) < 0):
             raise DomainError("crossing shell exits the region; enlarge the field")
-        ss = _shell_stack(d, k, len(chunk))
-        values = np.zeros((len(chunk), m + 1) + (m,) * (d - 1))
-        values[:, :m] = field.values_at(sites).reshape((len(chunk),) + (m,) * d)
-        stacked = PotentialField(BoxRegion((0,) * d, ss.shape),
-                                 values.reshape((-1,) + (m,) * (d - 1))[:ss.shape[0]],
-                                 field.spec, field.seed)
-        kw = _KilledWalk(stacked, ss)
+        ss = _shell_stack(shape, len(chunk))
+        kw = _KilledWalk(_stacked_field(field.values_at(sites).reshape((len(chunk),) + shape),
+                                        ss, field), ss)
         # box j is rows j |box| .. (j + 1) |box| - 1, its start the middle one
         mid = np.arange(len(chunk)) * len(box) + len(box) // 2
         out.append(kw.solve(kw.exit_vector())[mid])

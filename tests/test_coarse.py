@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from rwpot import potential
 from rwpot.coarse import (animal_occupancy_check, canonical_chi_configs,
                           chi_evaluate, chi_region, chi_upper_probe,
                           in_omega_prime, occupied_cost_bound_check,
@@ -39,6 +40,14 @@ def test_occupancy_single_cell_rate_matches_bernoulli():
     lo, hi = wilson_interval(r1["failures"], 4000)
     assert lo <= 1 - p <= hi
     assert r1["animal_count"] == 1
+
+
+def test_occupancy_is_the_same_whatever_the_draw_stacks(monkeypatch):
+    # 121 cells (l_cap 5): one coarse field per stack, or all in one
+    whole = animal_occupancy_check(EXP, 1, 1.0, 5, 300, 3)
+    for bound in (1, 10 ** 6):
+        monkeypatch.setattr(potential, "STACK_SITES", bound)
+        assert animal_occupancy_check(EXP, 1, 1.0, 5, 300, 3) == whole
 
 
 def test_occupancy_rates_decay_at_high_p():

@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from rwpot import solver
 from rwpot.concentration import (_draw_site, cost_samples, compare_restricted,
                                  entropy_fn, entropy_global_probe, entropy_suite,
                                  martingale_diagnostics,
                                  pinned_return_probability, psi_herbst,
                                  rank_one_verify, require_assumptions,
                                  tail_experiment, truncation_gap,
-                                 variance_scaling, write_tail_report)
+                                 origin_cost, prop_box, variance_scaling,
+                                 write_tail_report)
 from rwpot.errors import AssumptionError, CapacityError, ParameterError
 from rwpot.lattice import BoxRegion
 from rwpot.potential import DistributionSpec, sample_field
@@ -229,6 +231,47 @@ def test_cost_samples_deterministic_and_monotone_in_the_box():
     # the box [-4, 4]^2 inside the default [-6, 6]^2, on the same fields
     small = cost_samples(TP, (3, 0), 5, (77,), box_factor=1.25)
     assert np.all(small >= a - 1e-10)  # smaller box never cheaper
+
+
+def _factorizations(monkeypatch):
+    """A list that gains one entry per cholesky_banded call of the solver."""
+    calls = []
+    real = solver.cholesky_banded
+    monkeypatch.setattr(solver, "cholesky_banded", lambda *a, **k: calls.append(1) or real(*a, **k))
+    return calls
+
+
+@pytest.mark.parametrize("spec, x", [(TP, (4, 0)), (LN, (3, 0)), (EXP, (1, 1, 0))])
+def test_cost_samples_are_one_solve_per_sample_field_bit_for_bit(spec, x):
+    # stacked draws and stacked solves give what sample_field and one
+    # travel_weight per field give: the fields bit for bit, the costs
+    # within 1e-12 (at d=2, bit for bit as well)
+    region = prop_box(x)
+    got = cost_samples(spec, x, 30, (5, 2))
+    fields = [sample_field(spec, region, derive_seed(5, 2, i)) for i in range(30)]
+    ref = np.array([origin_cost(f, region, x) for f in fields])
+    assert np.all(np.abs(got - ref) <= 1e-12 * ref)
+    if len(x) == 2:
+        assert np.array_equal(got, ref)
+
+
+def test_truncation_gap_solves_only_the_fields_whose_cap_bites(monkeypatch):
+    x, gamma, seed = (2, 0), 0.9, 4  # cap 6.16 on 81 sites: it bites now and then
+    region = prop_box(x)
+    fields = [sample_field(EXP, region, derive_seed(seed, i)) for i in range(40)]
+    capped = [f.truncated(x, gamma) for f in fields]
+    bites = [not np.array_equal(f.values, c.values) for f, c in zip(fields, capped)]
+    assert 0 < sum(bites) < 40
+    calls = _factorizations(monkeypatch)
+    rep = truncation_gap(EXP, x, gamma, 40, seed)
+    assert len(calls) == 1  # the raw and capped fields that bite, one stack
+    ref = [origin_cost(f, region, x) - origin_cost(c, region, x) if b else 0.0
+           for f, c, b in zip(fields, capped, bites)]
+    assert np.array_equal(rep["gaps"], ref)
+    # the CLI default: the cap of 22.2 never bites a TwoPoint law below 1
+    calls.clear()
+    assert truncation_gap(TP, (4, 0), 0.5, 50, 1)["max_gap"] == 0.0
+    assert calls == []
 
 
 def test_threads_keyword_is_ignored():

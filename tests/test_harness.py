@@ -167,6 +167,24 @@ def test_cli_perturb_in_six_dimensions_exits_2(tmp_path, capsys):
     assert "d <= 5" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("experiment, config, code", [
+    ("perturb", {"geometry": {"x": [1, 0, 0, 0, 0, 0]}, "sampling": {"seed": 1, "samples": 1}}, 2),
+    ("tails", {"spec": {"kind": "LogNormal", "params": {"mu": 0.0, "sigma": 1.0}},
+               "geometry": {"x": [3, 0]}, "sampling": {"seed": 1, "samples": 5}}, 3),
+])
+def test_refused_run_leaves_no_output_directory_it_made(tmp_path, experiment, config, code):
+    # both pass validation and refuse in the experiment, after the output
+    # directory is made: the run removes it, and only if it made it
+    path = _write(tmp_path, {"experiment": experiment, "spec": TP_JSON, **config})
+    out = tmp_path / "made" / "r"
+    assert cli.main([experiment, "--config", str(path), "--out", str(out)]) == code
+    assert not (tmp_path / "made").exists()
+    there = tmp_path / "there"
+    there.mkdir()
+    assert cli.main([experiment, "--config", str(path), "--out", str(there)]) == code
+    assert there.is_dir() and not any(there.iterdir())
+
+
 def test_cli_flags_apply_before_the_config_is_validated(tmp_path, capsys):
     # no sampling.seed in the file: mandatory without --seed, supplied by it
     path = _write(tmp_path, {"experiment": "solve", "spec": TP_JSON, "geometry": TWO_SITES})

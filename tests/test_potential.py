@@ -7,6 +7,7 @@ from scipy.stats import norm
 
 from rwpot.errors import DomainError, ParameterError
 from rwpot.lattice import BoxRegion
+from rwpot import potential
 from rwpot.potential import (ZERO_LAW, DistributionSpec, PotentialField,
                              assumption_report, fresh_site_value, load_field,
                              sample_field, sample_field_where, sample_fields,
@@ -196,6 +197,19 @@ def test_sample_fields_is_one_field_per_seed_in_seed_order():
 
     # sample i is the field seeded derive_seed(*key, i)
     assert sample_fields(total, EXP, BOX, (5,), 6) == expected
+
+
+@pytest.mark.parametrize("spec", [TP, EXP, DistributionSpec.log_normal(0.3, 0.7)])
+def test_stacked_draws_are_sample_field_bit_for_bit(monkeypatch, spec):
+    # 81 sites, three fields to a stack: stacks of 3, 3 and 1 for 7 seeds
+    monkeypatch.setattr(potential, "STACK_SITES", 3 * 81 + 80)
+    assert [len(s) for s in potential.seed_stacks((6, 1), 7, BOX.site_count)] == [3, 3, 1]
+    fields = sample_fields(lambda f: f, spec, BOX, (6, 1), 7)
+    for i, f in enumerate(fields):
+        one = sample_field(spec, BOX, derive_seed(6, 1, i))
+        assert f.seed == one.seed
+        assert f.values.tobytes() == one.values.tobytes()
+        assert not f.values.flags.writeable
 
 
 def test_sample_field_where_returns_first_admissible_attempt():

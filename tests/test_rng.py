@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rwpot.rng import (counter_hash, counter_uniform, derive_seed, last_word_uniform,
-                       prefix_state)
+from rwpot.rng import (counter_hash, counter_uniform, counter_uniforms, derive_seed,
+                       last_word_uniform, prefix_state)
 
 
 def test_hash_is_deterministic():
@@ -78,3 +78,14 @@ def test_derive_seed_rejects_tags_outside_int64():
     for tag in (2 ** 63, -2 ** 63 - 1):
         with pytest.raises(OverflowError):
             derive_seed(1, 0, tag)
+
+
+def test_many_seeds_hash_in_one_pass_bit_for_bit():
+    # seeds past int64 and negative ones are read modulo 2^64, as one seed is
+    seeds = [0, 5, 2 ** 64 - 1, -7, 2 ** 63 + 5, derive_seed(3, 1)]
+    counters = np.arange(-20, 40).reshape(20, 3)
+    u = counter_uniforms(seeds, counters)
+    assert u.shape == (len(seeds), 20)
+    for row, seed in zip(u, seeds):
+        assert np.array_equal(row, counter_uniform(seed, counters))
+    assert counter_uniforms([9], [4, 2])[0] == counter_uniform(9, [4, 2])

@@ -15,12 +15,14 @@ from rwpot.lattice import BoxRegion
 from rwpot.potential import DistributionSpec, PotentialField, sample_field
 from rwpot import solver
 from rwpot.coarse import chi_region
+from rwpot import cli
 from rwpot.concentration import (box_return_probability, entropy_global_probe,
                                  pinned_return_probability, prop_box, rank_one_verify)
+from rwpot.harness import run
 from rwpot.oracle import transition_matrix
 from rwpot.rng import derive_seed
 from rwpot.solver import (SiteSet, exit_functional, exit_functionals, raise_site,
-                          travel_weight, weighted_functionals)
+                          travel_costs, travel_weight, weighted_functionals)
 from util_oracles import (_l1_ball_count, block_cost, block_sites, maximal_distance,
                           reference_exit_functionals, reference_green_diagonal,
                           return_probability, two_solve_delta, zero_field)
@@ -240,6 +242,87 @@ def test_exit_functionals_split_into_chunks_give_the_same_values(monkeypatch):
     chunked = exit_functionals(field, region, starts, ("linf", 6.0))
     assert len(calls) == 12  # 81 shells, 7 to a band
     assert np.all(np.abs(chunked - whole) <= 1e-15 * whole)
+
+
+def _origin_costs(fields, box, x):
+    """travel_costs' reference: one travel_weight per field."""
+    origin = (0,) * len(x)
+    return np.array([travel_weight(f, box, origin, x).cost_at(origin) for f in fields])
+
+
+@pytest.mark.parametrize("x, per", [((2, 0), 170), ((4, 0), 25), ((8, 0), 3), ((1, 1, 0), 2)])
+def test_stacked_costs_match_one_solve_per_field(monkeypatch, x, per):
+    # d=2 boxes of 81, 289 and 1089 sites, and the 729-site cube
+    box = prop_box(x)
+    fields = [sample_field(EXP, box, derive_seed(31, i)) for i in range(7)]
+    calls = _count_factorizations(monkeypatch)
+    got = travel_costs(fields, box, (0,) * len(x), x)
+    assert solver._per_stack(box.shape) == per
+    assert len(calls) == -(-len(fields) // per)
+    ref = _origin_costs(fields, box, x)
+    assert np.all(np.abs(got - ref) <= 1e-12 * ref)
+
+
+def test_stacked_cost_of_an_underflowing_block_comes_from_its_own_solve(monkeypatch):
+    box = prop_box((4, 0))  # 289 sites
+    fields = [sample_field(TP, box, derive_seed(32, i)) for i in range(6)]
+    hot = PotentialField(box, np.full(box.shape, 300.0), TP, 0)
+    alone = []
+    real = solver.travel_weight
+    monkeypatch.setattr(solver, "travel_weight", lambda f, *a: alone.append(f) or real(f, *a))
+    got = travel_costs(fields[:2] + [hot] + fields[2:], box, (0, 0), (4, 0))
+    # e_V(0, x) underflows in the stack: the log-space gauge of the hot
+    # field alone gives its cost, and the other blocks keep theirs
+    assert alone == [hot]
+    assert got[2] == 1205.5451774444796
+    assert np.array_equal(np.delete(got, 2), travel_costs(fields, box, (0, 0), (4, 0)))
+
+
+def test_stacked_costs_reject_a_corrupted_stack_solve(monkeypatch):
+    box = prop_box((4, 0))
+    fields = [sample_field(TP, box, derive_seed(33, i)) for i in range(30)]
+    real = solver.cho_solve_banded
+    solves = []
+
+    def corrupted(*args, **kwargs):
+        v = real(*args, **kwargs)
+        solves.append(len(v))
+        if len(solves) == 2:  # the second stack only
+            v[len(v) // 2] *= 1.0 + 1e-6
+        return v
+
+    monkeypatch.setattr(solver, "cho_solve_banded", corrupted)
+    with pytest.raises(SolverError, match="residual"):
+        travel_costs(fields, box, (0, 0), (4, 0))
+    assert len(solves) == 2
+
+
+def test_stacked_costs_split_into_any_stacks_give_the_same_values(monkeypatch):
+    box = prop_box((4, 0))  # 17 x 17, bw 17: 35 * 289 band entries a box
+    fields = [sample_field(EXP, box, derive_seed(34, i)) for i in range(23)]
+    whole = travel_costs(fields, box, (0, 0), (4, 0))
+    for bound, stacks in ((1, 23), (5 * 35 * 289 + 7, 5), (2 ** 30, 1)):
+        monkeypatch.setattr(solver, "STACK_BAND_ENTRIES", bound)
+        calls = _count_factorizations(monkeypatch)
+        assert np.array_equal(travel_costs(fields, box, (0, 0), (4, 0)), whole)
+        assert len(calls) == stacks
+
+
+def test_stacked_costs_of_a_target_at_the_source_are_zero():
+    box = prop_box((2, 0))
+    fields = [sample_field(TP, box, s) for s in (1, 2)]
+    assert np.array_equal(travel_costs(fields, box, (1, 0), (1, 0)), [0.0, 0.0])
+    with pytest.raises(DomainError, match="target"):
+        travel_costs(fields, box, (0, 0), (9, 0))
+
+
+def test_default_tails_run_solves_its_fields_in_stacks(tmp_path, monkeypatch):
+    # 500 fields of the 289-site box: one factorization per stack of
+    # _per_stack fields, not one per field
+    calls = _count_factorizations(monkeypatch)
+    assert run(cli.default_config("tails"), out_dir=tmp_path).all_passed()
+    per = solver._per_stack(prop_box((4, 0)).shape)
+    assert 1 <= len(calls) <= -(-500 // per) + 1
 
 
 def test_exit_functionals_read_every_start_from_one_exit_solve(monkeypatch):
