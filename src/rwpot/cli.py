@@ -17,13 +17,10 @@ _DEFAULT_SPEC = {"kind": "TwoPoint",
 
 
 def default_config(experiment):
+    """The experiment on the default law at seed 1, every other key at its
+    default."""
     return ExperimentConfig.from_json({
-        "experiment": experiment,
-        "spec": _DEFAULT_SPEC,
-        "geometry": {},
-        "sampling": {"seed": 1},
-        "output": {"directory": "results"},
-    })
+        "experiment": experiment, "spec": _DEFAULT_SPEC, "sampling": {"seed": 1}})
 
 
 def _config(args):

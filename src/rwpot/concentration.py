@@ -350,7 +350,9 @@ def rank_one_verify(spec, x, n_trials, seed, box_factor=DEFAULT_BOX_FACTOR):
 def _draw_site(sites, seed, counter, avoid):
     """A uniform site of the (n, d) array not in avoid, and the seed after
     it: draw k reads seed_k at the counter, and seed_{k+1} =
-    derive_seed(seed_k, 1)."""
+    derive_seed(seed_k, 1). ParameterError if every site is in avoid."""
+    if all(tuple(int(v) for v in s) in avoid for s in sites):
+        raise ParameterError(f"no site to draw: every site is one of {sorted(set(avoid))}")
     while True:
         u = counter_uniform(seed, np.asarray(counter, dtype=np.int64))
         y = tuple(int(v) for v in sites[int(u * len(sites)) % len(sites)])

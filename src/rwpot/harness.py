@@ -1,12 +1,18 @@
 """Experiment orchestration: declarative JSON configs, dispatch, manifests.
 
+One table, _PARAMS, holds each experiment's config keys with their types,
+defaults and least values or lengths. Validation refuses any other key, a
+value of the wrong type or below its bound, and a target at the origin
+(except in solve); it then fills in every default and coerces each number
+to its type, so the runners read resolved values only.
+
 Every run is a pure function of its config (seed included; wall-clock time
 is never used for anything but the recorded runtime), writes its tabular
 results as RFC-4180 CSV and summaries as sorted-key JSON via atomic
-temp-then-rename, and emits a manifest with the config hash and a SHA-256
-inventory of every produced file. Reruns of a config write identical bytes:
-every Monte Carlo sample is a pure function of its own seed, aggregated in
-seed order.
+temp-then-rename, and emits a manifest with the resolved config (which, as
+a config file, repeats the run), its hash and a SHA-256 inventory of every
+produced file. Reruns of a config write identical bytes: every Monte Carlo
+sample is a pure function of its own seed, aggregated in seed order.
 """
 
 import json
@@ -27,16 +33,85 @@ from .coarse import (animal_occupancy_check, chi_upper_probe,
                      supermartingale_step_check, write_animal_report)
 from .errors import AssumptionError, ParameterError
 from .io import sha256_of_file, sha256_of_json, write_csv, write_json
-from .lattice import AnimalSpec, BoxRegion, enumerate_animals, norms
+from .lattice import AnimalSpec, BoxRegion, enumerate_animals
 from .lyapunov import estimate_alpha, write_alpha_report
 from .oracle import enumerate_paths, sample_walk_weight
 from .potential import DistributionSpec, sample_field
 from .rng import derive_seed
 from .solver import blas_threads, bounding_box, travel_weight
 
-EXPERIMENTS = ("solve", "lyapunov", "tails", "compare", "truncate", "perturb",
-               "entropy", "psi", "animals", "chi", "oracle-check")
 FORMAT_VERSION = 1
+
+# A type is int, float (any number), str, _TARGET (a lattice point other than
+# the origin), [type] (a list of that type) or {key: type} (an object with
+# those keys).
+_TARGET = "nonzero [int]"
+
+_X = (_TARGET, [4, 0], 1)
+_BOX = (float, DEFAULT_BOX_FACTOR, None)
+_KAPPA = (float, 0.5, None)
+
+# What each experiment reads: "section.key" -> (type, default, least value
+# or length). A default of None leaves the key absent unless given; a
+# callable default is computed from the geometry resolved before it. Every
+# experiment also reads sampling.seed (mandatory) and output.directory.
+_PARAMS = {
+    "solve": {"geometry.x": ([int], [4, 0], 1), "geometry.sites": ([[int]], None, None),
+              "geometry.box_factor": _BOX, "geometry.taboo": ([[int]], [], None)},
+    "lyapunov": {"geometry.direction": ([int], [1, 0], 1), "geometry.box_factor": _BOX,
+                 "sampling.n_grid": ([int], [2, 4, 8], 1), "sampling.samples": (int, 50, 1)},
+    "tails": {"geometry.x": _X, "geometry.side": (str, "UpperExp", None),
+              "geometry.box_factor": _BOX, "geometry.alpha_ref": (float, None, None),
+              "sampling.samples": (int, 500, 1),
+              "sampling.t_grid": ([float], [0.0, 0.5, 1.0, 1.5, 2.0], 1)},
+    "compare": {"geometry.x": _X, "geometry.box_factor_grid": ([float], [1.5, 3.0], 2),
+                "sampling.samples": (int, 200, 1)},
+    "truncate": {"geometry.x": _X, "geometry.gamma": (float, 0.5, None),
+                 "sampling.samples": (int, 500, 1)},
+    "perturb": {"geometry.x": (_TARGET, [2, 1, 0], 1), "geometry.box_factor": _BOX,
+                "sampling.samples": (int, 50, 1)},
+    "entropy": {"geometry.x": _X,
+                "geometry.env_radius": (int, lambda g: max(2, sum(map(abs, g["x"]))), None),
+                "sampling.lambda_grid": ([float], [-0.1, -0.5, -1.0], 1),
+                "sampling.samples": (int, 100, 1)},
+    "psi": {"geometry.x": _X, "geometry.x_grid": ([_TARGET], lambda g: [g["x"]], 1),
+            "geometry.box_factor": _BOX,
+            "sampling.lambda_grid": ([float], [-0.5, -0.25, -0.1, 0.0], 1),
+            "sampling.samples": (int, 500, 1)},
+    "animals": {"geometry.d": (int, 2, None), "geometry.l_cap": (int, 5, None),
+                "geometry.M": (int, 1, None), "geometry.kappa": _KAPPA,
+                "sampling.samples": (int, 2000, 1)},
+    "chi": {"geometry.l": (int, 8, None), "geometry.kappa": _KAPPA, "geometry.d": (int, 2, None),
+            "sampling.samples": (int, 20, 1), "sampling.trials": (int, 50, 1)},
+    "oracle-check": {"sampling.battery": (
+        [{"seed": int, "x": _TARGET, "radius": int, "L": int, "episodes": int}],
+        [{"seed": s, "x": [2, 1], "radius": 3, "L": 24, "episodes": 20000}
+         for s in (11, 23, 37, 41, 53)], None)},
+}
+_COMMON = {"sampling.seed": (int, None, None), "output.directory": (str, "results", None)}
+EXPERIMENTS = tuple(_PARAMS)
+
+
+def _coerce(v, kind):
+    """The JSON value v as a value of the type kind; TypeError if it is not
+    one."""
+    if kind == _TARGET:
+        v = _coerce(v, [int])
+        if any(v):
+            return v
+    elif isinstance(kind, list) and isinstance(v, list):
+        return [_coerce(u, kind[0]) for u in v]
+    elif isinstance(kind, dict) and isinstance(v, dict) and set(kind) <= set(v):
+        return {k: _coerce(v[k], t) for k, t in kind.items()}
+    elif kind in (int, float, str) and not isinstance(v, bool) and isinstance(
+            v, (int, float) if kind is float else kind):
+        return kind(v)
+    raise TypeError(kind)
+
+
+def _spell(kind):
+    names = {int: "int", float: "number", str: "string"}
+    return json.dumps(kind, default=names.get).replace('"', "")
 
 
 @dataclass(eq=False)
@@ -49,36 +124,46 @@ class ExperimentConfig:
     override_assumptions: bool = False
 
     def validate(self):
+        """Check every key against the experiment's table, then fill in each
+        default and coerce each value to its type, in place."""
         if self.experiment not in EXPERIMENTS:
             raise ParameterError(
                 f"experiment: {self.experiment!r} is not one of {EXPERIMENTS}")
         if "seed" not in self.sampling:
             raise ParameterError(
                 "sampling.seed: mandatory, wall-clock seeding is not allowed")
-        geometry, sampling = _READS[self.experiment]
-        parts = (("geometry", self.geometry, geometry),
-                 ("sampling", self.sampling, sampling | {"seed"}),
-                 ("output", self.output, {"directory"}))
-        unread = [f"{part}.{k}" for part, given, read in parts
-                  for k in sorted(given) if k not in read]
+        table = _PARAMS[self.experiment] | _COMMON
+        parts = {"geometry": self.geometry, "sampling": self.sampling,
+                 "output": self.output}
+        unread = [f"{part}.{k}" for part, given in parts.items()
+                  for k in sorted(given) if f"{part}.{k}" not in table]
         if unread:
             raise ParameterError(
                 f"{', '.join(unread)}: not read by {self.experiment}")
-        wrong = [f"{part}.{k}: must be {_spell(_TYPES[k])}" for part, given, _ in parts
-                 for k in sorted(given) if not _fits(given[k], _TYPES[k])]
-        if wrong:
-            raise ParameterError("; ".join(wrong))
-        vacuous = ([f"{part}.{k}: must be >= 1" for part, given, _ in parts
-                    for k in sorted(given) if k in _COUNTS and given[k] < 1]
-                   + [f"{part}.{k}: must have length >= {_GRIDS[k]}" for part, given, _ in parts
-                      for k in sorted(given) if k in _GRIDS and len(given[k]) < _GRIDS[k]])
-        if vacuous:
-            raise ParameterError("; ".join(vacuous))
+        errors = []
+        for name, (kind, default, least) in table.items():
+            part, key = name.split(".")
+            given = parts[part]
+            if key not in given and default is not None and not errors:
+                given[key] = default(self.geometry) if callable(default) else default
+            if key not in given:
+                continue
+            try:  # a copy of the value, never the table's default itself
+                given[key] = value = _coerce(given[key], kind)
+            except TypeError:
+                errors.append(f"{name}: must be {_spell(kind)}")
+                continue
+            if isinstance(value, list) and least is not None and len(value) < least:
+                errors.append(f"{name}: must have length >= {least}")
+            elif not isinstance(value, list) and least is not None and value < least:
+                errors.append(f"{name}: must be >= {least}")
+        if errors:
+            raise ParameterError("; ".join(errors))
         return self
 
     @property
     def seed(self):
-        return int(self.sampling["seed"])
+        return self.sampling["seed"]
 
     def to_json(self):
         return {**asdict(self), "spec": self.spec.to_json()}
@@ -120,6 +205,7 @@ class RunManifest:
     runtime_seconds: float
     assertions: dict  # name -> bool
     files: list  # [{"name":..., "sha256":...}]
+    config: dict  # the resolved config, as a config file holds it
     format_version: int = FORMAT_VERSION
     warnings: tuple = ()
     # scipy's OpenBLAS thread count (None under another BLAS): like the
@@ -133,28 +219,25 @@ class RunManifest:
         return {**asdict(self), "warnings": list(self.warnings)}
 
 
-def _geometry_x(cfg, default=(4, 0)):
-    return tuple(int(v) for v in cfg.geometry.get("x", list(default)))
-
-
-def _box_factor(cfg):
-    return float(cfg.geometry.get("box_factor", DEFAULT_BOX_FACTOR))
+def _paths(out, name):
+    """The CSV and the JSON file of a run's results."""
+    return os.path.join(out, f"{name}.csv"), os.path.join(out, f"{name}.json")
 
 
 def _run_solve(cfg, out):
-    x = _geometry_x(cfg)
-    region = (np.asarray(cfg.geometry["sites"], dtype=np.int64)
-              if "sites" in cfg.geometry else prop_box(x, _box_factor(cfg)))
+    g = cfg.geometry
+    x = g["x"]
+    region = (np.asarray(g["sites"], dtype=np.int64)
+              if "sites" in g else prop_box(x, g["box_factor"]))
     origin = (0,) * len(x)
     field = sample_field(cfg.spec, bounding_box(region), cfg.seed)
-    res = travel_weight(field, region, origin, x,
-                        taboo=[tuple(t) for t in cfg.geometry.get("taboo", [])])
+    res = travel_weight(field, region, origin, x, taboo=g["taboo"])
     rows = [tuple(int(c) for c in z) + (float(e),)
             for z, e in zip(res.siteset.sites, res.e_values)]
-    csv_path = os.path.join(out, "solve.csv")
+    csv_path, json_path = _paths(out, "solve")
     write_csv(csv_path, tuple(f"z{i+1}" for i in range(len(x))) + ("e_value",),
               rows)
-    write_json(os.path.join(out, "solve.json"), {
+    write_json(json_path, {
         "target": list(res.target),
         "taboo": [list(t) for t in sorted(res.taboo)],
         "residual": res.residual,
@@ -163,33 +246,26 @@ def _run_solve(cfg, out):
     e = res.e_values
     return {"e_values_in_unit_interval": bool(np.all((e >= 0) & (e <= 1))),
             "target_e_is_one": bool(e[res.siteset.index_one(x)] == 1.0)}, \
-        [csv_path, os.path.join(out, "solve.json")]
+        [csv_path, json_path]
 
 
 def _run_lyapunov(cfg, out):
-    direction = tuple(int(v) for v in cfg.geometry.get("direction", [1, 0]))
-    est = estimate_alpha(cfg.spec, direction,
-                         cfg.sampling.get("n_grid", [2, 4, 8]),
-                         cfg.sampling.get("samples", 50), cfg.seed,
-                         _box_factor(cfg))
-    csv_path = os.path.join(out, "alpha.csv")
-    json_path = os.path.join(out, "alpha.json")
+    g, s = cfg.geometry, cfg.sampling
+    est = estimate_alpha(cfg.spec, g["direction"], s["n_grid"], s["samples"],
+                         cfg.seed, g["box_factor"])
+    csv_path, json_path = _paths(out, "alpha")
     write_alpha_report(est, csv_path, json_path)
     return {"band_ok": bool(est.band_ok),
             "alpha_nonnegative": est.alpha_hat >= 0}, [csv_path, json_path]
 
 
 def _run_tails(cfg, out):
-    x = _geometry_x(cfg)
+    g, s = cfg.geometry, cfg.sampling
     report = tail_experiment(
-        cfg.spec, x, cfg.geometry.get("side", "UpperExp"),
-        cfg.sampling.get("samples", 500),
-        cfg.sampling.get("t_grid", [0.0, 0.5, 1.0, 1.5, 2.0]), cfg.seed,
-        box_factor=_box_factor(cfg),
-        alpha_ref=cfg.geometry.get("alpha_ref"),
+        cfg.spec, g["x"], g["side"], s["samples"], s["t_grid"], cfg.seed,
+        box_factor=g["box_factor"], alpha_ref=g.get("alpha_ref"),
         override=cfg.override_assumptions)
-    csv_path = os.path.join(out, "tails.csv")
-    json_path = os.path.join(out, "tails.json")
+    csv_path, json_path = _paths(out, "tails")
     write_tail_report(report, csv_path, json_path)
     tails = report.tails()
     return {"tails_non_increasing": bool(np.all(np.diff(tails) <= 1e-12)),
@@ -198,14 +274,12 @@ def _run_tails(cfg, out):
 
 
 def _run_compare(cfg, out):
-    x = _geometry_x(cfg)
-    rep = compare_restricted(cfg.spec, x,
-                             cfg.geometry.get("box_factor_grid", [1.5, 3.0]),
-                             cfg.sampling.get("samples", 200), cfg.seed)
-    csv_path = os.path.join(out, "compare.csv")
+    rep = compare_restricted(cfg.spec, cfg.geometry["x"],
+                             cfg.geometry["box_factor_grid"],
+                             cfg.sampling["samples"], cfg.seed)
+    csv_path, json_path = _paths(out, "compare")
     write_csv(csv_path, ("box_factor", "mean_cost"),
               list(zip(rep["box_factors"], rep["mean_costs"])))
-    json_path = os.path.join(out, "compare.json")
     write_json(json_path, rep)
     return {"per_sample_monotone": rep["monotone_violations"] == 0,
             "log2_event_absent": rep["log2_event_count"] == 0}, \
@@ -213,48 +287,41 @@ def _run_compare(cfg, out):
 
 
 def _run_truncate(cfg, out):
-    x = _geometry_x(cfg)
-    rep = truncation_gap(cfg.spec, x, float(cfg.geometry.get("gamma", 0.5)),
-                         cfg.sampling.get("samples", 500), cfg.seed,
+    rep = truncation_gap(cfg.spec, cfg.geometry["x"], cfg.geometry["gamma"],
+                         cfg.sampling["samples"], cfg.seed,
                          override=cfg.override_assumptions)
     gaps = rep.pop("gaps")
-    csv_path = os.path.join(out, "truncate.csv")
+    csv_path, json_path = _paths(out, "truncate")
     write_csv(csv_path, ("sample", "gap"), list(enumerate(gaps.tolist())))
-    json_path = os.path.join(out, "truncate.json")
     write_json(json_path, rep)
     return {"gap_nonnegative": rep["negative_gap_count"] == 0}, \
         [csv_path, json_path]
 
 
 def _run_perturb(cfg, out):
-    x = _geometry_x(cfg, default=(2, 1, 0))
-    records = rank_one_verify(cfg.spec, x, cfg.sampling.get("samples", 50),
-                              cfg.seed, _box_factor(cfg))
-    csv_path = os.path.join(out, "perturb.csv")
-    json_path = os.path.join(out, "perturb.json")
+    records = rank_one_verify(cfg.spec, cfg.geometry["x"], cfg.sampling["samples"],
+                              cfg.seed, cfg.geometry["box_factor"])
+    csv_path, json_path = _paths(out, "perturb")
     write_perturbation_report(records, csv_path, json_path)
     return {"sandwich_holds": not any(r.violates() for r in records)}, \
         [csv_path, json_path]
 
 
 def _run_entropy(cfg, out):
-    x = _geometry_x(cfg)
+    g, s = cfg.geometry, cfg.sampling
+    x = g["x"]
     if cfg.spec.finite_support() is None and not cfg.override_assumptions:
         raise AssumptionError(
             "finite-support",
             "entropy experiment requires a finite-support marginal")
-    env_region = BoxRegion.centered(
-        int(cfg.geometry.get("env_radius", max(2, norms(x)[0]))), len(x))
+    env_region = BoxRegion.centered(g["env_radius"], len(x))
     env = sample_field(cfg.spec, env_region, derive_seed(cfg.seed, 0xE17))
-    lambda_grid = cfg.sampling.get("lambda_grid", [-0.1, -0.5, -1.0])
-    records = entropy_suite(cfg.spec, env, x, lambda_grid, cfg.seed)
-    probe = entropy_global_probe(cfg.spec, x, lambda_grid,
-                                 cfg.sampling.get("samples", 100),
+    records = entropy_suite(cfg.spec, env, x, s["lambda_grid"], cfg.seed)
+    probe = entropy_global_probe(cfg.spec, x, s["lambda_grid"], s["samples"],
                                  derive_seed(cfg.seed, 0x91))
-    csv_path = os.path.join(out, "entropy.csv")
+    csv_path, json_path = _paths(out, "entropy")
     write_csv(csv_path, ("lambda", "ent", "rhs", "psi"),
               [(r.lam, r.ent_value, r.rhs_bound, r.psi_value) for r in records])
-    json_path = os.path.join(out, "entropy.json")
     write_json(json_path, probe)
     return {
         "per_site_inequality": all(r.ent_value <= r.rhs_bound + 1e-9
@@ -265,18 +332,13 @@ def _run_entropy(cfg, out):
 
 
 def _run_psi(cfg, out):
-    x = _geometry_x(cfg)
-    x_grid = [tuple(int(v) for v in xx)
-              for xx in cfg.geometry.get("x_grid", [list(x)])]
-    rep = psi_herbst(cfg.spec, x_grid,
-                     cfg.sampling.get("lambda_grid", [-0.5, -0.25, -0.1, 0.0]),
-                     cfg.sampling.get("samples", 500), cfg.seed,
-                     box_factor=_box_factor(cfg))
-    csv_path = os.path.join(out, "psi.csv")
+    g, s = cfg.geometry, cfg.sampling
+    rep = psi_herbst(cfg.spec, g["x_grid"], s["lambda_grid"], s["samples"],
+                     cfg.seed, box_factor=g["box_factor"])
+    csv_path, json_path = _paths(out, "psi")
     write_csv(csv_path, ("x", "lambda", "psi", "ratio"),
               [(" ".join(str(v) for v in r["x"]), r["lambda"], r["psi"],
                 r["ratio"]) for r in rep["rows"]])
-    json_path = os.path.join(out, "psi.json")
     write_json(json_path, {"psi_min": rep["psi_min"],
                            "ratio_max": rep["ratio_max"],
                            "samples": rep["samples"]})
@@ -284,14 +346,11 @@ def _run_psi(cfg, out):
 
 
 def _run_animals(cfg, out):
-    d = int(cfg.geometry.get("d", 2))
-    l_cap = int(cfg.geometry.get("l_cap", 5))
-    rep = animal_occupancy_check(cfg.spec, int(cfg.geometry.get("M", 1)),
-                                 float(cfg.geometry.get("kappa", 0.5)), l_cap,
-                                 cfg.sampling.get("samples", 2000), cfg.seed,
-                                 d=d)
-    csv_path = os.path.join(out, "animals.csv")
-    json_path = os.path.join(out, "animals.json")
+    g = cfg.geometry
+    d, l_cap = g["d"], g["l_cap"]
+    rep = animal_occupancy_check(cfg.spec, g["M"], g["kappa"], l_cap,
+                                 cfg.sampling["samples"], cfg.seed, d=d)
+    csv_path, json_path = _paths(out, "animals")
     write_animal_report(rep, csv_path, json_path)
     counts_ok = True
     for l in range(1, l_cap + 1):
@@ -303,17 +362,13 @@ def _run_animals(cfg, out):
 
 
 def _run_chi(cfg, out):
-    l = int(cfg.geometry.get("l", 8))
-    kappa = float(cfg.geometry.get("kappa", 0.5))
-    d = int(cfg.geometry.get("d", 2))
+    g, s = cfg.geometry, cfg.sampling
     witness = os.path.join(out, "chi_witness.field")
-    probe = chi_upper_probe(cfg.spec, l, kappa,
-                            cfg.sampling.get("samples", 20), cfg.seed,
-                            witness_path=witness, d=d)
-    sm = supermartingale_step_check(cfg.spec, l, kappa, probe["chi_probe"],
-                                    cfg.sampling.get("trials", 50),
-                                    derive_seed(cfg.seed, 0x51), d=d)
-    json_path = os.path.join(out, "chi.json")
+    probe = chi_upper_probe(cfg.spec, g["l"], g["kappa"], s["samples"], cfg.seed,
+                            witness_path=witness, d=g["d"])
+    sm = supermartingale_step_check(cfg.spec, g["l"], g["kappa"], probe["chi_probe"],
+                                    s["trials"], derive_seed(cfg.seed, 0x51), d=g["d"])
+    csv_path, json_path = _paths(out, "chi")
     write_json(json_path, {
         "chi_probe": probe["chi_probe"],
         "all_strictly_inside": probe["all_strictly_inside"],
@@ -322,7 +377,6 @@ def _run_chi(cfg, out):
         "supermartingale_violations": sm["violations"],
         "occupied_trials": sm["occupied_trials"],
     })
-    csv_path = os.path.join(out, "chi.csv")
     write_csv(csv_path, ("config", "value"),
               list(enumerate(probe["values"])))
     return {"chi_in_open_unit_interval": probe["all_strictly_inside"],
@@ -331,34 +385,26 @@ def _run_chi(cfg, out):
         [csv_path, json_path, witness, witness + ".json"]
 
 
-DEFAULT_ORACLE_BATTERY = tuple(
-    {"seed": s, "x": [2, 1], "radius": 3, "L": 24, "episodes": 20000}
-    for s in (11, 23, 37, 41, 53)
-)
-
-
 def oracle_check(cfg, out=None):
     """Cross-validation battery: the linear solver against exhaustive path
     enumeration (sandwich, exact) and Monte Carlo (4 standard errors)."""
-    battery = cfg.sampling.get("battery", None)
+    battery = cfg.sampling["battery"]
     warn = []
-    if battery is None:
-        battery = [dict(b) for b in DEFAULT_ORACLE_BATTERY]
     if not battery:
         warn.append("empty oracle battery: vacuous pass")
         warnings.warn(warn[-1])
     results = []
     for item in battery:
-        x = tuple(int(v) for v in item["x"])
-        region = BoxRegion.centered(int(item["radius"]), len(x))
-        fld = sample_field(cfg.spec, region, int(item["seed"]))
+        x = item["x"]
+        region = BoxRegion.centered(item["radius"], len(x))
+        fld = sample_field(cfg.spec, region, item["seed"])
         origin = (0,) * len(x)
         e_solve = travel_weight(fld, region, origin, x).e_at(origin)
-        enum = enumerate_paths(fld, region, x, L=int(item["L"]))
+        enum = enumerate_paths(fld, region, x, L=item["L"])
         sandwich = (enum.partial_weight - 1e-13 <= e_solve
                     <= enum.partial_weight + enum.remainder_bound + 1e-13)
-        mc = sample_walk_weight(fld, region, x, int(item["episodes"]),
-                                derive_seed(int(item["seed"]), 0x6C))
+        mc = sample_walk_weight(fld, region, x, item["episodes"],
+                                derive_seed(item["seed"], 0x6C))
         mc_ok = abs(mc.estimate - e_solve) <= 4 * mc.std_error
         results.append({"seed": item["seed"], "e_solve": e_solve,
                         "partial": enum.partial_weight,
@@ -382,55 +428,6 @@ def oracle_check(cfg, out=None):
     return report, assertions, files, warn
 
 
-def _fits(v, kind):
-    """Whether a JSON value has the type kind: int, float (any number), str,
-    [kind] (a list of kind) or {key: kind} (an object with those keys)."""
-    if isinstance(kind, list):
-        return isinstance(v, list) and all(_fits(u, kind[0]) for u in v)
-    if isinstance(kind, dict):
-        return isinstance(v, dict) and all(k in v and _fits(v[k], t) for k, t in kind.items())
-    return not isinstance(v, bool) and isinstance(
-        v, (int, float) if kind is float else kind)
-
-
-def _spell(kind):
-    names = {int: "int", float: "number", str: "string"}
-    return json.dumps(kind, default=names.get).replace('"', "")
-
-
-# The type of every config value, by key: a key means the same in every
-# experiment that reads it.
-_TYPES = {
-    "seed": int, "samples": int, "trials": int, "d": int, "l": int, "l_cap": int,
-    "M": int, "env_radius": int, "box_factor": float, "alpha_ref": float,
-    "gamma": float, "kappa": float, "x": [int], "direction": [int], "n_grid": [int],
-    "sites": [[int]], "taboo": [[int]], "x_grid": [[int]], "box_factor_grid": [float],
-    "t_grid": [float], "lambda_grid": [float], "side": str, "directory": str,
-    "battery": [{"seed": int, "x": [int], "radius": int, "L": int, "episodes": int}],
-}
-
-# Counts that must be at least 1, and grids with their least length: a run
-# over no samples or no grid point has nothing to report, and compare
-# compares at least two boxes.
-_COUNTS = {"samples", "trials"}
-_GRIDS = {"n_grid": 1, "t_grid": 1, "lambda_grid": 1, "box_factor_grid": 2, "x_grid": 1}
-
-# The geometry and sampling keys that each experiment's runner reads, beside
-# sampling.seed (read by all); validate() rejects any other key.
-_READS = {
-    "solve": ({"x", "sites", "box_factor", "taboo"}, set()),
-    "lyapunov": ({"direction", "box_factor"}, {"n_grid", "samples"}),
-    "tails": ({"x", "side", "box_factor", "alpha_ref"}, {"samples", "t_grid"}),
-    "compare": ({"x", "box_factor_grid"}, {"samples"}),
-    "truncate": ({"x", "gamma"}, {"samples"}),
-    "perturb": ({"x", "box_factor"}, {"samples"}),
-    "entropy": ({"x", "env_radius"}, {"lambda_grid", "samples"}),
-    "psi": ({"x", "x_grid", "box_factor"}, {"lambda_grid", "samples"}),
-    "animals": ({"d", "l_cap", "M", "kappa"}, {"samples"}),
-    "chi": ({"l", "kappa", "d"}, {"samples", "trials"}),
-    "oracle-check": (set(), {"battery"}),
-}
-
 _DISPATCH = {
     "solve": _run_solve,
     "lyapunov": _run_lyapunov,
@@ -447,8 +444,7 @@ _DISPATCH = {
 
 def run(config: ExperimentConfig, out_dir=None) -> RunManifest:
     config.validate()
-    out = str(out_dir if out_dir is not None
-              else config.output.get("directory", "results"))
+    out = str(out_dir if out_dir is not None else config.output["directory"])
     made, head = [], os.path.abspath(out)  # the directories this run makes, deepest first
     while not os.path.isdir(head):
         made.append(head)
@@ -469,8 +465,9 @@ def run(config: ExperimentConfig, out_dir=None) -> RunManifest:
             os.rmdir(path)
         raise
     runtime = time.perf_counter() - start
+    resolved = config.to_json()
     manifest = RunManifest(
-        config_hash=sha256_of_json(config.to_json()),
+        config_hash=sha256_of_json(resolved),
         code_version=__version__,
         experiment=config.experiment,
         seed=config.seed,
@@ -478,6 +475,7 @@ def run(config: ExperimentConfig, out_dir=None) -> RunManifest:
         assertions=assertions,
         files=[{"name": os.path.basename(f), "sha256": sha256_of_file(f)}
                for f in files],
+        config=resolved,
         warnings=tuple(warn),
         blas_threads=blas_threads(),
     )

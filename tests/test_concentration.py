@@ -147,6 +147,15 @@ def test_site_draw_skips_avoided_sites_and_advances_the_seed_per_draw():
     assert _draw_site(sites, 11, (4, 0), (first,)) == draws[k]
 
 
+def test_site_draw_with_every_site_avoided_raises():
+    # the one-site box of the origin: the draw would never end
+    with pytest.raises(ParameterError, match="no site to draw"):
+        rank_one_verify(TP, (0, 0), 1, 3)
+    env = sample_field(TP, BoxRegion.centered(0, 2), 5)
+    with pytest.raises(ParameterError, match="no site to draw"):
+        entropy_suite(TP, env, (1, 0), [-0.5], 5)
+
+
 def test_entropy_fn_closed_form():
     # two-point X: weights (1/2, 1/2), values (1, e)
     w, v = [0.5, 0.5], [1.0, math.e]

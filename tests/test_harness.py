@@ -3,10 +3,11 @@ import os
 
 import pytest
 
-from rwpot import cli
+from rwpot import cli, harness
 from rwpot import solver as solver_mod
 from rwpot.errors import AssumptionError, ParameterError
 from rwpot.harness import (EXPERIMENTS, ExperimentConfig, oracle_check, run)
+from rwpot.io import sha256_of_json
 
 TP_JSON = {"kind": "TwoPoint",
            "params": {"v_lo": 0.2, "v_hi": 1.0, "p_hi": 0.5}}
@@ -145,6 +146,15 @@ def test_cli_rejects_a_config_of_the_wrong_shape(tmp_path, capsys, config, key):
     ("psi", "sampling", {"samples": 0}, "sampling.samples: must be >= 1"),
     ("psi", "geometry", {"x_grid": []}, "geometry.x_grid: must have length >= 1"),
     ("chi", "sampling", {"trials": -1}, "sampling.trials: must be >= 1"),
+    # a target at the origin, or with no coordinates
+    ("tails", "geometry", {"x": [0, 0]}, "geometry.x: must be nonzero [int]"),
+    ("compare", "geometry", {"x": [0, 0]}, "geometry.x: must be nonzero [int]"),
+    ("tails", "geometry", {"x": []}, "geometry.x: must be nonzero [int]"),
+    ("solve", "geometry", {"x": []}, "geometry.x: must have length >= 1"),
+    ("lyapunov", "geometry", {"direction": []}, "geometry.direction: must have length >= 1"),
+    ("psi", "geometry", {"x_grid": [[2, 0], [0, 0]]}, "geometry.x_grid: must be [nonzero [int]]"),
+    ("oracle-check", "sampling", {"battery": [{"seed": 1, "x": [0, 0], "radius": 3, "L": 4,
+                                              "episodes": 10}]}, "sampling.battery: must be"),
 ])
 def test_cli_rejects_no_samples_and_empty_grids(tmp_path, capsys, experiment, part,
                                                 value, key):
@@ -155,6 +165,28 @@ def test_cli_rejects_no_samples_and_empty_grids(tmp_path, capsys, experiment, pa
     assert code == 2
     assert key in capsys.readouterr().err
     assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("experiment, geometry, key", [
+    # a one-site environment box: no site but the origin to resample
+    ("entropy", {"env_radius": 0}, "no site to draw"),
+    # prop_box of the origin is the origin alone
+    ("perturb", {"x": [0, 0]}, "geometry.x"),
+    ("perturb", {"x": [0, 0, 0]}, "geometry.x"),
+])
+def test_cli_with_no_site_to_draw_exits_2(tmp_path, capsys, experiment, geometry, key):
+    config = {"experiment": experiment, "spec": TP_JSON, "geometry": geometry,
+              "sampling": {"seed": 1, "samples": 1}}
+    code = cli.main([experiment, "--config", str(_write(tmp_path, config)),
+                     "--out", str(tmp_path / "r")])
+    assert code == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+def test_solve_may_target_the_origin(tmp_path):
+    # e(0, 0) = 1 is defined: solve alone reads a target at the origin
+    assert run(_config("solve", geometry={"x": [0, 0]}), out_dir=tmp_path).all_passed()
 
 
 def test_cli_perturb_in_six_dimensions_exits_2(tmp_path, capsys):
@@ -262,12 +294,80 @@ def test_manifest_schema_and_reproducibility(tmp_path):
     obj = json.loads((tmp_path / "a" / "manifest.json").read_text())
     assert set(obj) == {"config_hash", "code_version", "experiment", "seed",
                         "runtime_seconds", "assertions", "files",
-                        "format_version", "warnings", "blas_threads"}
-    assert m1.config_hash == m2.config_hash
+                        "format_version", "warnings", "blas_threads", "config"}
+    assert m1.config_hash == m2.config_hash == sha256_of_json(obj["config"])
+    assert obj["config"]["sampling"] == {
+        "samples": 40, "seed": 5, "t_grid": [0.0, 0.5, 1.0, 1.5, 2.0]}
     assert obj["seed"] == 5 and obj["experiment"] == "tails"
     assert obj["blas_threads"] is None or obj["blas_threads"] >= 1
     for f in obj["files"]:
         assert len(f["sha256"]) == 64
+
+
+def test_manifest_config_repeats_the_run(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert cli.main(["tails", "--seed", "1", "--out", str(a)]) == 0
+    first = json.loads((a / "manifest.json").read_text())
+    path = _write(tmp_path, first["config"])
+    assert cli.main(["tails", "--config", str(path), "--out", str(b)]) == 0
+    second = json.loads((b / "manifest.json").read_text())
+    assert second["config"] == first["config"]
+    assert second["config_hash"] == first["config_hash"]
+    for name in ("tails.csv", "tails.json"):
+        assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def test_config_hash_covers_the_defaults(tmp_path, monkeypatch):
+    def config_hash(argv, out):
+        assert cli.main(["tails", *argv, "--out", str(tmp_path / out)]) == 0
+        return json.loads((tmp_path / out / "manifest.json").read_text())["config_hash"]
+
+    spelt = _write(tmp_path, {"experiment": "tails", "spec": TP_JSON,
+                              "sampling": {"seed": 1, "samples": 500}})
+    default = config_hash(["--seed", "1"], "a")
+    assert config_hash(["--config", str(spelt)], "b") == default
+    # a default changed in code changes the hash
+    monkeypatch.setitem(harness._PARAMS["tails"], "sampling.samples", (int, 40, 1))
+    assert config_hash(["--seed", "1"], "c") != default
+
+
+class _Reads(dict):
+    """A config section that records in log every key read from it."""
+
+    def __init__(self, items, log, part):
+        super().__init__(items)
+        self.log, self.part = log, part
+
+    def __getitem__(self, key):
+        self.log.add(f"{self.part}.{key}")
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.log.add(f"{self.part}.{key}")
+        return super().__contains__(key)
+
+    def get(self, key, default=None):
+        self.log.add(f"{self.part}.{key}")
+        return super().get(key, default)
+
+
+@pytest.mark.parametrize("name", EXPERIMENTS)
+def test_runners_read_exactly_their_table(tmp_path, name):
+    cfg = cli.default_config(name)
+    table = harness._PARAMS[name]
+    read = set()
+    # a derived default reads the keys it is computed from
+    for _, default, _ in table.values():
+        if callable(default):
+            default(_Reads(cfg.geometry, read, "geometry"))
+    cfg.geometry = _Reads(cfg.geometry, read, "geometry")
+    cfg.sampling = _Reads(cfg.sampling, read, "sampling")
+    if name == "oracle-check":
+        oracle_check(cfg, str(tmp_path))
+    else:
+        harness._DISPATCH[name](cfg, str(tmp_path))
+    assert read - {"sampling.seed"} <= set(table)
+    assert {key for key, (_, default, _) in table.items() if default is not None} <= read
 
 
 def test_run_refuses_by_assumption_name(tmp_path):
