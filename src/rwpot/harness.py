@@ -53,8 +53,9 @@ _KAPPA = (float, 0.5, None)
 
 # What each experiment reads: "section.key" -> (type, default, least value
 # or length). A default of None leaves the key absent unless given; a
-# callable default is computed from the geometry resolved before it. Every
-# experiment also reads sampling.seed (mandatory) and output.directory.
+# callable default or least value is computed from the geometry resolved
+# before it. Every experiment also reads sampling.seed (mandatory) and
+# output.directory.
 _PARAMS = {
     "solve": {"geometry.x": ([int], [4, 0], 1), "geometry.sites": ([[int]], None, None),
               "geometry.box_factor": _BOX, "geometry.taboo": ([[int]], [], None)},
@@ -71,7 +72,9 @@ _PARAMS = {
     "perturb": {"geometry.x": (_TARGET, [2, 1, 0], 1), "geometry.box_factor": _BOX,
                 "sampling.samples": (int, 50, 1)},
     "entropy": {"geometry.x": _X,
-                "geometry.env_radius": (int, lambda g: max(2, sum(map(abs, g["x"]))), None),
+                # the target lies in the environment box
+                "geometry.env_radius": (int, lambda g: max(2, sum(map(abs, g["x"]))),
+                                        lambda g: max(map(abs, g["x"]))),
                 "sampling.lambda_grid": ([float], [-0.1, -0.5, -1.0], 1),
                 "sampling.samples": (int, 100, 1)},
     "psi": {"geometry.x": _X, "geometry.x_grid": ([_TARGET], lambda g: [g["x"]], 1),
@@ -94,7 +97,8 @@ EXPERIMENTS = tuple(_PARAMS)
 
 def _coerce(v, kind):
     """The JSON value v as a value of the type kind; TypeError if it is not
-    one."""
+    one, KeyError (with their sorted names) if an object has keys the type
+    lacks."""
     if kind == _TARGET:
         v = _coerce(v, [int])
         if any(v):
@@ -102,6 +106,8 @@ def _coerce(v, kind):
     elif isinstance(kind, list) and isinstance(v, list):
         return [_coerce(u, kind[0]) for u in v]
     elif isinstance(kind, dict) and isinstance(v, dict) and set(kind) <= set(v):
+        if set(v) - set(kind):
+            raise KeyError(sorted(set(v) - set(kind)))
         return {k: _coerce(v[k], t) for k, t in kind.items()}
     elif kind in (int, float, str) and not isinstance(v, bool) and isinstance(
             v, (int, float) if kind is float else kind):
@@ -153,6 +159,13 @@ class ExperimentConfig:
             except TypeError:
                 errors.append(f"{name}: must be {_spell(kind)}")
                 continue
+            except KeyError as unread:
+                errors.append(f"{name}: {', '.join(unread.args[0])} not read by {self.experiment}")
+                continue
+            if callable(least):
+                if errors:  # the geometry it reads may not be resolved
+                    continue
+                least = least(self.geometry)
             if isinstance(value, list) and least is not None and len(value) < least:
                 errors.append(f"{name}: must have length >= {least}")
             elif not isinstance(value, list) and least is not None and value < least:

@@ -1,6 +1,7 @@
 """Geometry of Z^d: norms, boxes, coarse-graining indices and
 lattice-animal enumeration."""
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,27 +129,29 @@ def enumerate_animals(spec: AnimalSpec, cap=None):
         raise CapacityError(
             f"animal size {spec.size} exceeds cap {cap} for d={spec.dimension}"
         )
-    moves = _moves(spec.dimension, spec.connectivity)
-    origin = (0,) * spec.dimension
-    current = {(origin,)}
-    for _ in range(spec.size - 1):
-        grown = set()
-        for animal in current:
-            cells = set(animal)
-            for cell in animal:
-                for mv in moves:
-                    nb = tuple(c + m for c, m in zip(cell, mv))
-                    if nb not in cells:
-                        grown.add(canonical_form(cells | {nb}))
-        current = grown
-    fixed = sorted(current)
-    if not spec.anchored:
-        return fixed, len(fixed)
-    anchored = set()
-    for animal in fixed:
+    animals = list(_animals(spec.dimension, spec.connectivity, spec.size, spec.anchored))
+    return animals, len(animals)
+
+
+@functools.cache
+def _animals(d, connectivity, size, anchored):
+    """enumerate_animals' animals, sorted, enumerated once per process: the
+    fixed animals of a size grow from those of the size below, and the
+    anchored ones are the fixed ones translated to put each cell at the
+    origin."""
+    if anchored:
+        return tuple(sorted({
+            tuple(sorted(tuple(c - b for c, b in zip(other, cell)) for other in animal))
+            for animal in _animals(d, connectivity, size, False) for cell in animal}))
+    if size == 1:
+        return (((0,) * d,),)
+    moves = _moves(d, connectivity)
+    grown = set()
+    for animal in _animals(d, connectivity, size - 1, False):
+        cells = set(animal)
         for cell in animal:
-            anchored.add(tuple(sorted(
-                tuple(c - b for c, b in zip(other, cell)) for other in animal
-            )))
-    anchored = sorted(anchored)
-    return anchored, len(anchored)
+            for mv in moves:
+                nb = tuple(c + m for c, m in zip(cell, mv))
+                if nb not in cells:
+                    grown.add(canonical_form(cells | {nb}))
+    return tuple(sorted(grown))

@@ -11,8 +11,10 @@ neighbors at the strides of their bounding-box grid, the kill site a
 decoupled unit row). The lattice is bipartite, so the symmetrized operator
 has an identity block on each colour (the parity of the coordinate sum),
 and the exact Schur complement S on one colour has half the rows at the
-same bandwidth. S is factored, on first use, by banded Cholesky, for every
-plain solve and for the Green diagonal G(y, y) of both colours: Takahashi's
+same bandwidth. S is factored, on first use, by banded Cholesky (LAPACK's
+dpbtrf, and dpbtrs for each solve, called directly: the bits of scipy's
+cholesky_banded and cho_solve_banded without their per-call wrapping), for
+every plain solve and for the Green diagonal G(y, y) of both colours: Takahashi's
 selected inversion of S in blocked form, n/(bw+1) steps of one (bw+1)-square
 triangular inverse and four products, O(n bw^2) time, every product on
 scipy's BLAS (numpy's @ would bring a second OpenBLAS thread pool into the
@@ -22,6 +24,11 @@ the factor's band, and a solve after it factors S again. So a field's
 weighted functionals hold one band-sized array, not two whose freeing
 hands them back to the OS to be faulted in again by the next field. The
 log-space fallback solves its gauged complement by band LU.
+
+What depends on the site set alone is built once and kept on its SiteSet:
+the band layout and its colours, and, per kill, the active mask, the
+neighbor pairs the kill cuts and the rows next to it (kill_parts). An
+operator's own work is then the field's: its couplings, S and the solves.
 
 Many small systems of one shape are solved as one block-diagonal band:
 travel_costs (the costs of many fields on one box) and exit_functionals
@@ -48,9 +55,9 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import _fblas, cho_solve_banded, cholesky_banded, solve_banded
+from scipy.linalg import _fblas, solve_banded
 from scipy.linalg.blas import dgemm, dtrmm
-from scipy.linalg.lapack import dtrtri
+from scipy.linalg.lapack import dpbtrf, dpbtrs, dtrtri
 
 from .errors import DegenerateWeightError, DomainError, SolverError
 from .lattice import BoxRegion, as_point
@@ -63,6 +70,8 @@ OMEGA_CAP = 800.0
 # travel_costs' boxes, counted as (2 bw + 1) rows for a box's grid
 # bandwidth bw: 2^18 (2 MB of doubles)
 STACK_BAND_ENTRIES = 2 ** 18
+# the most kills whose bookkeeping one SiteSet keeps (SiteSet.kill_parts)
+KILLS_KEPT = 8
 
 
 def _scipy_openblas():
@@ -89,15 +98,16 @@ def blas_threads():
 
 class SiteSet:
     """Explicit set of lattice sites, in their given order, indexed through
-    the grid of their bounding box (lo, shape): keys[i] is the row-major grid
-    point of site i, and index() is an O(1) vectorized lookup."""
+    the grid of their bounding box (lo, shape), both tuples of ints: keys[i]
+    is the row-major grid point of site i, index() is an O(1) vectorized
+    lookup and index_one() the same for one point, on Python ints."""
 
     def __init__(self, sites):
         self.sites = sites = region_sites(sites)
         if sites.ndim != 2 or len(sites) == 0:
             raise DomainError("site set must be a nonempty (n, d) array")
         self.d = sites.shape[1]
-        self.lo = sites.min(axis=0)
+        self.lo = tuple(int(v) for v in sites.min(axis=0))
         self.shape = tuple(int(m) for m in sites.max(axis=0) - self.lo + 1)
         self.keys = np.ravel_multi_index((sites - self.lo).T, self.shape)
         self._flat = np.full(int(np.prod(self.shape)), -1, dtype=np.int64)
@@ -105,6 +115,7 @@ class SiteSet:
         if np.any(self._flat[self.keys] != rank):  # equal sites keep one point
             raise DomainError("duplicate sites in region")
         self._layout = self._colours = None
+        self._kills = {}
 
     def layout(self):
         """(at, rows, a, o), built on first use with colours(), for the
@@ -169,9 +180,39 @@ class SiteSet:
         return out
 
     def index_one(self, p):
-        rel = [c - lo for c, lo in zip(p, self.lo.tolist(), strict=True)]
-        inside = all(0 <= r < m for r, m in zip(rel, self.shape))
-        return int(self._flat[np.ravel_multi_index(rel, self.shape)]) if inside else -1
+        """The index of the one point p in the set, -1 where absent; a point
+        of another dimension raises ValueError."""
+        key = 0
+        for c, lo, m in zip(p, self.lo, self.shape, strict=True):
+            if not 0 <= c - lo < m:
+                return -1
+            key = key * m + c - lo
+        return int(self._flat[key])
+
+    def kill_parts(self, kill):
+        """(active, cut, adj) of the operator killed at kill, a tuple of
+        points (empty for no kill), on the rows of layout(): active is False
+        on the kill sites' rows, cut are the ids of the neighbor pairs that
+        touch a kill site, and adj the row of each such pair's other end,
+        the a ends first (kill_vector's rows). Built once per kill and kept,
+        read-only, for the last KILLS_KEPT kills; DomainError names the
+        first kill site outside the set."""
+        parts = self._kills.get(kill)
+        if parts is None:
+            i = [self.index_one(p) for p in kill]
+            if min(i, default=0) < 0:
+                raise DomainError(f"target {kill[i.index(-1)]} not in region")
+            _, rows, a, o = self.layout()
+            active = np.ones(len(self), dtype=bool)
+            active[rows[i]] = False
+            at_a, at_o = active[a], active[o]
+            parts = active, np.flatnonzero(~(at_a & at_o)), np.concatenate([a[~at_o], o[~at_a]])
+            for v in parts:
+                v.flags.writeable = False
+            if len(self._kills) >= KILLS_KEPT:
+                self._kills.clear()
+            self._kills[kill] = parts
+        return parts
 
 
 def region_sites(region):
@@ -251,8 +292,9 @@ def _clip_unit(v):
     outside; a value further out than RESIDUAL_TOL (or NaN) means a wrong
     solve, and raises SolverError instead of being clipped away."""
     v = np.asarray(v, dtype=float)
-    inside = (v >= -RESIDUAL_TOL) & (v <= 1.0 + RESIDUAL_TOL)
-    if not np.all(inside):
+    # a NaN makes min or max NaN, and fails the test
+    if not (v.min(initial=0.0) >= -RESIDUAL_TOL and v.max(initial=1.0) <= 1.0 + RESIDUAL_TOL):
+        inside = (v >= -RESIDUAL_TOL) & (v <= 1.0 + RESIDUAL_TOL)
         raise SolverError(f"value {v[~inside][0]:.3e} lies outside [0, 1] "
                           f"beyond tolerance {RESIDUAL_TOL:.0e}")
     return np.clip(v, 0.0, 1.0)
@@ -260,8 +302,8 @@ def _clip_unit(v):
 
 def _window(field, lo, shape):
     """The field's values on the box lo + [0, shape), a view."""
-    at = np.subtract(lo, field.region.lo)
-    if np.any(at < 0) or np.any(at + shape > np.asarray(field.region.shape)):
+    at = [i - j for i, j in zip(lo, field.region.lo, strict=True)]
+    if not all(0 <= i and i + m <= h for i, m, h in zip(at, shape, field.region.shape)):
         raise DomainError("some sites lie outside the field region")
     return field.values[tuple(slice(i, i + m) for i, m in zip(at, shape))]
 
@@ -294,6 +336,11 @@ class _KilledWalk:
     assembled and factored once, on first use, by banded Cholesky. The
     log-space fallback, log_kill_weight, conjugates A by a log-scale of its
     own, a nonsymmetric B, and solves B's Schur complement by LU instead.
+
+    kill is one site (a tuple) or an (m, d) array of them; either way its
+    active mask, cut pairs and kill_vector rows come from the SiteSet's
+    kill_parts, built once per kill, and the cut pairs' couplings are set
+    to 0.
     """
 
     def __init__(self, field, region, kill=None):
@@ -301,18 +348,17 @@ class _KilledWalk:
         grid, self.keys, a, o = self.layout = ss.layout()
         self.colours = ss.colours()
         self.omega = _window(field, ss.lo, ss.shape).ravel()[grid]
-        self.active = np.ones(len(ss), dtype=bool)
-        if kill is not None:  # one site, or an (n, d) array of them
-            kill = np.atleast_2d(np.asarray(kill, dtype=np.int64))
-            i = ss.index(kill)
-            if np.any(i < 0):
-                raise DomainError(f"target {as_point(kill[i < 0][0])} not in region")
-            self.active[self.keys[i]] = False
+        if kill is None:
+            kill = ()
+        elif isinstance(kill, tuple):  # one site
+            kill = (kill,)
+        else:  # an (m, d) array of sites
+            kill = tuple(map(tuple, np.asarray(kill).tolist()))
+        self.active, cut, self._adj = ss.kill_parts(kill)
         w = np.minimum(self.omega, OMEGA_CAP)
         self.scale = np.exp(-w / 2)
-        # only pairs of two active sites couple
-        self.coupling = ((self.active[a] & self.active[o]) * np.exp(-(w[a] + w[o]) / 2)
-                         / (2.0 * ss.d))
+        self.coupling = np.exp(-(w[a] + w[o]) / 2) / (2.0 * ss.d)
+        self.coupling[cut] = 0.0  # only pairs of two active sites couple
         self.residual = 0.0
         self._cholesky = None  # factored on first use, by _factor
 
@@ -326,9 +372,18 @@ class _KilledWalk:
             # float even with no path, when bincount would give ints
             flat = np.bincount(slot, -(k[e1] * k[e2]), len(ev) * (bw + 1)).astype(float, copy=False)
             flat[::bw + 1] = 1.0 - np.bincount(pe, k * k, len(ev))
-            self._cholesky = cholesky_banded(flat.reshape(-1, bw + 1).T, lower=True,
-                                             overwrite_ab=True, check_finite=False)
+            factor, info = dpbtrf(flat.reshape(-1, bw + 1).T, lower=1, overwrite_ab=1)
+            if info != 0:
+                raise SolverError(f"Schur complement is not positive definite (dpbtrf info {info})")
+            self._cholesky = factor
         return self._cholesky
+
+    def _cho_solve(self, r):
+        """S^{-1} r from S's Cholesky factor, written over r."""
+        x, info = dpbtrs(self._factor(), r, lower=1, overwrite_b=1)
+        if info != 0:
+            raise SolverError(f"band solve failed (dpbtrs info {info})")
+        return x
 
     def _frame(self, trans):
         """s with A = s T s^{-1} (A^T = s T s^{-1} for trans="T")."""
@@ -337,17 +392,17 @@ class _KilledWalk:
     def solve(self, b, trans="N"):
         """A^{-1} b, or A^{-T} b for trans="T", with its residual checked."""
         s, k = self._frame(trans), self.coupling
-        v = self._eliminate(b / s, k, k, cho_solve_banded, (self._factor(), True))
+        v = self._eliminate(b / s, k, k, self._cho_solve)
         return self.check(s * v, b, trans)
 
-    def _eliminate(self, f, eo, oe, solve, *args):
+    def _eliminate(self, f, eo, oe, solve):
         """u with (I - N) u = f, N[a, o] = eo and N[o, a] = oe at each pair
-        (a, o) and 0 elsewhere: solve(*args, f_e + N_eo f_o) gives u_e on the
-        Schur complement I - N_eo N_oe, and u_o = f_o + N_oe u_e."""
+        (a, o) and 0 elsewhere: solve(f_e + N_eo f_o) gives u_e on the
+        Schur complement I - N_eo N_oe, and u_o = f_o + N_oe u_e. No finite
+        check: the residual check rejects a NaN or inf solution."""
         ev, od, pe, po = self.colours[:4]
         u = f.copy()
-        # no finite check: the residual check rejects a NaN or inf solution
-        u[ev] = solve(*args, f[ev] + np.bincount(pe, eo * f[od][po], len(ev)), check_finite=False)
+        u[ev] = solve(f[ev] + np.bincount(pe, eo * f[od][po], len(ev)))
         u[od] += np.bincount(po, oe * u[ev][pe], len(od))
         return u
 
@@ -388,7 +443,9 @@ class _KilledWalk:
                                  -eo[e1] * oe[e2], -eo[e2] * oe[e1]], n * m)
         with np.errstate(divide="ignore", invalid="ignore"):
             b = self.kill_vector(g)
-            u = self._eliminate(b, eo, oe, solve_banded, (bw, bw), flat.reshape(n, m).T)
+            band = flat.reshape(n, m).T
+            u = self._eliminate(b, eo, oe,
+                                lambda r: solve_banded((bw, bw), band, r, check_finite=False))
             # one sweep of each colour, summed in the order _check sums them
             u[ev] = b[ev] + np.bincount(pe, eo * u[od][po], n)
             u[od] = b[od] + np.bincount(po, oe * u[ev][pe], len(od))
@@ -398,8 +455,7 @@ class _KilledWalk:
         """P[z, kill] (times e^{g(z)} for a log-scale g), summed over the
         kill sites: with it, solve gives e(z, kill), the weight of hitting a
         kill site before exiting."""
-        a, o = self.layout[2:]
-        j = np.r_[a[~self.active[o]], o[~self.active[a]]]
+        j = self._adj
         log_w = -self.omega[j] if g is None else g[j] - self.omega[j]
         return np.bincount(j, np.exp(log_w) / (2.0 * self.ss.d), len(self.omega))
 

@@ -243,10 +243,10 @@ def test_cost_samples_deterministic_and_monotone_in_the_box():
 
 
 def _factorizations(monkeypatch):
-    """A list that gains one entry per cholesky_banded call of the solver."""
+    """A list that gains one entry per dpbtrf call of the solver."""
     calls = []
-    real = solver.cholesky_banded
-    monkeypatch.setattr(solver, "cholesky_banded", lambda *a, **k: calls.append(1) or real(*a, **k))
+    real = solver.dpbtrf
+    monkeypatch.setattr(solver, "dpbtrf", lambda *a, **k: calls.append(1) or real(*a, **k))
     return calls
 
 

@@ -168,8 +168,8 @@ def test_cli_rejects_no_samples_and_empty_grids(tmp_path, capsys, experiment, pa
 
 
 @pytest.mark.parametrize("experiment, geometry, key", [
-    # a one-site environment box: no site but the origin to resample
-    ("entropy", {"env_radius": 0}, "no site to draw"),
+    # a one-site environment box is below the target's reach, refused by name
+    ("entropy", {"env_radius": 0}, "geometry.env_radius"),
     # prop_box of the origin is the origin alone
     ("perturb", {"x": [0, 0]}, "geometry.x"),
     ("perturb", {"x": [0, 0, 0]}, "geometry.x"),
@@ -181,6 +181,35 @@ def test_cli_with_no_site_to_draw_exits_2(tmp_path, capsys, experiment, geometry
                      "--out", str(tmp_path / "r")])
     assert code == 2
     assert key in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("radius", [1, -1])
+def test_cli_env_radius_below_the_targets_reach_exits_2(tmp_path, capsys, radius):
+    # the default target (4, 0) needs env_radius >= 4: a smaller box is
+    # refused by name before any field is drawn
+    config = {"experiment": "entropy", "spec": TP_JSON, "geometry": {"env_radius": radius},
+              "sampling": {"seed": 1, "samples": 1}}
+    code = cli.main(["entropy", "--config", str(_write(tmp_path, config)),
+                     "--out", str(tmp_path / "r")])
+    assert code == 2
+    assert "geometry.env_radius: must be >= 4" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+    # the least value follows the resolved target, and is enough
+    config["geometry"] = {"x": [1, -3], "env_radius": 3}
+    config["sampling"]["lambda_grid"] = [-0.5]
+    assert cli.main(["entropy", "--config", str(_write(tmp_path, config)),
+                     "--out", str(tmp_path / "r")]) == 0
+
+
+def test_cli_rejects_a_battery_item_key_it_does_not_read(tmp_path, capsys):
+    item = {"seed": 11, "x": [2, 1], "radius": 3, "L": 24, "episodes": 2000, "episode": 10}
+    config = {"experiment": "oracle-check", "spec": TP_JSON,
+              "sampling": {"seed": 1, "battery": [item]}}
+    code = cli.main(["oracle-check", "--config", str(_write(tmp_path, config)),
+                     "--out", str(tmp_path / "r")])
+    assert code == 2
+    assert "sampling.battery: episode not read by oracle-check" in capsys.readouterr().err
     assert not (tmp_path / "r").exists()
 
 

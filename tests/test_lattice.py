@@ -68,6 +68,17 @@ def test_anchored_count_is_size_times_fixed():
         assert all(origin in animal for animal in anchored)
 
 
+def test_animals_are_enumerated_once_and_handed_out_as_fresh_lists():
+    # sizes 1..5 grown once: a later call repeats the same sorted list, which
+    # its caller may change without touching the next call's
+    first, n = enumerate_animals(AnimalSpec(2, 5, "L1", True))
+    want = list(first)
+    assert first == sorted(first)
+    first.clear()
+    again, m = enumerate_animals(AnimalSpec(2, 5, "L1", True))
+    assert again == want and m == n == 5 * 63
+
+
 def test_animals_are_connected_and_capped():
     animals, _ = enumerate_animals(AnimalSpec(2, 4, "L1"))
     for animal in animals:

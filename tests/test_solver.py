@@ -195,11 +195,11 @@ def test_crossing_shell_must_fit():
 
 
 def _count_factorizations(monkeypatch):
-    """A list that gains one entry per cholesky_banded call of the solver:
-    the number of rows it factors."""
+    """A list that gains one entry per dpbtrf call of the solver: the
+    number of rows it factors."""
     calls = []
-    real = solver.cholesky_banded
-    monkeypatch.setattr(solver, "cholesky_banded",
+    real = solver.dpbtrf
+    monkeypatch.setattr(solver, "dpbtrf",
                         lambda *a, **k: calls.append(a[0].shape[1]) or real(*a, **k))
     return calls
 
@@ -281,17 +281,17 @@ def test_stacked_cost_of_an_underflowing_block_comes_from_its_own_solve(monkeypa
 def test_stacked_costs_reject_a_corrupted_stack_solve(monkeypatch):
     box = prop_box((4, 0))
     fields = [sample_field(TP, box, derive_seed(33, i)) for i in range(30)]
-    real = solver.cho_solve_banded
+    real = solver.dpbtrs
     solves = []
 
     def corrupted(*args, **kwargs):
-        v = real(*args, **kwargs)
+        v, info = real(*args, **kwargs)
         solves.append(len(v))
         if len(solves) == 2:  # the second stack only
             v[len(v) // 2] *= 1.0 + 1e-6
-        return v
+        return v, info
 
-    monkeypatch.setattr(solver, "cho_solve_banded", corrupted)
+    monkeypatch.setattr(solver, "dpbtrs", corrupted)
     with pytest.raises(SolverError, match="residual"):
         travel_costs(fields, box, (0, 0), (4, 0))
     assert len(solves) == 2
@@ -461,9 +461,9 @@ def test_maximal_distance_ball_must_fit():
 
 
 def test_residual_guard_rejects_a_bad_solve(monkeypatch):
-    real = solver.cho_solve_banded
-    monkeypatch.setattr(solver, "cho_solve_banded",
-                        lambda *a, **k: real(*a, **k) + 1e-6)
+    real = solver.dpbtrs
+    monkeypatch.setattr(solver, "dpbtrs",
+                        lambda *a, **k: (real(*a, **k)[0] + 1e-6, 0))
     box = BoxRegion.centered(3, 2)
     field = sample_field(TP, box, 1)
     with pytest.raises(SolverError):
@@ -507,13 +507,14 @@ def test_solve_skips_the_finite_check_and_rejects_a_nan_solution(monkeypatch):
 
     def nan_solve(cb, b, **kwargs):
         seen.append(kwargs)
-        return np.full_like(b, np.nan)
+        return np.full_like(b, np.nan), 0
 
-    monkeypatch.setattr(solver, "cho_solve_banded", nan_solve)
+    # the raw LAPACK call has no finite check to skip: NaN reaches the residual
+    monkeypatch.setattr(solver, "dpbtrs", nan_solve)
     box = BoxRegion.centered(3, 2)
     with pytest.raises(SolverError, match="residual nan"):
         travel_weight(sample_field(TP, box, 1), box, (0, 0), (2, 0))
-    assert seen == [{"check_finite": False}]
+    assert seen == [{"lower": 1, "overwrite_b": 1}]
 
 
 def _dense_operator(kw):
@@ -1015,3 +1016,55 @@ def test_box_layouts_are_shared_read_only_and_thread_safe():
                 assert list(pool.map(cost, seeds)) == want
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_index_one_agrees_with_the_vectorized_index_on_sets_with_holes():
+    rng = np.random.default_rng(5)
+    for d in (1, 2, 3):
+        box = BoxRegion((-3,) * d, (4,) * d).sites()
+        for _ in range(10):
+            ss = SiteSet(rng.permutation(box[rng.random(len(box)) < 0.6]))
+            # points inside the set, in its bounding box's holes and beyond it
+            points = rng.integers(-5, 6, size=(200, d))
+            want = ss.index(points)
+            assert [ss.index_one(tuple(int(c) for c in p)) for p in points] == want.tolist()
+            assert (want >= 0).any() and (want < 0).any()
+    with pytest.raises(ValueError):
+        SiteSet(box).index_one((0, 0))
+
+
+def test_one_kill_as_a_tuple_or_a_one_row_array_solves_alike():
+    box = BoxRegion.centered(5, 2)
+    field = sample_field(TP, box, 4)
+    one = solver._KilledWalk(field, box, kill=(3, -2))
+    row = solver._KilledWalk(field, box, kill=np.array([[3, -2]]))
+    assert np.array_equal(one.active, row.active)
+    assert np.array_equal(one.coupling, row.coupling)
+    for a, b in ((one.kill_vector(), row.kill_vector()),
+                 (one.solve(one.kill_vector()), row.solve(row.kill_vector())),
+                 (one.solve(one.exit_vector(), "T"), row.solve(row.exit_vector(), "T"))):
+        assert a.tobytes() == b.tobytes()
+    with pytest.raises(DomainError, match=r"target \(6, 0\) not in region"):
+        solver._KilledWalk(field, box, kill=np.array([[1, 0], [6, 0]]))
+
+
+def test_kill_bookkeeping_of_a_shared_box_is_read_only():
+    box = BoxRegion.centered(4, 2)
+    res = travel_weight(sample_field(TP, box, 1), box, (0, 0), (2, 1))
+    parts = res.siteset.kill_parts(((2, 1),))
+    assert parts is res.siteset.kill_parts(((2, 1),))  # built once
+    assert res.walk.active is parts[0]
+    assert not any(a.flags.writeable for a in parts)
+    with pytest.raises(ValueError):
+        res.walk.active[0] = False
+    # a kill site touches 2d pairs, each with its other end next to it
+    assert len(parts[1]) == len(parts[2]) == 4
+    assert not parts[0][res.walk.keys[res.siteset.index_one((2, 1))]]
+
+
+def test_a_band_that_is_not_positive_definite_raises_solver_error():
+    box = BoxRegion.centered(3, 2)
+    kw = solver._KilledWalk(zero_field(2, box), box)
+    kw.coupling = kw.coupling * 4.0  # row sums of K above 1: S is indefinite
+    with pytest.raises(SolverError, match="dpbtrf info"):
+        kw.solve(kw.exit_vector())
