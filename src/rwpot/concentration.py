@@ -6,8 +6,9 @@ martingale-difference diagnostics.
 Exact inequalities (monotonicity, perturbation sandwich, finite-support
 entropy) are asserted with tolerance <= 1e-8. Statistical quantities carry
 Wilson confidence intervals and fixed seeds: a failure at the pinned seed is
-reproducible, not a flake. Every experiment checks its moment hypotheses
-first and refuses (naming the failed assumption) unless overridden.
+reproducible, not a flake. tail_experiment and truncation_gap check their
+moment hypotheses first and refuse (naming the failed assumption) unless
+overridden; entropy_suite refuses a law without finite support.
 """
 
 import math
@@ -86,13 +87,8 @@ def require_assumptions(spec, needed, d, override=False):
     needed = set(needed)
     if d == 2:
         needed.add("A3")
-    failed = []
-    if "A1" in needed and not report.a1_ok():
-        failed.append("A1")
-    if "A2" in needed and not report.a2_ok:
-        failed.append("A2")
-    if "A3" in needed and not report.a3_ok:
-        failed.append("A3")
+    holds = {"A1": report.a1_ok(), "A2": report.a2_ok, "A3": report.a3_ok}
+    failed = [name for name in sorted(needed) if not holds[name]]
     if failed and not override:
         name = failed[0]
         detail = {

@@ -20,7 +20,8 @@ class CapacityError(RwpotError, RuntimeError):
 class AssumptionError(RwpotError, RuntimeError):
     """A distribution fails a moment hypothesis required by the experiment.
 
-    ``name`` identifies the failed hypothesis ("A1", "A2" or "A3").
+    ``name`` identifies the failed hypothesis ("A1", "A2", "A3" or
+    "finite-support").
     """
 
     def __init__(self, name, message):

@@ -31,7 +31,7 @@ from .concentration import (DEFAULT_BOX_FACTOR, compare_restricted,
                             write_tail_report)
 from .coarse import (animal_occupancy_check, chi_upper_probe,
                      supermartingale_step_check, write_animal_report)
-from .errors import AssumptionError, ParameterError
+from .errors import ParameterError
 from .io import sha256_of_file, sha256_of_json, write_csv, write_json
 from .lattice import AnimalSpec, BoxRegion, enumerate_animals
 from .lyapunov import estimate_alpha, write_alpha_report
@@ -59,7 +59,8 @@ _KAPPA = (float, 0.5, None)
 _PARAMS = {
     "solve": {"geometry.x": ([int], [4, 0], 1), "geometry.sites": ([[int]], None, None),
               "geometry.box_factor": _BOX, "geometry.taboo": ([[int]], [], None)},
-    "lyapunov": {"geometry.direction": ([int], [1, 0], 1), "geometry.box_factor": _BOX,
+    "lyapunov": {"geometry.direction": ([int], [1, 0], 1),
+                 "geometry.box_factor": (float, DEFAULT_BOX_FACTOR, 1),
                  "sampling.n_grid": ([int], [2, 4, 8], 1), "sampling.samples": (int, 50, 1)},
     "tails": {"geometry.x": _X, "geometry.side": (str, "UpperExp", None),
               "geometry.box_factor": _BOX, "geometry.alpha_ref": (float, None, None),
@@ -81,10 +82,10 @@ _PARAMS = {
             "geometry.box_factor": _BOX,
             "sampling.lambda_grid": ([float], [-0.5, -0.25, -0.1, 0.0], 1),
             "sampling.samples": (int, 500, 1)},
-    "animals": {"geometry.d": (int, 2, None), "geometry.l_cap": (int, 5, None),
-                "geometry.M": (int, 1, None), "geometry.kappa": _KAPPA,
+    "animals": {"geometry.d": (int, 2, 1), "geometry.l_cap": (int, 5, 1),
+                "geometry.M": (int, 1, 1), "geometry.kappa": _KAPPA,
                 "sampling.samples": (int, 2000, 1)},
-    "chi": {"geometry.l": (int, 8, None), "geometry.kappa": _KAPPA, "geometry.d": (int, 2, None),
+    "chi": {"geometry.l": (int, 8, 4), "geometry.kappa": _KAPPA, "geometry.d": (int, 2, 1),
             "sampling.samples": (int, 20, 1), "sampling.trials": (int, 50, 1)},
     "oracle-check": {"sampling.battery": (
         [{"seed": int, "x": _TARGET, "radius": int, "L": int, "episodes": int}],
@@ -323,10 +324,6 @@ def _run_perturb(cfg, out):
 def _run_entropy(cfg, out):
     g, s = cfg.geometry, cfg.sampling
     x = g["x"]
-    if cfg.spec.finite_support() is None and not cfg.override_assumptions:
-        raise AssumptionError(
-            "finite-support",
-            "entropy experiment requires a finite-support marginal")
     env_region = BoxRegion.centered(g["env_radius"], len(x))
     env = sample_field(cfg.spec, env_region, derive_seed(cfg.seed, 0xE17))
     records = entropy_suite(cfg.spec, env, x, s["lambda_grid"], cfg.seed)

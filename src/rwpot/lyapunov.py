@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .concentration import DEFAULT_BOX_FACTOR, cost_samples
+from .errors import ParameterError
 from .io import write_csv, write_json
 from .lattice import norms
 from .rng import derive_seed
@@ -47,12 +48,12 @@ def estimate_alpha(spec, direction, n_grid, samples_per_n, seed,
     direction = tuple(int(v) for v in direction)
     l1 = norms(direction)[0]
     if l1 == 0:
-        raise ValueError("direction must be nonzero")
+        raise ParameterError("direction must be nonzero")
     n_grid = tuple(int(n) for n in n_grid)
     if not n_grid or list(n_grid) != sorted(set(n_grid)) or n_grid[0] < 1:
-        raise ValueError("n_grid must be nonempty strictly increasing positive integers")
+        raise ParameterError("n_grid must be nonempty strictly increasing positive integers")
     if box_factor < 1:
-        raise ValueError("box_factor must be >= 1")
+        raise ParameterError("box_factor must be >= 1")
     if spec.is_almost_surely_zero():
         warnings.warn("potential is a.s. zero; the infinite-volume alpha is 0 "
                       "in the recurrent regime, estimates reflect box size only")

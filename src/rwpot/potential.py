@@ -1,5 +1,9 @@
-"""Potential configurations on a box: sampling, mutation, validation.
+"""Potential laws and configurations on a box: sampling, mutation,
+validation.
 
+Each kind of law is one entry of _LAWS: its parameters, their range check,
+its inverse CDF and either its finite support (Constant, TwoPoint), over
+which every moment, tail and hypothesis is a sum, or its closed forms.
 Fields are immutable after creation; mutating operations return copies.
 Each site's value is a pure function of (seed, site coordinates), so the
 same site has the same value regardless of traversal order. Many fields are
@@ -20,13 +24,80 @@ from .errors import DomainError, ParameterError
 from .lattice import BoxRegion, as_point, norms
 from .rng import counter_uniform, counter_uniforms, derive_seed
 
-# the parameters of each kind of law, in the order its factory takes them
-_PARAMS = {"Constant": ("c",), "TwoPoint": ("v_lo", "v_hi", "p_hi"), "Exponential": ("rate",),
-           "ShiftedExponential": ("shift", "rate"), "LogNormal": ("mu", "sigma")}
-_KINDS = tuple(_PARAMS)
 # the sites of one stack of fields drawn in one hashing pass: 2^13, or 64 KB
 # per array of its scratch (28 fields of 289 sites, 3 of 2401)
 STACK_SITES = 2 ** 13
+
+
+@dataclass(frozen=True)
+class _Law:
+    """One kind of law. Each function takes the parameters, in the order of
+    params, after its own argument if it has one. A law gives support, its
+    atoms [(value, prob), ...], when it has finite support, and its closed
+    forms otherwise."""
+
+    params: tuple  # the parameter names, in the order its factory takes them
+    check: object  # the message of the first range check failed, else None
+    sample: object  # (u, ...): the inverse CDF at uniforms u in (0, 1)
+    support: object = None
+    mean: object = None
+    second_moment: object = None
+    exp_neg_moment: object = None
+    exp_moment: object = None  # (gamma, ...), gamma > 0; math.inf when divergent
+    tail_prob: object = None  # (kappa, ...)
+    essential_infimum: object = None
+    a1_gamma: object = None  # a gamma > 0 with a finite exp_moment, else None
+
+
+def _log_normal_exp_neg(mu, sigma):
+    # trapezoid rule in the standard normal variable z on [-12, 12];
+    # where exp(omega) overflows, exp(-exp(omega)) is 0
+    z = np.linspace(-12.0, 12.0, 4801)
+    with np.errstate(over="ignore"):
+        f = np.exp(-np.exp(mu + sigma * z) - z * z / 2)
+    return float(np.trapezoid(f, z)) / math.sqrt(2 * math.pi)
+
+
+# The kinds of law, in the order of the tag save_field writes.
+_LAWS = {
+    "Constant": _Law(
+        ("c",), lambda c: "constant value must be nonnegative" if c < 0 else None,
+        sample=lambda u, c: np.full_like(u, c), support=lambda c: [(c, 1.0)]),
+    "TwoPoint": _Law(
+        ("v_lo", "v_hi", "p_hi"),
+        lambda lo, hi, p: ("two-point law requires 0 <= v_lo <= v_hi" if not 0 <= lo <= hi
+                           else "p_hi must lie in [0, 1]" if not 0 <= p <= 1 else None),
+        sample=lambda u, lo, hi, p: np.where(u < p, hi, lo),
+        support=lambda lo, hi, p: [(lo, 1.0)] if lo == hi else [(lo, 1.0 - p), (hi, p)]),
+    "Exponential": _Law(
+        ("rate",), lambda r: "rate must be positive" if r <= 0 else None,
+        sample=lambda u, r: -np.log(u) / r,
+        mean=lambda r: 1.0 / r, second_moment=lambda r: 2.0 / r ** 2,
+        exp_neg_moment=lambda r: r / (r + 1.0),
+        exp_moment=lambda g, r: r / (r - g) if g < r else math.inf,
+        tail_prob=lambda k, r: math.exp(-r * max(k, 0.0)),
+        essential_infimum=lambda r: 0.0, a1_gamma=lambda r: r / 2.0),
+    "ShiftedExponential": _Law(
+        ("shift", "rate"),
+        lambda s, r: "shift must be >= 0 and rate > 0" if s < 0 or r <= 0 else None,
+        sample=lambda u, s, r: s - np.log(u) / r,
+        mean=lambda s, r: s + 1.0 / r,
+        second_moment=lambda s, r: s * s + 2 * s / r + 2.0 / (r * r),
+        exp_neg_moment=lambda s, r: math.exp(-s) * r / (r + 1.0),
+        exp_moment=lambda g, s, r: math.exp(g * s) * r / (r - g) if g < r else math.inf,
+        tail_prob=lambda k, s, r: 1.0 if k <= s else math.exp(-r * (k - s)),
+        essential_infimum=lambda s, r: s, a1_gamma=lambda s, r: r / 2.0),
+    "LogNormal": _Law(
+        ("mu", "sigma"), lambda mu, sigma: "sigma must be positive" if sigma <= 0 else None,
+        sample=lambda u, mu, sigma: np.exp(mu + sigma * ndtri(u)),
+        mean=lambda mu, sigma: math.exp(mu + sigma ** 2 / 2),
+        second_moment=lambda mu, sigma: math.exp(2 * mu + 2 * sigma ** 2),
+        exp_neg_moment=_log_normal_exp_neg,
+        exp_moment=lambda g, mu, sigma: math.inf,
+        tail_prob=lambda k, mu, sigma: 1.0 if k <= 0 else float(ndtr((mu - math.log(k)) / sigma)),
+        essential_infimum=lambda mu, sigma: 0.0, a1_gamma=lambda mu, sigma: None),
+}
+_KINDS = tuple(_LAWS)
 
 
 @dataclass(frozen=True)
@@ -36,195 +107,95 @@ class DistributionSpec:
     kind: str
     params: tuple  # ((name, value), ...)
 
-    def param(self, name):
-        return dict(self.params)[name]
+    def __post_init__(self):
+        if self.kind not in _LAWS:
+            raise ParameterError(f"unknown distribution kind {self.kind!r}")
+
+    @classmethod
+    def _checked(cls, kind, *args):
+        """The law of the kind with these parameters, once they pass its
+        range check; warns when the law is almost surely 0."""
+        law = _LAWS[kind]
+        message = law.check(*args)
+        if message:
+            raise ParameterError(message)
+        spec = cls(kind, tuple(zip(law.params, map(float, args))))
+        if spec.is_almost_surely_zero():
+            warnings.warn("potential law is almost surely 0; travel costs degenerate")
+        return spec
 
     @classmethod
     def constant(cls, c):
-        if c < 0:
-            raise ParameterError("constant value must be nonnegative")
-        spec = cls("Constant", (("c", float(c)),))
-        spec._warn_if_trivial()
-        return spec
+        return cls._checked("Constant", c)
 
     @classmethod
     def two_point(cls, v_lo, v_hi, p_hi):
-        if not (0 <= v_lo <= v_hi):
-            raise ParameterError("two-point law requires 0 <= v_lo <= v_hi")
-        if not (0 <= p_hi <= 1):
-            raise ParameterError("p_hi must lie in [0, 1]")
-        spec = cls("TwoPoint", (("v_lo", float(v_lo)), ("v_hi", float(v_hi)), ("p_hi", float(p_hi))))
-        spec._warn_if_trivial()
-        return spec
+        return cls._checked("TwoPoint", v_lo, v_hi, p_hi)
 
     @classmethod
     def exponential(cls, rate):
-        if rate <= 0:
-            raise ParameterError("rate must be positive")
-        return cls("Exponential", (("rate", float(rate)),))
+        return cls._checked("Exponential", rate)
 
     @classmethod
     def shifted_exponential(cls, shift, rate):
-        if shift < 0 or rate <= 0:
-            raise ParameterError("shift must be >= 0 and rate > 0")
-        return cls("ShiftedExponential", (("shift", float(shift)), ("rate", float(rate))))
+        return cls._checked("ShiftedExponential", shift, rate)
 
     @classmethod
     def log_normal(cls, mu, sigma):
-        if sigma <= 0:
-            raise ParameterError("sigma must be positive")
-        return cls("LogNormal", (("mu", float(mu)), ("sigma", float(sigma))))
+        return cls._checked("LogNormal", mu, sigma)
 
-    def _warn_if_trivial(self):
-        if self.is_almost_surely_zero():
-            warnings.warn("potential law is almost surely 0; travel costs degenerate")
+    def _values(self):
+        return tuple(v for _, v in self.params)
 
-    def is_almost_surely_zero(self):
-        if self.kind == "Constant":
-            return self.param("c") == 0.0
-        if self.kind == "TwoPoint":
-            lo, hi, p = self.param("v_lo"), self.param("v_hi"), self.param("p_hi")
-            return (hi == 0.0) or (lo == 0.0 and p == 0.0) or (hi == lo == 0.0)
-        return False
-
-    # -- inverse-CDF sampling ------------------------------------------------
+    def _form(self, closed, term, *x):
+        """closed(*x, *parameters), the law's closed form at x; for a
+        finite-support law, the sum of prob * term(value) over its atoms
+        instead (at most two terms, so the same bits as the two-term
+        formula: 0 + t is exact and addition commutes)."""
+        support = self.finite_support()
+        if support is None:
+            return closed(*x, *self._values())
+        return sum(q * term(v) for v, q in support)
 
     def sample(self, u):
         """Map uniforms in (0,1) to potential values."""
-        u = np.asarray(u, dtype=float)
-        k = self.kind
-        if k == "Constant":
-            return np.full_like(u, self.param("c"))
-        if k == "TwoPoint":
-            return np.where(u < self.param("p_hi"), self.param("v_hi"), self.param("v_lo"))
-        if k == "Exponential":
-            return -np.log(u) / self.param("rate")
-        if k == "ShiftedExponential":
-            return self.param("shift") - np.log(u) / self.param("rate")
-        if k == "LogNormal":
-            return np.exp(self.param("mu") + self.param("sigma") * ndtri(u))
-        raise ParameterError(f"unknown distribution kind {k!r}")
-
-    # -- closed-form moments ---------------------------------------------------
-
-    def mean(self):
-        k = self.kind
-        if k == "Constant":
-            return self.param("c")
-        if k == "TwoPoint":
-            p = self.param("p_hi")
-            return p * self.param("v_hi") + (1 - p) * self.param("v_lo")
-        if k == "Exponential":
-            return 1.0 / self.param("rate")
-        if k == "ShiftedExponential":
-            return self.param("shift") + 1.0 / self.param("rate")
-        if k == "LogNormal":
-            return math.exp(self.param("mu") + self.param("sigma") ** 2 / 2)
-        raise ParameterError(k)
-
-    def second_moment(self):
-        k = self.kind
-        if k == "Constant":
-            return self.param("c") ** 2
-        if k == "TwoPoint":
-            p = self.param("p_hi")
-            return p * self.param("v_hi") ** 2 + (1 - p) * self.param("v_lo") ** 2
-        if k == "Exponential":
-            return 2.0 / self.param("rate") ** 2
-        if k == "ShiftedExponential":
-            s, r = self.param("shift"), self.param("rate")
-            return s * s + 2 * s / r + 2.0 / (r * r)
-        if k == "LogNormal":
-            return math.exp(2 * self.param("mu") + 2 * self.param("sigma") ** 2)
-        raise ParameterError(k)
-
-    def exp_neg_moment(self):
-        """E[exp(-omega)]."""
-        k = self.kind
-        if k == "Constant":
-            return math.exp(-self.param("c"))
-        if k == "TwoPoint":
-            p = self.param("p_hi")
-            return p * math.exp(-self.param("v_hi")) + (1 - p) * math.exp(-self.param("v_lo"))
-        if k == "Exponential":
-            r = self.param("rate")
-            return r / (r + 1.0)
-        if k == "ShiftedExponential":
-            s, r = self.param("shift"), self.param("rate")
-            return math.exp(-s) * r / (r + 1.0)
-        if k == "LogNormal":
-            # trapezoid rule in the standard normal variable z on [-12, 12];
-            # where exp(omega) overflows, exp(-exp(omega)) is 0
-            z = np.linspace(-12.0, 12.0, 4801)
-            with np.errstate(over="ignore"):
-                f = np.exp(-np.exp(self.param("mu") + self.param("sigma") * z) - z * z / 2)
-            return float(np.trapezoid(f, z)) / math.sqrt(2 * math.pi)
-        raise ParameterError(k)
-
-    def exp_moment(self, gamma):
-        """E[exp(gamma * omega)], math.inf when divergent."""
-        k = self.kind
-        if gamma <= 0:
-            raise ParameterError("gamma must be positive")
-        if k == "Constant":
-            return math.exp(gamma * self.param("c"))
-        if k == "TwoPoint":
-            p = self.param("p_hi")
-            return p * math.exp(gamma * self.param("v_hi")) + (1 - p) * math.exp(gamma * self.param("v_lo"))
-        if k == "Exponential":
-            r = self.param("rate")
-            return r / (r - gamma) if gamma < r else math.inf
-        if k == "ShiftedExponential":
-            s, r = self.param("shift"), self.param("rate")
-            return math.exp(gamma * s) * r / (r - gamma) if gamma < r else math.inf
-        if k == "LogNormal":
-            return math.inf
-        raise ParameterError(k)
-
-    def tail_prob(self, kappa):
-        """P(omega >= kappa)."""
-        k = self.kind
-        kappa = float(kappa)
-        if k == "Constant":
-            return 1.0 if self.param("c") >= kappa else 0.0
-        if k == "TwoPoint":
-            lo, hi, p = self.param("v_lo"), self.param("v_hi"), self.param("p_hi")
-            return (1.0 if lo >= kappa else 0.0) * (1 - p) + (1.0 if hi >= kappa else 0.0) * p
-        if k == "Exponential":
-            return math.exp(-self.param("rate") * max(kappa, 0.0))
-        if k == "ShiftedExponential":
-            s, r = self.param("shift"), self.param("rate")
-            return 1.0 if kappa <= s else math.exp(-r * (kappa - s))
-        if k == "LogNormal":
-            if kappa <= 0:
-                return 1.0
-            return float(ndtr((self.param("mu") - math.log(kappa)) / self.param("sigma")))
-        raise ParameterError(k)
-
-    def essential_infimum(self):
-        k = self.kind
-        if k == "Constant":
-            return self.param("c")
-        if k == "TwoPoint":
-            return self.param("v_lo") if self.param("p_hi") < 1 else self.param("v_hi")
-        if k == "Exponential":
-            return 0.0
-        if k == "ShiftedExponential":
-            return self.param("shift")
-        if k == "LogNormal":
-            return 0.0
-        raise ParameterError(k)
+        return _LAWS[self.kind].sample(np.asarray(u, dtype=float), *self._values())
 
     def finite_support(self):
         """[(value, prob), ...] when the law has finite support, else None."""
-        if self.kind == "Constant":
-            return [(self.param("c"), 1.0)]
-        if self.kind == "TwoPoint":
-            lo, hi, p = self.param("v_lo"), self.param("v_hi"), self.param("p_hi")
-            if lo == hi:
-                return [(lo, 1.0)]
-            return [(lo, 1.0 - p), (hi, p)]
-        return None
+        support = _LAWS[self.kind].support
+        return None if support is None else support(*self._values())
+
+    def mean(self):
+        return self._form(_LAWS[self.kind].mean, lambda v: v)
+
+    def second_moment(self):
+        return self._form(_LAWS[self.kind].second_moment, lambda v: v ** 2)
+
+    def exp_neg_moment(self):
+        """E[exp(-omega)]."""
+        return self._form(_LAWS[self.kind].exp_neg_moment, lambda v: math.exp(-v))
+
+    def exp_moment(self, gamma):
+        """E[exp(gamma * omega)], math.inf when divergent."""
+        if gamma <= 0:
+            raise ParameterError("gamma must be positive")
+        return self._form(_LAWS[self.kind].exp_moment, lambda v: math.exp(gamma * v), gamma)
+
+    def tail_prob(self, kappa):
+        """P(omega >= kappa)."""
+        kappa = float(kappa)
+        return self._form(_LAWS[self.kind].tail_prob, lambda v: v >= kappa, kappa)
+
+    def essential_infimum(self):
+        support = self.finite_support()
+        if support is None:
+            return _LAWS[self.kind].essential_infimum(*self._values())
+        return min(v for v, q in support if q > 0)
+
+    def is_almost_surely_zero(self):
+        support = self.finite_support()
+        return support is not None and all(v == 0 for v, q in support if q > 0)
 
     def to_json(self):
         return {"kind": self.kind, "params": dict(self.params)}
@@ -239,11 +210,11 @@ class DistributionSpec:
         if not isinstance(obj, dict) or not {"kind", "params"} <= set(obj):
             raise ParameterError("spec: must be an object with kind and params")
         kind, params = obj["kind"], obj["params"]
-        if not isinstance(kind, str) or kind not in _PARAMS:
+        if not isinstance(kind, str) or kind not in _LAWS:
             raise ParameterError(f"spec.kind: unknown distribution kind {kind!r}")
         if not isinstance(params, dict):
             raise ParameterError("spec.params: must be an object")
-        names = _PARAMS[kind]
+        names = _LAWS[kind].params
         wrong = ([f"spec.{k}: not a spec key" for k in sorted(set(obj) - {"kind", "params"})]
                  + [f"spec.params.{k}: missing from {kind}" for k in names if k not in params]
                  + [f"spec.params.{k}: not a parameter of {kind}"
@@ -252,13 +223,12 @@ class DistributionSpec:
                     if k in params and not _finite_number(params[k])])
         if wrong:
             raise ParameterError("; ".join(wrong))
-        args = [params[k] for k in names]
-        if kind == "Constant" and args[0] == 0:
+        if obj == ZERO_LAW.to_json():
             return ZERO_LAW  # a stored zero law, such as a chi witness's: no warning
         factory = {"Constant": cls.constant, "TwoPoint": cls.two_point,
                    "Exponential": cls.exponential, "ShiftedExponential": cls.shifted_exponential,
                    "LogNormal": cls.log_normal}[kind]
-        return factory(*args)
+        return factory(*[params[k] for k in names])
 
 
 def _finite_number(v):
@@ -281,34 +251,17 @@ class AssumptionReport:
     a1_gamma: object
     a2_ok: bool
     a3_ok: bool
-    moments: dict
 
     def a1_ok(self):
         return self.a1_gamma is not None
 
 
 def assumption_report(spec: DistributionSpec) -> AssumptionReport:
-    k = spec.kind
-    if k in ("Constant", "TwoPoint"):
-        a1 = math.inf  # bounded support
-    elif k in ("Exponential", "ShiftedExponential"):
-        a1 = spec.param("rate") / 2.0  # any gamma < rate works; report a witness
-    elif k == "LogNormal":
-        a1 = None
-    else:
-        raise ParameterError(k)
-    exp_neg = spec.exp_neg_moment()
-    return AssumptionReport(
-        a1_gamma=a1,
-        a2_ok=True,  # all offered laws have finite second moment
-        a3_ok=spec.essential_infimum() > 0,
-        moments={
-            "mean": spec.mean(),
-            "second_moment": spec.second_moment(),
-            "exp_neg": exp_neg,
-            "minus_log_exp_neg": -math.log(exp_neg),
-        },
-    )
+    # a bounded support has every exponential moment
+    a1 = (math.inf if spec.finite_support() is not None
+          else _LAWS[spec.kind].a1_gamma(*spec._values()))
+    return AssumptionReport(a1_gamma=a1, a2_ok=math.isfinite(spec.second_moment()),
+                            a3_ok=spec.essential_infimum() > 0)
 
 
 # The law of the zero potential, for fields that are zero on purpose (pure

@@ -155,6 +155,13 @@ def test_cli_rejects_a_config_of_the_wrong_shape(tmp_path, capsys, config, key):
     ("psi", "geometry", {"x_grid": [[2, 0], [0, 0]]}, "geometry.x_grid: must be [nonzero [int]]"),
     ("oracle-check", "sampling", {"battery": [{"seed": 1, "x": [0, 0], "radius": 3, "L": 4,
                                               "episodes": 10}]}, "sampling.battery: must be"),
+    # an integer geometry key below the least value its experiment runs with
+    ("animals", "geometry", {"d": 0}, "geometry.d: must be >= 1"),
+    ("chi", "geometry", {"d": 0}, "geometry.d: must be >= 1"),
+    ("animals", "geometry", {"M": 0}, "geometry.M: must be >= 1"),
+    ("animals", "geometry", {"l_cap": 0}, "geometry.l_cap: must be >= 1"),
+    ("chi", "geometry", {"l": 2}, "geometry.l: must be >= 4"),
+    ("lyapunov", "geometry", {"box_factor": 0.5}, "geometry.box_factor: must be >= 1"),
 ])
 def test_cli_rejects_no_samples_and_empty_grids(tmp_path, capsys, experiment, part,
                                                 value, key):
@@ -244,6 +251,18 @@ def test_refused_run_leaves_no_output_directory_it_made(tmp_path, experiment, co
     there.mkdir()
     assert cli.main([experiment, "--config", str(path), "--out", str(there)]) == code
     assert there.is_dir() and not any(there.iterdir())
+
+
+@pytest.mark.parametrize("flags", [[], ["--override-assumptions"]])
+def test_entropy_refuses_a_law_without_finite_support_even_overridden(tmp_path, capsys,
+                                                                      flags):
+    # the per-site inequality is an exact sum over the support: no flag lifts that
+    path = _write(tmp_path, {"experiment": "entropy", "spec": {
+        "kind": "LogNormal", "params": {"mu": 0.0, "sigma": 1.0}}, "sampling": {"seed": 1}})
+    out = tmp_path / "r"
+    assert cli.main(["entropy", "--config", str(path), "--out", str(out), *flags]) == 3
+    assert "refused: (finite-support)" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_flags_apply_before_the_config_is_validated(tmp_path, capsys):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from rwpot.errors import ParameterError
 from rwpot.lyapunov import (check_norm_properties, estimate_alpha,
                             write_alpha_report)
 from rwpot.concentration import prop_box
@@ -37,13 +38,13 @@ def test_two_point_band_and_monotone_grid():
 
 
 def test_bad_arguments_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError):
         estimate_alpha(TP, (0, 0), (2, 4), 5, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError):
         estimate_alpha(TP, (1, 0), (4, 2), 5, 1)
-    with pytest.raises(ValueError, match="nonempty"):
+    with pytest.raises(ParameterError, match="nonempty"):
         estimate_alpha(TP, (1, 0), (), 5, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError):
         estimate_alpha(TP, (1, 0), (2, 4), 5, 1, box_factor=0.5)
 
 

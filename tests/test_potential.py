@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -86,12 +87,66 @@ def test_log_normal_exp_neg_moment_matches_tight_quad():
     assert 0.49 < DistributionSpec.log_normal(0.0, 100.0).exp_neg_moment() < 0.5
 
 
+# Closed forms of finite-support laws, as float.hex, bit for bit as the
+# per-kind formulas before the law table gave them: mean, second moment,
+# E[exp(-omega)], E[exp(0.7 omega)], essential infimum, then P(omega >= kappa)
+# at three kappa (at an atom, between atoms, above the support).
+PINNED_CLOSED_FORMS = [
+    (TP, ["0x1.3333333333333p-1", "0x1.0a3d70a3d70a4p-1", "0x1.2fc5af8966c7ap-1",
+          "0x1.94fed2102d646p+0", "0x1.999999999999ap-3"],
+     [(0.2, "0x1.0p+0"), (1.0, "0x1.0p-1"), (2.0, "0x0.0p+0")]),
+    (DistributionSpec.two_point(0.0, 3.0, 0.25),
+     ["0x1.8p-1", "0x1.2p+1", "0x1.865f6c3333ac3p-1", "0x1.6551439081d4cp+1", "0x0.0p+0"],
+     [(0.0, "0x1.0p+0"), (3.0, "0x1.0p-2"), (3.5, "0x0.0p+0")]),
+    (DistributionSpec.constant(1.5),
+     ["0x1.8p+0", "0x1.2p+1", "0x1.c8f87724b5c1dp-3", "0x1.6dc78307bac48p+1", "0x1.8p+0"],
+     [(0.0, "0x1.0p+0"), (1.5, "0x1.0p+0"), (2.0, "0x0.0p+0")]),
+]
+
+
+@pytest.mark.parametrize("spec, forms, tails", PINNED_CLOSED_FORMS)
+def test_finite_support_closed_forms_are_pinned_bit_for_bit(spec, forms, tails):
+    got = [spec.mean(), spec.second_moment(), spec.exp_neg_moment(),
+           spec.exp_moment(0.7), spec.essential_infimum()]
+    assert got == [float.fromhex(h) for h in forms]
+    assert [spec.tail_prob(k) for k, _ in tails] == [float.fromhex(h) for _, h in tails]
+    assert not spec.is_almost_surely_zero()
+
+
+def test_unknown_kind_is_refused_at_construction():
+    with pytest.raises(ParameterError, match="Poisson"):
+        DistributionSpec("Poisson", ())
+
+
+# one law of each kind, in the order of the kind tags save_field writes
+EACH_KIND = (DistributionSpec.constant(1.5), TP, EXP,
+             DistributionSpec.shifted_exponential(0.2, 3.0), DistributionSpec.log_normal(0.1, 0.9))
+
+
+def test_kind_tags_are_pinned_and_every_kind_reloads(tmp_path):
+    assert potential._KINDS == ("Constant", "TwoPoint", "Exponential",
+                                "ShiftedExponential", "LogNormal")
+    for tag, spec in enumerate(EACH_KIND):
+        assert spec.kind == potential._KINDS[tag]
+        field = sample_field(spec, BOX, 3)
+        path = tmp_path / f"{spec.kind}.bin"
+        save_field(field, path)
+        # magic, version and d, lo and hi, seed: then the tag
+        at = 4 + 8 + 2 * 8 * BOX.dimension + 8
+        assert path.read_bytes()[at:at + 4] == struct.pack("<I", tag)
+        loaded = load_field(path)
+        assert loaded.spec == spec
+        assert loaded.values.tobytes() == field.values.tobytes()
+
+
 def test_assumption_reports():
     rep = assumption_report(TP)
     assert rep.a1_ok() and rep.a2_ok and rep.a3_ok
     assert not assumption_report(EXP).a3_ok
     ln = assumption_report(DistributionSpec.log_normal(0, 1))
     assert not ln.a1_ok() and ln.a2_ok and not ln.a3_ok
+    # every offered law has a finite second moment
+    assert all(assumption_report(spec).a2_ok for spec in EACH_KIND)
 
 
 def test_almost_surely_zero_warns():
