@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import CapacityError, DomainError, FeasibilityError, ParameterError
 from .lattice import as_point, coarse_index
@@ -27,16 +26,6 @@ from .solver import SiteSet, region_sites
 ENUM_MAX_SITES = 49
 ENUM_MAX_STEPS = 30
 CROSSING_BATCH = 1024  # episodes walked in lockstep per sample_crossings batch
-
-
-def transition_matrix(ss, omega):
-    """Substochastic step matrix P[z, z'] = exp(-omega(z))/(2d) between
-    lattice neighbors z, z' of the site set, as CSR."""
-    steps = np.kron(np.eye(ss.d, dtype=np.int64), [[1], [-1]])  # +e1, -e1, +e2, ...
-    nb = np.stack([ss.index(ss.sites + e) for e in steps], axis=1)
-    rows, cols = np.nonzero(nb >= 0)[0], nb[nb >= 0]
-    w = np.exp(-np.asarray(omega, dtype=float)) / (2.0 * ss.d)
-    return sp.csr_matrix((w[rows], (rows, cols)), shape=(len(ss), len(ss)))
 
 
 @dataclass(eq=False)
@@ -86,25 +75,32 @@ def enumerate_paths(field, region, x, taboo=(), L=ENUM_MAX_STEPS):
     i0 = ss.index_one((0,) * ss.d)
     if ix < 0 or i0 < 0:
         raise DomainError("0 and x must lie in the region (and off the taboo set)")
-    omega = field.values_at(ss.sites)
-    kappa_min = float(omega.min())
-    P = transition_matrix(ss, omega)
-    # split the step matrix: transitions into x absorb, the rest continue
-    n = len(ss)
-    keep = np.arange(n) != ix
-    to_x = np.asarray(P[:, ix].todense()).ravel()[keep]
-    Pzz = P[keep][:, keep].T.tocsr()  # transposed: we push distributions
-
-    v = np.zeros(n - 1)
-    v[np.nonzero(np.nonzero(keep)[0] == i0)[0][0]] = 1.0
     if i0 == ix:
         raise DomainError("x must differ from the origin")
+    omega = field.values_at(ss.sites)
+    kappa_min = float(omega.min())
+    # the steps (src, tgt) between neighbours of the site set, by source
+    steps = np.kron(np.eye(ss.d, dtype=np.int64), [[1], [-1]])  # +e1, -e1, +e2, ...
+    nb = np.stack([ss.index(ss.sites + e) for e in steps], axis=1)
+    src, tgt = np.nonzero(nb >= 0)[0], nb[nb >= 0]
+    w = np.exp(-omega) / (2.0 * ss.d)  # the weight of a step, paid at its source
+    # on the sites but x, renumbered in order: steps into x absorb, the rest continue
+    n = len(ss) - 1
+    row = np.cumsum(np.arange(len(ss)) != ix) - 1
+    into, on = tgt == ix, (src != ix) & (tgt != ix)
+    to_x = np.zeros(n)
+    to_x[row[src[into]]] = w[src[into]]
+    i, j, wi = row[src[on]], row[tgt[on]], w[src[on]]
+
+    v = np.zeros(n)
+    v[row[i0]] = 1.0
     per_step = np.zeros(L + 1)
     total = 0.0
     for k in range(1, L + 1):
         per_step[k] = float(v @ to_x)  # paths hitting x at exactly step k
         total += per_step[k]
-        v = Pzz @ v
+        # push v one step: each target sums its sources in increasing order
+        v = np.bincount(j, wi * v[i], n)
     alive = float(np.abs(v).sum())
     remainder = alive
     if kappa_min > 0.0:

@@ -3,7 +3,9 @@ validation.
 
 Each kind of law is one entry of _LAWS: its parameters, their range check,
 its inverse CDF and either its finite support (Constant, TwoPoint), over
-which every moment, tail and hypothesis is a sum, or its closed forms.
+which every moment, tail and hypothesis is a sum, or its closed forms. A
+moment past the largest float is math.inf. Only LogNormal reads
+scipy.special, which it imports on first use.
 Fields are immutable after creation; mutating operations return copies.
 Each site's value is a pure function of (seed, site coordinates), so the
 same site has the same value regardless of traversal order. Many fields are
@@ -18,7 +20,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .errors import DomainError, ParameterError
 from .lattice import BoxRegion, as_point, norms
@@ -58,6 +59,16 @@ def _log_normal_exp_neg(mu, sigma):
     return float(np.trapezoid(f, z)) / math.sqrt(2 * math.pi)
 
 
+def _log_normal_sample(u, mu, sigma):
+    from scipy.special import ndtri
+    return np.exp(mu + sigma * ndtri(u))
+
+
+def _log_normal_tail(k, mu, sigma):
+    from scipy.special import ndtr
+    return 1.0 if k <= 0 else float(ndtr((mu - math.log(k)) / sigma))
+
+
 # The kinds of law, in the order of the tag save_field writes.
 _LAWS = {
     "Constant": _Law(
@@ -72,7 +83,7 @@ _LAWS = {
     "Exponential": _Law(
         ("rate",), lambda r: "rate must be positive" if r <= 0 else None,
         sample=lambda u, r: -np.log(u) / r,
-        mean=lambda r: 1.0 / r, second_moment=lambda r: 2.0 / r ** 2,
+        mean=lambda r: 1.0 / r, second_moment=lambda r: 2.0 / (r * r),
         exp_neg_moment=lambda r: r / (r + 1.0),
         exp_moment=lambda g, r: r / (r - g) if g < r else math.inf,
         tail_prob=lambda k, r: math.exp(-r * max(k, 0.0)),
@@ -89,12 +100,13 @@ _LAWS = {
         essential_infimum=lambda s, r: s, a1_gamma=lambda s, r: r / 2.0),
     "LogNormal": _Law(
         ("mu", "sigma"), lambda mu, sigma: "sigma must be positive" if sigma <= 0 else None,
-        sample=lambda u, mu, sigma: np.exp(mu + sigma * ndtri(u)),
+        sample=_log_normal_sample,
         mean=lambda mu, sigma: math.exp(mu + sigma ** 2 / 2),
-        second_moment=lambda mu, sigma: math.exp(2 * mu + 2 * sigma ** 2),
+        # 2 (mu + sigma^2), as 2 mu + 2 sigma^2 can be -inf + inf = nan
+        second_moment=lambda mu, sigma: math.exp(2 * (mu + sigma ** 2)),
         exp_neg_moment=_log_normal_exp_neg,
         exp_moment=lambda g, mu, sigma: math.inf,
-        tail_prob=lambda k, mu, sigma: 1.0 if k <= 0 else float(ndtr((mu - math.log(k)) / sigma)),
+        tail_prob=_log_normal_tail,
         essential_infimum=lambda mu, sigma: 0.0, a1_gamma=lambda mu, sigma: None),
 }
 _KINDS = tuple(_LAWS)
@@ -108,18 +120,25 @@ class DistributionSpec:
     params: tuple  # ((name, value), ...)
 
     def __post_init__(self):
-        if self.kind not in _LAWS:
+        """ParameterError unless the kind is a law's, params names its
+        parameters in order and every value is finite and in its range."""
+        law = _LAWS.get(self.kind)
+        if law is None:
             raise ParameterError(f"unknown distribution kind {self.kind!r}")
+        if tuple(name for name, _ in self.params) != law.params:
+            raise ParameterError(f"{self.kind} takes the parameters {law.params}, "
+                                 f"got {self.params!r}")
+        if not all(map(math.isfinite, self._values())):
+            raise ParameterError(f"{self.kind} parameters must be finite, got {self.params!r}")
+        message = law.check(*self._values())
+        if message:
+            raise ParameterError(message)
 
     @classmethod
     def _checked(cls, kind, *args):
         """The law of the kind with these parameters, once they pass its
         range check; warns when the law is almost surely 0."""
-        law = _LAWS[kind]
-        message = law.check(*args)
-        if message:
-            raise ParameterError(message)
-        spec = cls(kind, tuple(zip(law.params, map(float, args))))
+        spec = cls(kind, tuple(zip(_LAWS[kind].params, map(float, args))))
         if spec.is_almost_surely_zero():
             warnings.warn("potential law is almost surely 0; travel costs degenerate")
         return spec
@@ -150,12 +169,13 @@ class DistributionSpec:
     def _form(self, closed, term, *x):
         """closed(*x, *parameters), the law's closed form at x; for a
         finite-support law, the sum of prob * term(value) over its atoms
-        instead (at most two terms, so the same bits as the two-term
-        formula: 0 + t is exact and addition commutes)."""
+        of positive probability instead (at most two terms, so the same
+        bits as the two-term formula: 0 + t is exact and addition
+        commutes). Each is in [0, inf]: see _at_most_inf."""
         support = self.finite_support()
         if support is None:
-            return closed(*x, *self._values())
-        return sum(q * term(v) for v, q in support)
+            return _at_most_inf(closed, *x, *self._values())
+        return sum(q * _at_most_inf(term, v) for v, q in support if q > 0)
 
     def sample(self, u):
         """Map uniforms in (0,1) to potential values."""
@@ -229,6 +249,19 @@ class DistributionSpec:
                    "Exponential": cls.exponential, "ShiftedExponential": cls.shifted_exponential,
                    "LogNormal": cls.log_normal}[kind]
         return factory(*[params[k] for k in names])
+
+
+def _at_most_inf(f, *args):
+    """f(*args), a closed form of a nonnegative quantity, with math.inf
+    where Python raises on its way past the largest float: math.exp and **
+    raise OverflowError, and a denominator that underflows to 0 raises
+    ZeroDivisionError. The forms are written so that either means the
+    value itself overflows: a power that overflows in a denominator
+    (r ** 2 in 2 / r ** 2) is a product there, which overflows to inf."""
+    try:
+        return f(*args)
+    except (OverflowError, ZeroDivisionError):
+        return math.inf
 
 
 def _finite_number(v):

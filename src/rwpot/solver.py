@@ -766,26 +766,27 @@ class WeightedFunctionals:
         return float(self.q_visit[i])
 
 
-def _tilted_walk(field, region, x):
-    """(travel_weight's result e_V(., x), the origin's index, G(0, .)), all
-    by site of the region and from one operator: the pieces of
-    q(y) = G(0, y) / G(y, y) * e_V(y, x) / e_V(0, x)."""
+def _origin_weight(field, region, x):
+    """travel_weight's result e_V(., x) from the origin, which the weighted
+    measure divides by: DegenerateWeightError where e_V(0, x) underflows."""
     origin = (0,) * len(x)
     if x == origin:
         raise DomainError("x must differ from the origin")
     res = travel_weight(field, region, origin, x)
-    i0 = res.source_index
-    if res.e_values[i0] <= 0.0:
+    if res.e_values[res.source_index] <= 0.0:
         raise DegenerateWeightError("e_V(0, x) underflowed; weighted measure undefined")
-    return res, i0, res.walk.row(origin)[res.walk.keys]
+    return res
 
 
 def weighted_functionals(field, region, x):
-    """a_V(0, x), the full visit-probability vector q(y) = Q(H(y) < H(x))
-    and the expected range of the weighted walk, E_Q[#A] = sum_y q(y)."""
+    """a_V(0, x), the full visit-probability vector
+    q(y) = Q(H(y) < H(x)) = G(0, y) / G(y, y) * e_V(y, x) / e_V(0, x)
+    and the expected range of the weighted walk, E_Q[#A] = sum_y q(y), all
+    from one operator: G(0, .) is one row solve and G(y, y) its diagonal."""
     x = as_point(x)
-    res, i0, g = _tilted_walk(field, region, x)
-    kw, u = res.walk, res.e_values
+    res = _origin_weight(field, region, x)
+    kw, u, i0 = res.walk, res.e_values, res.source_index
+    g = kw.row((0,) * len(x))[kw.keys]
     diag = kw.diagonal()[kw.keys]
     _vet_diagonal(diag[i0], g[i0], "0")
     q = (g / diag) * u / u[i0]
@@ -812,19 +813,22 @@ def raise_site(field, region, x, y, sigma):
     (Sherman-Morrison) identity on the operator killed at x, with
     G = G(y, y) and em = 1 - t, the change is
     -log(1 - q(y) G em / (1 + (G - 1) em)). em is formed by expm1, which
-    stays exact for a small raise and is 1 for a huge one. G comes from one
-    checked column solve, and q(y) = G(0, y) / G(y, y) * e_V(y, x) / e_V(0, x)."""
+    stays exact for a small raise and is 1 for a huge one. One checked
+    column solve gives G(., y), so G = G(y, y) and G(0, y), and
+    q(y) = G(0, y) / G(y, y) * e_V(y, x) / e_V(0, x): one factorization
+    and two solves in all."""
     x, y = as_point(x), as_point(y)
     omega = field.value_at(y)
     if not sigma >= omega:
         raise DomainError(f"sigma {sigma!r} lies below omega(y) = {omega!r}")
-    res, i0, g = _tilted_walk(field, region, x)
+    res = _origin_weight(field, region, x)
     if y == x:
         q, G = 0.0, 1.0
     else:
-        iy, kw, u = res._index(y), res.walk, res.e_values
-        G = float(kw.diagonal([kw.keys[iy]])[0])
-        q = 1.0 if iy == i0 else float(_clip_unit(g[iy] / G * u[iy] / u[i0]))
+        iy, i0, kw, u = res._index(y), res.source_index, res.walk, res.e_values
+        column = kw.solve(kw._unit(kw.keys[iy]))[kw.keys]
+        G = float(column[iy])
+        q = 1.0 if iy == i0 else float(_clip_unit(column[i0] / G * u[iy] / u[i0]))
     em = -math.expm1(-(sigma - omega))
     lost = q * G * em / (1.0 + (G - 1.0) * em)  # the share of e_V(0, x) lost
     return res.cost_at((0,) * len(x)), q, math.inf if lost >= 1.0 else -math.log1p(-lost)

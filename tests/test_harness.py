@@ -225,6 +225,22 @@ def test_solve_may_target_the_origin(tmp_path):
     assert run(_config("solve", geometry={"x": [0, 0]}), out_dir=tmp_path).all_passed()
 
 
+@pytest.mark.parametrize("spec, geometry, refusal", [
+    # E[omega^2] = 5e399 and E[exp(omega)] overflow to inf: (A2) fails
+    ({"kind": "TwoPoint", "params": {"v_lo": 0.2, "v_hi": 1e200, "p_hi": 0.5}},
+     {"side": "LowerGauss"}, "refused: (A2)"),
+    # E[omega^2] = 2e400 overflows to inf; in d = 2 the floor (A3) fails first
+    ({"kind": "Exponential", "params": {"rate": 1e-200}}, {}, "refused: (A3)"),
+])
+def test_cli_refuses_a_law_whose_moments_overflow(tmp_path, capsys, spec, geometry, refusal):
+    config = {"experiment": "tails", "spec": spec, "geometry": geometry,
+              "sampling": {"seed": 1, "samples": 5}}
+    code = cli.main(["tails", "--config", str(_write(tmp_path, config)),
+                     "--out", str(tmp_path / "r")])
+    assert code == 3
+    assert refusal in capsys.readouterr().err
+
+
 def test_cli_perturb_in_six_dimensions_exits_2(tmp_path, capsys):
     # the pinned return probability refuses d = 6 before any solve
     config = {"experiment": "perturb", "spec": TP_JSON,

@@ -149,14 +149,31 @@ def test_oracle_takes_only_index_helpers_from_solver():
     assert not bad, f"oracle.py imports {', '.join(bad)} from the solver"
 
 
-def test_import_loads_no_heavy_scipy_subpackage():
-    """`import rwpot` and `import rwpot.cli` load numpy and scipy's linalg,
-    special and sparse only: scipy.stats, scipy.integrate and scipy.optimize
-    each cost a large share of a CLI run's start-up."""
-    heavy = ("scipy.stats", "scipy.integrate", "scipy.optimize")
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
-            "import rwpot, rwpot.cli; "
-            f"print(' '.join(m for m in {heavy!r} if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code, str(ROOT / "src")],
+# loaded after `import rwpot, rwpot.cli`, then after cli.main runs each
+# experiment at its defaults; prints one line per stage
+_SCIPY_PROBE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import rwpot, rwpot.cli
+heavy = sys.argv[3:]
+print("loaded import:", *[m for m in heavy if m in sys.modules])
+for experiment in ("solve", "oracle-check"):
+    rwpot.cli.main([experiment, "--out", sys.argv[2]])
+    print(f"loaded {experiment}:", *[m for m in heavy if m in sys.modules])
+"""
+
+
+def test_import_loads_no_heavy_scipy_subpackage(tmp_path):
+    """`import rwpot` and `import rwpot.cli` load numpy and scipy.linalg, and
+    no other scipy subpackage, and the default solve and oracle-check runs
+    load none either: scipy.stats, scipy.integrate and scipy.optimize each
+    cost a large share of a CLI run's start-up, scipy.special is read only
+    by the LogNormal law (imported on its first use) and scipy.sparse by
+    nothing."""
+    heavy = ("scipy.stats", "scipy.integrate", "scipy.optimize", "scipy.special",
+             "scipy.sparse")
+    out = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, str(ROOT / "src"),
+                          str(tmp_path), *heavy],
                          capture_output=True, text=True, check=True, timeout=120)
-    assert out.stdout.split() == [], f"import rwpot.cli loads {out.stdout.strip()}"
+    loaded = [line for line in out.stdout.splitlines() if line.startswith("loaded ")]
+    assert loaded == ["loaded import:", "loaded solve:", "loaded oracle-check:"], loaded

@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from rwpot import oracle
-from rwpot.errors import CapacityError, FeasibilityError, ParameterError
+from rwpot.cli import default_config
+from rwpot.errors import CapacityError, DomainError, FeasibilityError, ParameterError
 from rwpot.lattice import BoxRegion
 from rwpot.oracle import enumerate_paths, sample_crossings, sample_walk_weight
 from rwpot.potential import DistributionSpec, sample_field
 from rwpot.solver import SiteSet, travel_weight, weighted_functionals
 from util_oracles import (dump_traces, enumerate_paths_dfs, reference_crossings,
-                          reference_walk, weighted_mean_se, zero_field)
+                          reference_walk, transition_matrix, weighted_mean_se, zero_field)
 
 TP = DistributionSpec.two_point(0.2, 1.0, 0.5)
 EXP = DistributionSpec.exponential(1.0)
@@ -29,6 +30,29 @@ def test_three_site_geometric_series():
     res = enumerate_paths(zero_field(2, THREE_SITES), THREE_SITES, (1, 0), L=20)
     assert res.partial_weight <= 4 / 15 <= res.partial_weight + res.remainder_bound
     assert res.remainder_bound < 1e-10
+
+
+@pytest.mark.parametrize("item", default_config("oracle-check").sampling["battery"],
+                         ids=lambda item: f"seed{item['seed']}")
+def test_enumeration_matches_a_dense_push_on_the_default_battery(item):
+    """enumerate_paths' step-by-step push against the same push by the dense
+    step matrix: the mass entering x at each step, and the mass alive."""
+    x, L = tuple(item["x"]), item["L"]
+    region = BoxRegion.centered(item["radius"], len(x))
+    field = sample_field(TP, region, item["seed"])
+    ss = SiteSet(region.sites())
+    P = transition_matrix(ss, field.values_at(ss.sites))
+    ix, keep = ss.index_one(x), np.arange(len(ss)) != ss.index_one(x)
+    v = (np.arange(len(ss)) == ss.index_one((0,) * len(x))).astype(float)[keep]
+    per_step = np.zeros(L + 1)
+    for k in range(1, L + 1):
+        per_step[k] = v @ P[keep, ix]
+        v = v @ P[keep][:, keep]
+    res = enumerate_paths(field, region, x, L=L)
+    assert np.allclose(res.per_step_weight, per_step, rtol=1e-12, atol=0.0)
+    assert math.isclose(res.partial_weight, per_step.sum(), rel_tol=1e-12)
+    s = math.exp(-field.values.min())
+    assert math.isclose(res.remainder_bound, min(v.sum(), s ** L / (1 - s)), rel_tol=1e-12)
 
 
 def test_monotone_in_path_length():
@@ -79,6 +103,8 @@ def test_capacity_limits():
     f2 = sample_field(TP, small, 0)
     with pytest.raises(CapacityError):
         enumerate_paths(f2, small, (1, 0), L=31)
+    with pytest.raises(DomainError, match="x must differ"):
+        enumerate_paths(f2, small, (0, 0), L=4)
 
 
 def test_walk_weight_bernoulli_instance():

@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import ndtri
 from scipy.stats import norm
 
 from rwpot.errors import DomainError, ParameterError
@@ -13,7 +14,7 @@ from rwpot.potential import (ZERO_LAW, DistributionSpec, PotentialField,
                              assumption_report, fresh_site_value, load_field,
                              sample_field, sample_field_where, sample_fields,
                              save_field)
-from rwpot.rng import derive_seed
+from rwpot.rng import counter_uniforms, derive_seed
 
 TP = DistributionSpec.two_point(0.2, 1.0, 0.5)
 EXP = DistributionSpec.exponential(1.0)
@@ -116,6 +117,48 @@ def test_finite_support_closed_forms_are_pinned_bit_for_bit(spec, forms, tails):
 def test_unknown_kind_is_refused_at_construction():
     with pytest.raises(ParameterError, match="Poisson"):
         DistributionSpec("Poisson", ())
+
+
+@pytest.mark.parametrize("kind, params, message", [
+    ("Constant", (), "takes the parameters"),
+    ("Constant", (("c", -1.0),), "nonnegative"),
+    ("Constant", (("value", 1.0),), "takes the parameters"),
+    ("Constant", (("c", 1.0), ("c", 2.0)), "takes the parameters"),
+    ("Constant", (("c", math.nan),), "finite"),
+    ("TwoPoint", (("v_lo", 0.2), ("v_hi", 1.0), ("p_hi", 1.5)), "p_hi must lie"),
+])
+def test_spec_built_directly_runs_the_laws_checks(kind, params, message):
+    with pytest.raises(ParameterError, match=message):
+        DistributionSpec(kind, params)
+
+
+def _forms(spec):
+    return [spec.mean(), spec.second_moment(), spec.exp_neg_moment(),
+            spec.exp_moment(0.5), spec.tail_prob(1e300), spec.essential_infimum()]
+
+
+@pytest.mark.parametrize("spec, inf_forms", [
+    (DistributionSpec.two_point(0.2, 1e200, 0.5), [1, 3]),
+    (DistributionSpec.two_point(0.2, 1e200, 0.0), []),
+    (DistributionSpec.constant(1e200), [1, 3]),
+    (DistributionSpec.exponential(1e-200), [1, 3]),
+    (DistributionSpec.exponential(1e200), []),
+    (DistributionSpec.shifted_exponential(1e200, 1.0), [1, 3]),
+    (DistributionSpec.shifted_exponential(0.0, 1e-200), [1, 3]),
+    (DistributionSpec.log_normal(0.0, 1e200), [0, 1, 3]),
+    (DistributionSpec.log_normal(-1e308, 1e154), [3]),
+])
+def test_closed_forms_past_the_largest_float_are_inf(spec, inf_forms):
+    got = _forms(spec)
+    assert all(0.0 <= v <= math.inf for v in got), got
+    assert [i for i, v in enumerate(got) if v == math.inf] == inf_forms
+
+
+def test_log_normal_field_is_pinned_to_the_normal_quantile():
+    mu, sigma = 0.1, 0.9
+    field = sample_field(DistributionSpec.log_normal(mu, sigma), BOX, 3)
+    want = np.exp(mu + sigma * ndtri(counter_uniforms([3], BOX.sites())))
+    assert field.values.tobytes() == want.reshape(BOX.shape).tobytes()
 
 
 # one law of each kind, in the order of the kind tags save_field writes

@@ -19,13 +19,13 @@ from rwpot import cli
 from rwpot.concentration import (box_return_probability, entropy_global_probe,
                                  pinned_return_probability, prop_box, rank_one_verify)
 from rwpot.harness import run
-from rwpot.oracle import transition_matrix
 from rwpot.rng import derive_seed
 from rwpot.solver import (SiteSet, exit_functional, exit_functionals, raise_site,
                           travel_costs, travel_weight, weighted_functionals)
 from util_oracles import (_l1_ball_count, block_cost, block_sites, maximal_distance,
                           reference_exit_functionals, reference_green_diagonal,
-                          return_probability, two_solve_delta, zero_field)
+                          return_probability, transition_matrix, two_solve_delta,
+                          zero_field)
 
 TP = DistributionSpec.two_point(0.2, 1.0, 0.5)
 EXP = DistributionSpec.exponential(1.0)
@@ -370,6 +370,40 @@ def test_raise_site_closed_form_matches_two_solves(d, seed, data):
     assert -1e-12 <= ref <= min(bound_q, bound_site) + 1e-12
 
 
+def _raise_site_by_row(field, region, x, y, sigma):
+    """raise_site with G(0, y) read from a row solve, G(0, .), and G(y, y)
+    from diagonal([y]): three solves on one factorization."""
+    origin = (0,) * len(x)
+    res = travel_weight(field, region, origin, x)
+    kw, u, i0, iy = res.walk, res.e_values, res.source_index, res._index(y)
+    g = kw.row(origin)[kw.keys]
+    G = float(kw.diagonal([kw.keys[iy]])[0])
+    q = 1.0 if iy == i0 else min(1.0, g[iy] / G * u[iy] / u[i0])
+    em = -math.expm1(-(sigma - field.value_at(y)))
+    lost = q * G * em / (1.0 + (G - 1.0) * em)
+    return res.cost_at(origin), q, math.inf if lost >= 1.0 else -math.log1p(-lost)
+
+
+@pytest.mark.parametrize("d, seed", [(2, 1), (2, 7), (3, 2)])
+def test_raise_site_is_one_factorization_and_two_solves(monkeypatch, d, seed):
+    x = (2, 1, 0)[:d]
+    box = BoxRegion.centered(3, d)
+    field = sample_field(TP, box, seed)
+    for y in [(0,) * d, (1,) + (0,) * (d - 1), (2, 2, 1)[:d], (-3,) * d]:
+        for lift in (0.0, 0.7, 40.0):
+            sigma = field.value_at(y) + lift
+            ref = _raise_site_by_row(field, box, x, y, sigma)
+            factors, solves = _count_factorizations(monkeypatch), []
+            real = solver.dpbtrs
+            monkeypatch.setattr(solver, "dpbtrs",
+                                lambda *a, **k: solves.append(1) or real(*a, **k))
+            got = raise_site(field, box, x, y, sigma)
+            monkeypatch.undo()
+            assert (len(factors), len(solves)) == (1, 2)
+            assert got[0] == ref[0]
+            assert all(a == b or abs(a - b) <= 1e-12 for a, b in zip(got[1:], ref[1:]))
+
+
 def test_raise_site_only_raises():
     box = BoxRegion.centered(3, 2)
     field = sample_field(TP, box, 1)
@@ -385,7 +419,7 @@ def test_return_probability_tiny_region():
 def _dense_return_probability(d, box):
     # the same killed walk, solved densely: the reference for the band path
     ss = SiteSet(box.sites())
-    P = transition_matrix(ss, np.zeros(len(ss))).toarray()
+    P = transition_matrix(ss, np.zeros(len(ss)))
     i0 = ss.index_one((0,) * d)
     keep = np.arange(len(ss)) != i0
     A = np.eye(len(ss) - 1) - P[keep][:, keep]
@@ -523,7 +557,7 @@ def _dense_operator(kw):
     ids = np.flatnonzero(kw.active)
     sites = np.empty_like(kw.ss.sites)
     sites[kw.keys] = kw.ss.sites
-    P = transition_matrix(SiteSet(sites[ids]), kw.omega[ids]).toarray()
+    P = transition_matrix(SiteSet(sites[ids]), kw.omega[ids])
     return np.eye(len(ids)) - P, ids
 
 
@@ -898,7 +932,7 @@ def test_site_set_rejects_duplicate_sites():
 def _dense_step_matrix(field, sites):
     """P between the given sites, in their order, from the oracle's step
     matrix: a reference that never touches the grid band."""
-    return transition_matrix(SiteSet(sites), field.values_at(sites)).toarray()
+    return transition_matrix(SiteSet(sites), field.values_at(sites))
 
 
 def _dense_weights(P, t):

@@ -1,13 +1,15 @@
-"""The closed-form tail-slope fit against scipy's least-squares reference."""
+"""The closed-form tail-slope fit against scipy's least-squares reference,
+and the written-out 95% normal quantile against scipy's."""
 
 import math
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from scipy.special import ndtri
 from scipy.stats import linregress
 
-from rwpot.stats import log_tail_slope
+from rwpot.stats import Z95, log_tail_slope
 
 # thresholds from a small grid, so that repeated x values are common;
 # tail probabilities down to 1e-300, zeros included (the fit drops them)
@@ -48,3 +50,7 @@ def test_log_tail_slope_exact_line_and_refusals():
         log_tail_slope([0.0, 1.0, 2.0], [0.5, 0.0, 0.0])
     with pytest.raises(ValueError):  # repeated threshold: no slope to fit
         log_tail_slope([0.1, 0.1, 0.1], [0.5, 0.25, 0.125])
+
+
+def test_z95_is_scipys_normal_quantile():
+    assert Z95 == float(ndtri(0.975))

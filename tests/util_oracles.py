@@ -248,6 +248,19 @@ def reference_green_diagonal(factor):
     return out
 
 
+def transition_matrix(ss, omega):
+    """Dense substochastic step matrix P[z, z'] = exp(-omega(z))/(2d)
+    between lattice neighbours z, z' of the SiteSet ss, in its order."""
+    n = len(ss)
+    P = np.zeros((n, n))
+    w = np.exp(-np.asarray(omega, dtype=float)) / (2.0 * ss.d)
+    for e in np.kron(np.eye(ss.d, dtype=np.int64), [[1], [-1]]):  # +e1, -e1, +e2, ...
+        nb = ss.index(ss.sites + e)
+        z = np.flatnonzero(nb >= 0)
+        P[z, nb[z]] = w[z]
+    return P
+
+
 def zero_field(d, region):
     """omega = 0 on the bounding box of the region."""
     box = bounding_box(region)
