@@ -12,18 +12,24 @@ decoupled unit row). The lattice is bipartite, so the symmetrized operator
 has an identity block on each colour (the parity of the coordinate sum),
 and the exact Schur complement S on one colour has half the rows at the
 same bandwidth. S is factored, on first use, by banded Cholesky (LAPACK's
-dpbtrf, and dpbtrs for each solve, called directly: the bits of scipy's
-cholesky_banded and cho_solve_banded without their per-call wrapping), for
-every plain solve and for the Green diagonal G(y, y) of both colours: Takahashi's
-selected inversion of S in blocked form, n/(bw+1) steps of one (bw+1)-square
-triangular inverse and four products, O(n bw^2) time, every product on
-scipy's BLAS (numpy's @ would bring a second OpenBLAS thread pool into the
-loop). Z = S^{-1} on the band is written over the Cholesky factor, as
-LAPACK's dpotri overwrites its own: the kernel needs O(bw^2) memory besides
-the factor's band, and a solve after it factors S again. So a field's
-weighted functionals hold one band-sized array, not two whose freeing
-hands them back to the OS to be faulted in again by the next field. The
-log-space fallback solves its gauged complement by band LU.
+dpbtrf, and dpbtrs for each solve), for every plain solve and for the Green
+diagonal G(y, y) of both colours: Takahashi's selected inversion of S in
+blocked form, n/(bw+1) steps of one (bw+1)-square triangular inverse and
+four products, O(n bw^2) time, every product on scipy's BLAS (numpy's @
+would bring a second OpenBLAS thread pool into the loop). Z = S^{-1} on the
+band is written over the Cholesky factor, as LAPACK's dpotri overwrites its
+own: the kernel needs O(bw^2) memory besides the factor's band, and a solve
+after it factors S again. So a field's weighted functionals hold one
+band-sized array, not two whose freeing hands them back to the OS to be
+faulted in again by the next field. The log-space fallback solves its
+gauged complement by band LU (dgbsv).
+
+Those six routines (dpbtrf, dpbtrs, dtrtri, dgemm, dtrmm, dgbsv) are called
+through ctypes from the library of scipy's BLAS extension,
+scipy/linalg/_fblas, which the module opens by its path: scipy's bundled
+OpenBLAS, the library scipy.linalg itself calls, so the bits are scipy's.
+No run imports a scipy module (scipy.linalg alone would take over half of
+a CLI run's start-up); a routine the library lacks raises ImportError.
 
 What depends on the site set alone is built once and kept on its SiteSet:
 the band layout and its colours, and, per kill, the active mask, the
@@ -49,15 +55,14 @@ no solve calls, is left alone.
 
 import ctypes
 import functools
+import importlib.machinery
+import importlib.util
 import itertools
 import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import _fblas, solve_banded
-from scipy.linalg.blas import dgemm, dtrmm
-from scipy.linalg.lapack import dpbtrf, dpbtrs, dtrtri
 
 from .errors import DegenerateWeightError, DomainError, SolverError
 from .lattice import BoxRegion, as_point
@@ -74,18 +79,22 @@ STACK_BAND_ENTRIES = 2 ** 18
 KILLS_KEPT = 8
 
 
-def _scipy_openblas():
-    """scipy's bundled OpenBLAS, loaded through scipy's BLAS extension (the
-    loader searches the libraries it links, whatever was imported first),
-    or None under another BLAS."""
-    try:
-        lib = ctypes.CDLL(_fblas.__file__)
-    except OSError:
-        return None
-    return lib if hasattr(lib, "scipy_openblas_set_num_threads") else None
+def _scipy_blas_library():
+    """The library of scipy's BLAS extension, scipy/linalg/_fblas, opened
+    with ctypes from its path, which find_spec reads without importing
+    scipy. The loader then searches the libraries it links, whatever was
+    imported first: scipy's bundled OpenBLAS, or the BLAS and LAPACK it was
+    built on."""
+    spec = importlib.util.find_spec("scipy")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES if spec else ():
+        path = os.path.join(spec.submodule_search_locations[0], "linalg", "_fblas" + suffix)
+        if os.path.exists(path):
+            return ctypes.CDLL(path)
+    raise ImportError("scipy's BLAS extension scipy/linalg/_fblas was not found")
 
 
-_OPENBLAS = _scipy_openblas()
+_BLAS = _scipy_blas_library()
+_OPENBLAS = _BLAS if hasattr(_BLAS, "scipy_openblas_set_num_threads") else None
 if _OPENBLAS is not None and not any(
         os.environ.get(v) for v in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
     _OPENBLAS.scipy_openblas_set_num_threads(1)
@@ -94,6 +103,99 @@ if _OPENBLAS is not None and not any(
 def blas_threads():
     """The thread count scipy's OpenBLAS reports, or None under another BLAS."""
     return None if _OPENBLAS is None else _OPENBLAS.scipy_openblas_get_num_threads()
+
+
+def _routine(name):
+    """The Fortran routine name of scipy's BLAS library: scipy's OpenBLAS
+    exports it as scipy_<name>_, a plain BLAS and LAPACK as <name>_."""
+    for symbol in (f"scipy_{name}_", f"{name}_"):
+        if hasattr(_BLAS, symbol):
+            fn = getattr(_BLAS, symbol)
+            fn.restype = None
+            return fn
+    raise ImportError(f"scipy's BLAS library exports no {name}")
+
+
+# Fortran calling convention: every argument by reference, and after them
+# the hidden length of each character argument (gfortran's size_t), here 1.
+# No argtypes: every argument is already a ctypes pointer (_int, _ptr,
+# byref), bytes or _LEN, which ctypes passes as they are; declaring them
+# costs about 1.5 us a call, five calls a block of the Green-diagonal
+# kernel: a sixth more time at bw 49
+_DPBTRF, _DPBTRS, _DTRTRI, _DGEMM, _DTRMM, _DGBSV = map(
+    _routine, ("dpbtrf", "dpbtrs", "dtrtri", "dgemm", "dtrmm", "dgbsv"))
+_LEN = ctypes.c_size_t(1)
+_PLUS, _MINUS, _NIL = (ctypes.byref(ctypes.c_double(v)) for v in (1.0, -1.0, 0.0))
+
+
+def _int(v):
+    """A Fortran INTEGER argument: a pointer to a C int holding v."""
+    return ctypes.byref(ctypes.c_int(v))
+
+
+def _ptr(a):
+    """The address of a writeable contiguous array a of either order (a
+    quarter of the cost of a.ctypes.data)."""
+    return ctypes.byref(ctypes.c_char.from_buffer(a if a.flags.c_contiguous else a.T))
+
+
+def _fortran(a, keep, ndim=(2,)):
+    """a itself when keep is set and a is a writeable Fortran-ordered
+    float64 array, else a Fortran-ordered float64 copy of a; ValueError
+    unless a has one of the numbers of dimensions ndim."""
+    a = np.asarray(a)
+    if a.ndim not in ndim:
+        raise ValueError(f"array of shape {a.shape} where {ndim} dimensions are expected")
+    if keep and a.dtype == np.float64 and a.flags.f_contiguous and a.flags.writeable:
+        return a
+    return np.array(a, dtype=np.float64, order="F")
+
+
+def _rhs(b, n, keep):
+    """The right-hand side b, (n,) or (n, nrhs), as _fortran gives it, and
+    nrhs: LAPACK would read past the end of a shorter one."""
+    x = _fortran(b, keep, (1, 2))
+    if len(x) != n:
+        raise ValueError(f"right-hand side of {len(x)} rows for {n} unknowns")
+    return x, _int(1 if x.ndim == 1 else x.shape[1])
+
+
+def dpbtrf(ab, lower=0, overwrite_ab=0):
+    """LAPACK's dpbtrf on the symmetric band ab, (kd + 1, n): (its Cholesky
+    factor, info), as scipy.linalg.lapack.dpbtrf returns them."""
+    c, info = _fortran(ab, overwrite_ab), ctypes.c_int()
+    _DPBTRF(b"L" if lower else b"U", _int(c.shape[1]), _int(c.shape[0] - 1), _ptr(c),
+            _int(c.shape[0]), ctypes.byref(info), _LEN)
+    return c, info.value
+
+
+def dpbtrs(cb, b, lower=0, overwrite_b=0):
+    """LAPACK's dpbtrs: (x, info) with x solving the band whose Cholesky
+    factor dpbtrf wrote in cb, for b of shape (n,) or (n, nrhs), as
+    scipy.linalg.lapack.dpbtrs returns them."""
+    cb, info = _fortran(cb, True), ctypes.c_int()
+    (x, nrhs), n = _rhs(b, cb.shape[1], overwrite_b), _int(cb.shape[1])
+    _DPBTRS(b"L" if lower else b"U", n, _int(cb.shape[0] - 1), nrhs, _ptr(cb), _int(cb.shape[0]),
+            _ptr(x), n, ctypes.byref(info), _LEN)
+    return x, info.value
+
+
+def solve_banded(l_and_u, ab, b):
+    """x with A x = b, A the general band ab[u + i - j, j] = A[i, j] of l
+    lower and u upper diagonals, by LAPACK's dgbsv (band LU with partial
+    pivoting), as scipy.linalg.solve_banded runs it for l + u > 1; a
+    singular A raises SolverError."""
+    (kl, ku), n = l_and_u, ab.shape[1]
+    if len(ab) != kl + ku + 1:
+        raise ValueError(f"a band of {len(ab)} rows for {kl} + {ku} + 1 diagonals")
+    lu = np.zeros((2 * kl + ku + 1, n), order="F")  # dgbsv's fill-in rows on top
+    lu[kl:] = ab
+    (x, nrhs), pivots, info = _rhs(b, n, False), np.empty(n, dtype=np.intc), ctypes.c_int()
+    _DGBSV(_int(n), _int(kl), _int(ku), nrhs, _ptr(lu), _int(len(lu)), _ptr(pivots), _ptr(x),
+           _int(n), ctypes.byref(info))
+    if info.value != 0:
+        raise SolverError(f"general band is singular (dgbsv info {info.value})")
+    return x
 
 
 class SiteSet:
@@ -434,18 +536,19 @@ class _KilledWalk:
         ev, od, pe, po, bw, e1, e2, _ = self.colours
         a, o = self.layout[2:]
         edge, dh, d2 = self.active[a] & self.active[o], g[a] - g[o], 2.0 * self.ss.d
-        eo = np.where(edge, np.exp(dh - self.omega[a]), 0.0) / d2
-        oe = np.where(edge, np.exp(-dh - self.omega[o]), 0.0) / d2
-        # I - N_eo N_oe, its [i, j] at bw + i - j of row j of a (len(ev), 2 bw + 1) band
         i, j, m, n = pe[e1], pe[e2], 2 * bw + 1, len(ev)
-        flat = np.bincount(np.r_[np.arange(n) * m, j * m + i - j, i * m + j - i] + bw,
-                           np.r_[1.0 - np.bincount(pe, eo * oe, n),
-                                 -eo[e1] * oe[e2], -eo[e2] * oe[e1]], n * m)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # a gauge too steep for the field overflows to inf and NaN here,
+        # which the residual check then refuses
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            eo = np.where(edge, np.exp(dh - self.omega[a]), 0.0) / d2
+            oe = np.where(edge, np.exp(-dh - self.omega[o]), 0.0) / d2
+            # I - N_eo N_oe, its [i, j] at bw + i - j of row j of a (len(ev), 2 bw + 1) band
+            flat = np.bincount(np.r_[np.arange(n) * m, j * m + i - j, i * m + j - i] + bw,
+                               np.r_[1.0 - np.bincount(pe, eo * oe, n),
+                                     -eo[e1] * oe[e2], -eo[e2] * oe[e1]], n * m)
             b = self.kill_vector(g)
             band = flat.reshape(n, m).T
-            u = self._eliminate(b, eo, oe,
-                                lambda r: solve_banded((bw, bw), band, r, check_finite=False))
+            u = self._eliminate(b, eo, oe, lambda r: solve_banded((bw, bw), band, r))
             # one sweep of each colour, summed in the order _check sums them
             u[ev] = b[ev] + np.bincount(pe, eo * u[od][po], n)
             u[od] = b[od] + np.bincount(po, oe * u[ev][pe], len(od))
@@ -542,33 +645,43 @@ def _selected_inverse(factor):
     this kernel took 17 ms on scipy's BLAS alone, and 164 to 472 ms with
     numpy's @ in place of dgemm and dtrmm. That BLAS runs on one thread
     (see the module docstring): a 50 x 50 dtrmm took 6 to 9 us on one
-    thread and 14 to 16 us on two."""
+    thread and 14 to 16 us on two.
+
+    The routines are called through ctypes on buffers and arguments set up
+    once per call: X_i is inverted in place of D_i, W_i is formed in the
+    slot of Z_{i+1,i} and Z_ii in its own, so that no routine allocates its
+    output and each costs its ctypes dispatch alone (about 1 us)."""
     m, n = factor.shape
     flat = factor.ravel(order="F")  # a view: Z is written over the factor
     # columns s.. s + m - 1 of the column-major band are the entries on and
     # below the diagonal of the stack [D_i; B_i], [c, a] its row c + a of
     # column c: a block's band entries, and only those. The stack is held
-    # as two column-major m x m halves, so BLAS reads each without a copy:
-    # row c + a of column c is at c (m + 1) + a, or m^2 - m further on in B
+    # as two column-major m x m halves, so BLAS reads each in place: row
+    # c + a of column c is at c (m + 1) + a, or m^2 - m further on in B
     col, a = np.arange(m)[:, None], np.arange(m)
     skew = col * (m + 1) + a + (col + a >= m) * (m * m - m)
     stack, zstack = np.zeros((2, m, m)), np.zeros((2, m, m))  # [D_i; B_i], [Z_ii; Z_{i+1,i}]
-    d, b = stack[0].T, stack[1].T
-    z = None
+    d, zd = stack[0].T, zstack[0].T  # column-major views
+    pd, pb, pz, pw = map(_ptr, (*stack, *zstack))
+    mm, kk, kz, info = ctypes.c_int(m), ctypes.c_int(), ctypes.c_int(), ctypes.c_int()
+    rm, rk, rz, ri = map(ctypes.byref, (mm, kk, kz, info))
     for s in range((n - 1) // m * m, -1, -m):
-        k = min(m, n - s)
+        kz.value, kk.value = kk.value, min(m, n - s)  # Z_{i+1,i+1} is kz x kz
+        k = kk.value
         stack.ravel()[skew[:k]] = flat[s * m:(s + k) * m].reshape(k, m)
-        x, info = dtrtri(d[:k, :k], lower=1)
-        if info != 0:
-            raise SolverError(f"Cholesky block at row {s} is singular (dtrtri info {info})")
-        c = x
-        if z is not None:
-            bz = b[:len(z)]
-            w = dtrmm(-1.0, x, dgemm(1.0, z, bz), side=1, lower=1, overwrite_b=1)  # -W_i
-            zstack[1].T[:len(z)] = w
-            c = dgemm(-1.0, bz, w, beta=1.0, c=x, trans_a=1)
-        z = dtrmm(1.0, x, c, lower=1, trans_a=1)
-        zstack[0].T[:k, :k] = z
+        _DTRTRI(b"L", b"N", rk, pd, rm, ri, _LEN, _LEN)  # X_i over D_i
+        if info.value != 0:
+            raise SolverError(f"Cholesky block at row {s} is singular (dtrtri info {info.value})")
+        if kz.value:  # k = m: only the last block is short
+            # -W_i = -(Z_{i+1,i+1} B_i) X_i, in the slot of Z_{i+1,i}
+            _DGEMM(b"N", b"N", rz, rm, rz, _PLUS, pz, rm, pb, rm, _NIL, pw, rm, _LEN, _LEN)
+            _DTRMM(b"R", b"L", b"N", b"N", rz, rm, _MINUS, pd, rm, pw, rm, _LEN, _LEN, _LEN, _LEN)
+            zd[:] = d  # X_i, plus B_i^T W_i
+            _DGEMM(b"T", b"N", rm, rm, rz, _MINUS, pb, rm, pw, rm, _PLUS, pz, rm, _LEN, _LEN)
+        else:
+            zd[:k, :k] = d[:k, :k]
+        # Z_ii = X_i^T (X_i + B_i^T W_i)
+        _DTRMM(b"L", b"L", b"T", b"N", rk, rk, _PLUS, pd, rm, pz, rm, _LEN, _LEN, _LEN, _LEN)
         flat[s * m:(s + k) * m] = zstack.ravel()[skew[:k]].ravel()
     return flat.reshape(n, m).T
 

@@ -241,6 +241,21 @@ def test_cli_refuses_a_law_whose_moments_overflow(tmp_path, capsys, spec, geomet
     assert refusal in capsys.readouterr().err
 
 
+def test_cli_log_space_overflow_fails_its_residual_check_quietly(tmp_path, capsys):
+    # (A1) and (A3) hold, so tails runs; the weights underflow, and the
+    # log-space gauge (c about 5e199) overflows exp to inf and NaN, which
+    # the residual check refuses with exit 2, and no numpy warning escapes
+    # on the way (the suite makes rwpot's warnings errors)
+    config = {"experiment": "tails",
+              "spec": {"kind": "TwoPoint", "params": {"v_lo": 0.2, "v_hi": 1e200, "p_hi": 0.5}},
+              "sampling": {"seed": 1, "samples": 5}}
+    code = cli.main(["tails", "--config", str(_write(tmp_path, config)),
+                     "--out", str(tmp_path / "r")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "residual" in err and "Warning" not in err
+
+
 def test_cli_perturb_in_six_dimensions_exits_2(tmp_path, capsys):
     # the pinned return probability refuses d = 6 before any solve
     config = {"experiment": "perturb", "spec": TP_JSON,

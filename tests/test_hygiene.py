@@ -1,8 +1,8 @@
 """Source hygiene: every name a module, test or demo imports is used in
 that file, every module-level private name is used somewhere in the
 package, and every public function, method and class is used somewhere in
-the package, its tests or its demos; and importing the package loads no
-scipy subpackage it does not run."""
+the package, its tests or its demos; and neither importing the package
+nor running an experiment at its defaults loads a scipy module."""
 
 import ast
 import subprocess
@@ -149,31 +149,38 @@ def test_oracle_takes_only_index_helpers_from_solver():
     assert not bad, f"oracle.py imports {', '.join(bad)} from the solver"
 
 
-# loaded after `import rwpot, rwpot.cli`, then after cli.main runs each
-# experiment at its defaults; prints one line per stage
+# the scipy modules loaded after `import rwpot`, after `import rwpot.cli`,
+# then after cli.main runs each experiment at its defaults; prints one
+# line per stage
 _SCIPY_PROBE = """
-import sys
+import os, sys
 sys.path.insert(0, sys.argv[1])
-import rwpot, rwpot.cli
-heavy = sys.argv[3:]
-print("loaded import:", *[m for m in heavy if m in sys.modules])
-for experiment in ("solve", "oracle-check"):
-    rwpot.cli.main([experiment, "--out", sys.argv[2]])
-    print(f"loaded {experiment}:", *[m for m in heavy if m in sys.modules])
+
+
+def loaded(stage):
+    print(f"loaded {stage}:", *sorted(m for m in sys.modules if m.startswith("scipy")))
+
+
+import rwpot
+loaded("rwpot")
+import rwpot.cli
+loaded("rwpot.cli")
+for experiment in rwpot.harness.EXPERIMENTS:
+    assert rwpot.cli.main([experiment, "--out", os.path.join(sys.argv[2], experiment)]) == 0
+    loaded(experiment)
 """
 
 
 def test_import_loads_no_heavy_scipy_subpackage(tmp_path):
-    """`import rwpot` and `import rwpot.cli` load numpy and scipy.linalg, and
-    no other scipy subpackage, and the default solve and oracle-check runs
-    load none either: scipy.stats, scipy.integrate and scipy.optimize each
-    cost a large share of a CLI run's start-up, scipy.special is read only
-    by the LogNormal law (imported on its first use) and scipy.sparse by
-    nothing."""
-    heavy = ("scipy.stats", "scipy.integrate", "scipy.optimize", "scipy.special",
-             "scipy.sparse")
-    out = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, str(ROOT / "src"),
-                          str(tmp_path), *heavy],
-                         capture_output=True, text=True, check=True, timeout=120)
+    """`import rwpot` and `import rwpot.cli` load numpy and no scipy
+    module, and neither does any experiment at its defaults: the solver
+    calls scipy's bundled BLAS and LAPACK library through ctypes, and
+    `import scipy.linalg` alone would cost over half of a CLI run's
+    start-up. A LogNormal law loads scipy.special on its first use; no
+    default uses one."""
+    out = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, str(ROOT / "src"), str(tmp_path)],
+                         capture_output=True, text=True, check=True, timeout=300)
     loaded = [line for line in out.stdout.splitlines() if line.startswith("loaded ")]
-    assert loaded == ["loaded import:", "loaded solve:", "loaded oracle-check:"], loaded
+    stages = ["rwpot", "rwpot.cli", "solve", "lyapunov", "tails", "compare", "truncate",
+              "perturb", "entropy", "psi", "animals", "chi", "oracle-check"]
+    assert loaded == [f"loaded {stage}:" for stage in stages], loaded

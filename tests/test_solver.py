@@ -22,8 +22,8 @@ from rwpot.harness import run
 from rwpot.rng import derive_seed
 from rwpot.solver import (SiteSet, exit_functional, exit_functionals, raise_site,
                           travel_costs, travel_weight, weighted_functionals)
-from util_oracles import (_l1_ball_count, block_cost, block_sites, maximal_distance,
-                          reference_exit_functionals, reference_green_diagonal,
+from util_oracles import (_l1_ball_count, block_cost, block_sites, f2py_selected_inverse,
+                          maximal_distance, reference_exit_functionals, reference_green_diagonal,
                           return_probability, transition_matrix, two_solve_delta,
                           zero_field)
 
@@ -639,13 +639,17 @@ def _assert_close(a, b, rel):
 def _assert_blocked_diagonal_matches_the_scalar_recurrence(kw, pad=0):
     """The blocked kernel against the one-index-at-a-time recurrence, on
     the operator's factor and on the same factor stored with pad extra zero
-    band rows (a declared bandwidth up to beyond the order n)."""
+    band rows (a declared bandwidth up to beyond the order n), and bit for
+    bit against the same blocked inversion on scipy.linalg's wrappers."""
     factor = kw._factor()
     ref = reference_green_diagonal(factor)
     assert np.all(ref > 0)
     wide = np.asfortranarray(np.vstack([factor, np.zeros((pad, factor.shape[1]))]))
     for f in (factor.copy(order="F"), wide):
-        _assert_close(solver._selected_inverse(f)[0], ref, 1e-13)
+        bits = f2py_selected_inverse(f)
+        z = solver._selected_inverse(f)
+        assert np.array_equal(z, bits)
+        _assert_close(z[0], ref, 1e-13)
 
 
 @settings(max_examples=60, deadline=None)
@@ -738,24 +742,29 @@ def test_green_diagonal_on_both_colours_across_the_potential_domain():
 _THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
-def _blas_threads_around_import(**env):
+def _blas_threads_around_import(rwpot_first=False, **env):
     """scipy's OpenBLAS thread count before and after `import rwpot`, in a
-    fresh process with env and none of the thread variables otherwise; the
-    test is skipped where scipy's BLAS is not its bundled OpenBLAS."""
+    fresh process with env and none of the thread variables otherwise, and
+    the count rwpot reports; the test is skipped where scipy's BLAS is not
+    its bundled OpenBLAS. scipy.linalg is imported first, or with
+    rwpot_first after rwpot, so that both counts are read after rwpot's."""
     code = """if True:
         import ctypes, sys
+        sys.path.insert(0, sys.argv[1])
+        if sys.argv[2] == "rwpot first":
+            import rwpot
         import scipy.linalg
         lib = ctypes.CDLL(scipy.linalg._fblas.__file__)
         if not hasattr(lib, "scipy_openblas_get_num_threads"):
             print("none")
             sys.exit()
         before = lib.scipy_openblas_get_num_threads()
-        sys.path.insert(0, sys.argv[1])
         import rwpot
         print(before, lib.scipy_openblas_get_num_threads(), rwpot.solver.blas_threads())
         """
     clean = {k: v for k, v in os.environ.items() if k not in _THREAD_VARIABLES}
-    out = subprocess.run([sys.executable, "-c", code, str(Path(solver.__file__).parents[1])],
+    out = subprocess.run([sys.executable, "-c", code, str(Path(solver.__file__).parents[1]),
+                          "rwpot first" if rwpot_first else "scipy first"],
                          env=clean | env, capture_output=True, text=True, check=True,
                          timeout=120).stdout.split()
     if out == ["none"]:
@@ -770,6 +779,12 @@ def test_import_sets_scipy_blas_to_one_thread_unless_the_environment_does():
     # an explicit count is OpenBLAS's to keep (capped at the CPU count)
     before, after = _blas_threads_around_import(OPENBLAS_NUM_THREADS="2")
     assert after == before and before <= 2
+
+
+def test_scipy_imported_after_rwpot_shares_its_openblas():
+    # rwpot opens scipy's BLAS library without importing scipy; a later
+    # scipy.linalg loads the same library, so it reads rwpot's one thread
+    assert _blas_threads_around_import(rwpot_first=True) == (1, 1)
 
 
 @pytest.mark.parametrize("box, shape", [(prop_box((12, 0), 2), (50, 1201)),

@@ -8,7 +8,8 @@ library's lockstep walk), and so are crossing traces, which dump_traces
 writes one JSON line each. Two run the solver the slow way its batched
 paths replace: one operator per crossing shell, and one factorization per
 field for a raised site; the Green diagonal is also inverted the slow
-way, one index at a time.
+way, one index at a time, and the blocked inversion once more on
+scipy.linalg's own BLAS and LAPACK wrappers.
 
 The rest are library functionals that no experiment runs, kept as
 references for the tests: the zero-potential return probability (the
@@ -246,6 +247,39 @@ def reference_green_diagonal(factor):
         window[:, p] = z
         out[i] = window[p, p] = (1.0 / lii - col @ z) / lii
     return out
+
+
+def f2py_selected_inverse(factor):
+    """The blocked selected inversion of solver._selected_inverse, on
+    scipy.linalg's own wrappers of dtrtri, dgemm and dtrmm: each call
+    allocates its output, and X_i, W_i and Z_ii are arrays of their own.
+    Takes a copy of the factor and returns Z in the factor's band layout,
+    so the bits of the in-place kernel can be compared with it."""
+    from scipy.linalg.blas import dgemm, dtrmm
+    from scipy.linalg.lapack import dtrtri
+
+    m, n = factor.shape
+    flat = np.array(factor, order="F").ravel(order="F")
+    col, a = np.arange(m)[:, None], np.arange(m)
+    skew = col * (m + 1) + a + (col + a >= m) * (m * m - m)
+    stack, zstack = np.zeros((2, m, m)), np.zeros((2, m, m))
+    d, b = stack[0].T, stack[1].T
+    z = None
+    for s in range((n - 1) // m * m, -1, -m):
+        k = min(m, n - s)
+        stack.ravel()[skew[:k]] = flat[s * m:(s + k) * m].reshape(k, m)
+        x, info = dtrtri(d[:k, :k], lower=1)
+        assert info == 0
+        c = x
+        if z is not None:
+            bz = b[:len(z)]
+            w = dtrmm(-1.0, x, dgemm(1.0, z, bz), side=1, lower=1, overwrite_b=1)
+            zstack[1].T[:len(z)] = w
+            c = dgemm(-1.0, bz, w, beta=1.0, c=x, trans_a=1)
+        z = dtrmm(1.0, x, c, lower=1, trans_a=1)
+        zstack[0].T[:k, :k] = z
+        flat[s * m:(s + k) * m] = zstack.ravel()[skew[:k]].ravel()
+    return flat.reshape(n, m).T
 
 
 def transition_matrix(ss, omega):
