@@ -2,10 +2,13 @@
 
 One subcommand per experiment. Configuration comes from a JSON file
 (--config); --seed and --out override the config, and --override-assumptions
-bypasses the moment hypothesis gates by name.
+bypasses the moment hypothesis gates by name. Exit codes: 0 all assertions
+passed, 1 some failed, 2 a usage or domain error, 3 a hypothesis refused, 4
+a crash (any other exception).
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -54,7 +57,10 @@ def _add_flags(parser, defaults):
                         help="bypass moment-hypothesis gates", **kw)
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: main reuses it on every
+    call (parsing keeps no state on the parser)."""
     parser = argparse.ArgumentParser(
         prog="rwpot",
         description="Killed-random-walk experiments in random potentials")
@@ -76,6 +82,9 @@ def main(argv=None):
     except (RwpotError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a crash, never read as a failed assertion (1)
+        print(f"crash: {type(exc).__name__}: {exc}".splitlines()[0], file=sys.stderr)
+        return 4
     for name, ok in sorted(manifest.assertions.items()):
         print(f"{name}: {'pass' if ok else 'FAIL'}")
     for w in manifest.warnings:

@@ -2,9 +2,11 @@
 
 One table, _PARAMS, holds each experiment's config keys with their types,
 defaults and least values or lengths. Validation refuses any other key, a
-value of the wrong type or below its bound, and a target at the origin
-(except in solve); it then fills in every default and coerces each number
-to its type, so the runners read resolved values only.
+value of the wrong type or below its bound, a number that is NaN or
+infinite, a target at the origin (except in solve), and a box factor that
+is not positive or whose box radius is past the largest float; it then
+fills in every default and coerces each number to its type, so the runners
+read resolved values only.
 
 Every run is a pure function of its config (seed included; wall-clock time
 is never used for anything but the recorded runtime), writes its tabular
@@ -16,6 +18,7 @@ sample is a pure function of its own seed, aggregated in seed order.
 """
 
 import json
+import math
 import os
 import time
 import warnings
@@ -42,13 +45,14 @@ from .solver import blas_threads, bounding_box, travel_weight
 
 FORMAT_VERSION = 1
 
-# A type is int, float (any number), str, _TARGET (a lattice point other than
-# the origin), [type] (a list of that type) or {key: type} (an object with
-# those keys).
+# A type is int, float (any finite number), str, _TARGET (a lattice point
+# other than the origin), _FACTOR (a box factor: a number > 0), [type] (a
+# list of that type) or {key: type} (an object with those keys).
 _TARGET = "nonzero [int]"
+_FACTOR = "positive number"
 
 _X = (_TARGET, [4, 0], 1)
-_BOX = (float, DEFAULT_BOX_FACTOR, None)
+_BOX = (_FACTOR, DEFAULT_BOX_FACTOR, None)
 _KAPPA = (float, 0.5, None)
 
 # What each experiment reads: "section.key" -> (type, default, least value
@@ -66,7 +70,7 @@ _PARAMS = {
               "geometry.box_factor": _BOX, "geometry.alpha_ref": (float, None, None),
               "sampling.samples": (int, 500, 1),
               "sampling.t_grid": ([float], [0.0, 0.5, 1.0, 1.5, 2.0], 1)},
-    "compare": {"geometry.x": _X, "geometry.box_factor_grid": ([float], [1.5, 3.0], 2),
+    "compare": {"geometry.x": _X, "geometry.box_factor_grid": ([_FACTOR], [1.5, 3.0], 2),
                 "sampling.samples": (int, 200, 1)},
     "truncate": {"geometry.x": _X, "geometry.gamma": (float, 0.5, None),
                  "sampling.samples": (int, 500, 1)},
@@ -99,10 +103,15 @@ EXPERIMENTS = tuple(_PARAMS)
 def _coerce(v, kind):
     """The JSON value v as a value of the type kind; TypeError if it is not
     one, KeyError (with their sorted names) if an object has keys the type
-    lacks."""
+    lacks, ValueError (with the value) if a number is NaN, infinite or past
+    the largest float."""
     if kind == _TARGET:
         v = _coerce(v, [int])
         if any(v):
+            return v
+    elif kind == _FACTOR:
+        v = _coerce(v, float)
+        if v > 0:
             return v
     elif isinstance(kind, list) and isinstance(v, list):
         return [_coerce(u, kind[0]) for u in v]
@@ -110,10 +119,26 @@ def _coerce(v, kind):
         if set(v) - set(kind):
             raise KeyError(sorted(set(v) - set(kind)))
         return {k: _coerce(v[k], t) for k, t in kind.items()}
-    elif kind in (int, float, str) and not isinstance(v, bool) and isinstance(
-            v, (int, float) if kind is float else kind):
+    elif kind is float and not isinstance(v, bool) and isinstance(v, (int, float)):
+        try:
+            v = float(v)
+        except OverflowError:  # an integer past the largest float
+            v = math.inf
+        if math.isfinite(v):
+            return v
+        raise ValueError(v)
+    elif kind in (int, str) and not isinstance(v, bool) and isinstance(v, kind):
         return kind(v)
     raise TypeError(kind)
+
+
+def _box_reach(cfg):
+    """The largest |x|_1 of a target whose box prop_box scales by the box
+    factor: lyapunov's is its farthest n * direction."""
+    g = cfg.geometry
+    if cfg.experiment == "lyapunov":
+        return max(cfg.sampling["n_grid"]) * sum(map(abs, g["direction"]))
+    return max(sum(map(abs, x)) for x in g.get("x_grid", [g["x"]]))
 
 
 def _spell(kind):
@@ -163,6 +188,9 @@ class ExperimentConfig:
             except KeyError as unread:
                 errors.append(f"{name}: {', '.join(unread.args[0])} not read by {self.experiment}")
                 continue
+            except ValueError as bad:
+                errors.append(f"{name}: {bad.args[0]} is not a finite number")
+                continue
             if callable(least):
                 if errors:  # the geometry it reads may not be resolved
                     continue
@@ -171,6 +199,14 @@ class ExperimentConfig:
                 errors.append(f"{name}: must have length >= {least}")
             elif not isinstance(value, list) and least is not None and value < least:
                 errors.append(f"{name}: must be >= {least}")
+        key = next((k for k in ("box_factor", "box_factor_grid") if k in self.geometry), None)
+        if key is not None and not errors:
+            factor = self.geometry[key]
+            try:  # the box radius ceil(F |x|_1) must be a finite integer
+                math.ceil((max(factor) if key == "box_factor_grid" else factor)
+                          * _box_reach(self))
+            except OverflowError:
+                errors.append(f"geometry.{key}: the box radius F |x|_1 is past the largest float")
         if errors:
             raise ParameterError("; ".join(errors))
         return self

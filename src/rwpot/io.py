@@ -8,7 +8,6 @@ platform.
 """
 
 import csv
-import hashlib
 import io as _io
 import json
 import os
@@ -60,12 +59,16 @@ def write_json(path, obj):
 
 
 def sha256_of_json(obj):
+    import hashlib  # loads OpenSSL (about 4 ms and 4 MB): on the first hash only
+
     return hashlib.sha256(
         json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
     ).hexdigest()
 
 
 def sha256_of_file(path):
+    import hashlib
+
     h = hashlib.sha256()
     with open(str(path), "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):

@@ -45,7 +45,12 @@ one solve and one residual check.
 
 Importing the module sets scipy's bundled OpenBLAS to one thread, unless
 OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS is set (then
-OpenBLAS keeps the count it read) or scipy runs on another BLAS. On one
+OpenBLAS keeps the count it read) or scipy runs on another BLAS. The count
+is read when the library loads: the load alone sees OPENBLAS_NUM_THREADS=1
+(os.environ is restored right after), so OpenBLAS starts no worker thread,
+which would otherwise spin for about 0.1 s against the main thread before
+being told to stop; a library scipy.linalg loaded first is set to one
+thread by call. On one
 thread the band factorizations run no slower and the Green-diagonal
 kernel's 50 x 50 dtrmm about twice as fast, and no second thread waits for
 a CPU that another process holds; only the kernel at d=3 widths (bw 169)
@@ -79,24 +84,44 @@ STACK_BAND_ENTRIES = 2 ** 18
 KILLS_KEPT = 8
 
 
+# OpenBLAS keeps the thread count one of these gives it; with none set (or
+# each set to ""), scipy's OpenBLAS runs on one thread
+_ONE_THREAD = not any(os.environ.get(v) for v in (
+    "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"))
+
+
 def _scipy_blas_library():
     """The library of scipy's BLAS extension, scipy/linalg/_fblas, opened
     with ctypes from its path, which find_spec reads without importing
     scipy. The loader then searches the libraries it links, whatever was
     imported first: scipy's bundled OpenBLAS, or the BLAS and LAPACK it was
-    built on."""
+    built on. OpenBLAS reads its thread count in its load-time constructor,
+    so under _ONE_THREAD the load alone sees OPENBLAS_NUM_THREADS=1 and no
+    worker thread is ever started; os.environ is restored as it was."""
     spec = importlib.util.find_spec("scipy")
     for suffix in importlib.machinery.EXTENSION_SUFFIXES if spec else ():
         path = os.path.join(spec.submodule_search_locations[0], "linalg", "_fblas" + suffix)
-        if os.path.exists(path):
+        if not os.path.exists(path):
+            continue
+        if not _ONE_THREAD:
             return ctypes.CDLL(path)
+        saved = os.environ.get("OPENBLAS_NUM_THREADS")
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+        try:
+            return ctypes.CDLL(path)
+        finally:
+            if saved is None:
+                del os.environ["OPENBLAS_NUM_THREADS"]
+            else:
+                os.environ["OPENBLAS_NUM_THREADS"] = saved
     raise ImportError("scipy's BLAS extension scipy/linalg/_fblas was not found")
 
 
 _BLAS = _scipy_blas_library()
 _OPENBLAS = _BLAS if hasattr(_BLAS, "scipy_openblas_set_num_threads") else None
-if _OPENBLAS is not None and not any(
-        os.environ.get(v) for v in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
+# a library that scipy.linalg loaded before this module read the environment
+# as it was: set its count too
+if _OPENBLAS is not None and _ONE_THREAD:
     _OPENBLAS.scipy_openblas_set_num_threads(1)
 
 

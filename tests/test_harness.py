@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 
@@ -162,6 +163,23 @@ def test_cli_rejects_a_config_of_the_wrong_shape(tmp_path, capsys, config, key):
     ("animals", "geometry", {"l_cap": 0}, "geometry.l_cap: must be >= 1"),
     ("chi", "geometry", {"l": 2}, "geometry.l: must be >= 4"),
     ("lyapunov", "geometry", {"box_factor": 0.5}, "geometry.box_factor: must be >= 1"),
+    # a number that is not finite, a box factor that is not positive, and
+    # one whose box radius ceil(F |x|_1) is past the largest float: each used
+    # to crash, run for nothing or write its CSV before failing
+    *[(experiment, "geometry", {"box_factor": 1e308},
+       "geometry.box_factor: the box radius F |x|_1 is past the largest float")
+      for experiment in ("solve", "tails", "perturb", "psi")],
+    *[(experiment, "geometry", {"box_factor": float("inf")},
+       "geometry.box_factor: inf is not a finite number")
+      for experiment in ("solve", "tails", "perturb", "psi")],
+    ("solve", "geometry", {"box_factor": float("nan")},
+     "geometry.box_factor: nan is not a finite number"),
+    ("solve", "geometry", {"box_factor": -1}, "geometry.box_factor: must be positive number"),
+    ("tails", "geometry", {"alpha_ref": float("nan")},
+     "geometry.alpha_ref: nan is not a finite number"),
+    ("entropy", "sampling", {"lambda_grid": [float("nan")]},
+     "sampling.lambda_grid: nan is not a finite number"),
+    ("chi", "geometry", {"kappa": float("nan")}, "geometry.kappa: nan is not a finite number"),
 ])
 def test_cli_rejects_no_samples_and_empty_grids(tmp_path, capsys, experiment, part,
                                                 value, key):
@@ -514,6 +532,48 @@ def test_cli_exit_codes(tmp_path, capsys):
     code = cli.main(["--config", str(cfg_path), "--out", str(tmp_path / "r3"),
                      "--override-assumptions", "tails"])
     assert code == 0
+
+
+def test_cli_builds_one_parser_per_process(tmp_path, monkeypatch):
+    # main reuses the parser: a bad flag after good runs still exits 2
+    built = []
+    real = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli.build_parser.cache_clear()
+    try:
+        for seed in ("1", "2"):
+            assert cli.main(["solve", "--seed", seed, "--out", str(tmp_path / seed)]) == 0
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["solve", "--bogus", "--out", str(tmp_path / "r")])
+    finally:
+        cli.build_parser.cache_clear()
+    assert exc.value.code == 2
+    assert built.count("rwpot") == 1
+    assert not (tmp_path / "r").exists()
+
+
+def test_cli_crash_exits_4_naming_the_exception(tmp_path, capsys, monkeypatch):
+    # exit 1 means "some assertion failed": a crash has its own code
+    def crash(cfg, out):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(harness._DISPATCH, "solve", crash)
+    out = tmp_path / "made" / "r"
+    assert cli.main(["solve", "--seed", "1", "--out", str(out)]) == 4
+    assert capsys.readouterr().err.splitlines() == ["crash: RuntimeError: boom"]
+    assert not (tmp_path / "made").exists()
+
+    def interrupt(cfg, out):
+        raise KeyboardInterrupt
+
+    monkeypatch.setitem(harness._DISPATCH, "solve", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["solve", "--seed", "1", "--out", str(out)])
 
 
 def test_cli_rejects_unknown_threads_flag(tmp_path, capsys):

@@ -1,10 +1,12 @@
 """Source hygiene: every name a module, test or demo imports is used in
 that file, every module-level private name is used somewhere in the
 package, and every public function, method and class is used somewhere in
-the package, its tests or its demos; and neither importing the package
-nor running an experiment at its defaults loads a scipy module."""
+the package, its tests or its demos; neither importing the package nor
+running an experiment at its defaults loads a scipy module; and importing
+the package loads neither the experiment layer nor OpenSSL."""
 
 import ast
+import importlib
 import subprocess
 import sys
 from pathlib import Path
@@ -184,3 +186,48 @@ def test_import_loads_no_heavy_scipy_subpackage(tmp_path):
     stages = ["rwpot", "rwpot.cli", "solve", "lyapunov", "tails", "compare", "truncate",
               "perturb", "entropy", "psi", "animals", "chi", "oracle-check"]
     assert loaded == [f"loaded {stage}:" for stage in stages], loaded
+
+
+# the names `import rwpot` exported before the experiment layer loaded on
+# first use: every one still resolves
+PACKAGE_NAMES = [
+    "AlphaEstimate", "AnimalSpec", "AssumptionError", "AssumptionReport", "BoxRegion",
+    "CapacityError", "ChiEvaluation", "CrossingTrace", "DegenerateWeightError",
+    "DistributionSpec", "DomainError", "EntropyRecord", "ExperimentConfig",
+    "FeasibilityError", "MartingaleDiagnostics", "ParameterError", "PathEnumResult",
+    "PerturbationRecord", "PotentialField", "RunManifest", "RwpotError", "SolveResult",
+    "SolverError", "TailReport", "WeightedFunctionals", "animal_occupancy_check",
+    "assumption_report", "canonical_form", "check_norm_properties", "chi_evaluate",
+    "chi_upper_probe", "coarse", "coarse_index", "compare_restricted", "concentration",
+    "entropy_suite", "enumerate_animals", "enumerate_paths", "errors", "estimate_alpha",
+    "exit_functional", "exit_functionals", "harness", "io", "lattice", "load_field",
+    "lyapunov", "martingale_diagnostics", "norms", "occupied_cost_bound_check", "oracle",
+    "oracle_check", "pinned_return_probability", "potential", "psi_herbst", "raise_site",
+    "rank_one_verify", "rng", "run", "sample_crossings", "sample_field",
+    "sample_walk_weight", "save_field", "solver", "stats", "supermartingale_step_check",
+    "tail_experiment", "travel_weight", "truncation_gap", "variance_scaling",
+    "weighted_functionals"]
+
+
+def test_import_loads_the_solver_stack_and_nothing_it_does_not_run():
+    """`import rwpot` loads no module of the experiment layer (harness,
+    coarse, oracle, lyapunov), not the CLI, and not OpenSSL (hashlib loads
+    it on the first hash): a caller that samples and solves pays for none
+    of them. Their names still resolve, on first use."""
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import rwpot; "
+             "print(*sorted(m for m in sys.modules if m in sys.argv[2:]))")
+    heavy = ["rwpot.harness", "rwpot.coarse", "rwpot.oracle", "rwpot.lyapunov",
+             "rwpot.cli", "_hashlib"]
+    out = subprocess.run([sys.executable, "-c", probe, str(ROOT / "src"), *heavy],
+                         capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.split() == []
+    import rwpot
+
+    assert rwpot.__all__ == PACKAGE_NAMES
+    for name in PACKAGE_NAMES:
+        value = getattr(rwpot, name)
+        if type(value) is type(rwpot):
+            assert value is importlib.import_module(f"rwpot.{name}")
+        else:
+            assert value.__module__.startswith("rwpot.")
+            assert getattr(sys.modules[value.__module__], name) is value

@@ -781,6 +781,32 @@ def test_import_sets_scipy_blas_to_one_thread_unless_the_environment_does():
     assert after == before and before <= 2
 
 
+@pytest.mark.parametrize("env", [{}, {"OPENBLAS_NUM_THREADS": ""}])
+def test_import_starts_no_openblas_worker_and_restores_the_environment(env):
+    # OpenBLAS reads its thread count when it loads: rwpot loads it with
+    # OPENBLAS_NUM_THREADS=1 for that moment only, so no worker thread is
+    # ever started (on a 2-CPU machine one was, and spun for about 0.1 s),
+    # and os.environ is then exactly as it was, a variable set to "" too
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("no /proc/self/task to count the process's threads")
+    code = """if True:
+        import os, sys
+        sys.path.insert(0, sys.argv[1])
+        import numpy
+        before = dict(os.environ), len(os.listdir("/proc/self/task"))
+        import rwpot
+        after = dict(os.environ), len(os.listdir("/proc/self/task"))
+        print(before[1], after[1], rwpot.solver.blas_threads(), before[0] == after[0])
+        """
+    clean = {k: v for k, v in os.environ.items() if k not in _THREAD_VARIABLES}
+    out = subprocess.run([sys.executable, "-c", code, str(Path(solver.__file__).parents[1])],
+                         env=clean | env, capture_output=True, text=True, check=True,
+                         timeout=120).stdout.split()
+    if out[2] == "None":
+        pytest.skip("scipy's BLAS is not its bundled OpenBLAS")
+    assert out == [out[0], out[0], "1", "True"]
+
+
 def test_scipy_imported_after_rwpot_shares_its_openblas():
     # rwpot opens scipy's BLAS library without importing scipy; a later
     # scipy.linalg loads the same library, so it reads rwpot's one thread
